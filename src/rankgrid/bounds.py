@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from . import formulas
-from .construct import claimed_triangle_labels
+from .construct import _row_cut_labels
 from .graphs import GraphShape, build
 from .solve import rank_exact
 
@@ -37,18 +37,7 @@ __all__ = [
 ]
 
 
-def _formula_value(rows: int, cols: int) -> int:
-    # rows <= 4 guaranteed by callers
-    if rows == 1:
-        return formulas.rank_path(cols)
-    if rows == 2:
-        return formulas.rank_2xn(cols)
-    if rows == 3:
-        return formulas.rank_3xn(cols)
-    return formulas.rank_4xn(cols)
-
-
-@lru_cache(maxsize=None)
+@cache
 def _best_known(m: int, n: int) -> int:
     """Value used for the r(m, n) sub-instances inside the recurrences.
 
@@ -58,9 +47,9 @@ def _best_known(m: int, n: int) -> int:
     if m == 1 or n == 1:
         return formulas.rank_path(max(m, n))
     if m <= 4:
-        return _formula_value(m, n)
+        return formulas.rank_formula(m, n)
     if n <= 4:
-        return _formula_value(n, m)
+        return formulas.rank_formula(n, m)
     return m + _best_known(m, n // 2)
 
 
@@ -82,8 +71,15 @@ def alpert_upper(m: int, n: int) -> int:
 
 
 def tri_bound(m: int) -> int:
-    """Label count of the stacked-row triangle ranking with m rows."""
-    return claimed_triangle_labels(m)
+    """Label count of the stacked-row triangle ranking with m rows.
+
+    This is the row-cut ranking that construct.triangle_ranking builds and
+    validates for m >= 7; below that it is at least the exact value.  Work
+    grows as m^3, once per process: tens of milliseconds at m = 60.
+    """
+    if m < 1:
+        raise ValueError("triangle side must be positive")
+    return _row_cut_labels(m)
 
 
 def diagonal_upper(m: int, n: int) -> int:
@@ -162,7 +158,7 @@ def compare_upper(m: int, n: int) -> ComparatorReport:
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def square_lower(m: int) -> int:
     """Lower bound for the m x m grid via the square-subgrid recursion.
 

@@ -85,10 +85,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="wall-clock cap; exceeded solves report an interval")
     p.add_argument("--budget-nodes", type=int, metavar="N",
                    help="search-node cap")
-    p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="root-level solver threads (solver only)")
     p.add_argument("--deterministic", action="store_true",
-                   help="single task, no cache traffic, zeroed timings")
+                   help="no cache traffic, zeroed timings")
     p.add_argument("--cache", metavar="PATH",
                    help="cache file (default: RANKGRID_CACHE or the user data dir)")
     p.add_argument("--no-cache", action="store_true", help="skip the cache entirely")
@@ -115,8 +113,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
                 payload["labels"] = hit["labels"]
             _emit(payload)
             return 0
-    jobs = 1 if args.deterministic else args.jobs
-    res = rank_exact(g, budget=_budget_from_args(args), jobs=jobs)
+    res = rank_exact(g, budget=_budget_from_args(args))
     if store is not None:
         labels = list(res.certificate.labels) if res.certificate else None
         store.put_exact(g, res.lb, res.ub, labels, res.elapsed)
@@ -143,7 +140,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     payload = {
         "k": args.k,
         "feasible": out.feasible,
-        "proven": out.proven,
+        "proven": out.feasible is not None,
         "elapsed": 0.0 if args.deterministic else round(out.elapsed, 6),
         "labels": list(out.ranking.labels) if out.ranking else None,
         "method": "search",
@@ -152,20 +149,13 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return 2 if out.feasible is None else 0
 
 
-def _formula_value(m: int, n: int, recursive: bool) -> int:
-    if m == 1:
-        return formulas.rank_path(n)
-    if m == 2:
-        return formulas.rank_2xn(n)
-    if m == 3:
-        return formulas.rank_3xn(n)
-    return formulas.rank_4xn_recursive(n) if recursive else formulas.rank_4xn(n)
-
-
 def _cmd_formula(args: argparse.Namespace) -> int:
     if args.recursive and args.m != 4:
         raise ShapeError("--recursive applies only to --m 4")
-    value = _formula_value(args.m, args.n, args.recursive)
+    if args.recursive:
+        value = formulas.rank_4xn_recursive(args.n)
+    else:
+        value = formulas.rank_formula(args.m, args.n)
     bucket = None
     if args.m == 4 and args.n >= 5:
         b = formulas.bucket_4xn(args.n)
@@ -195,17 +185,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     m = args.m
     n = args.n if args.n is not None else m
     side = min(m, n)
+    lower = {
+        "thm2": bounds.square_lower(side),
+        "cor1": str(bounds.corollary_lower_square(side)),
+    }
+    report = bounds.compare_upper(m, n)
     payload: dict[str, object] = {
         "m": m,
-        "lower": {
-            "thm2": bounds.square_lower(side),
-            "cor1": str(bounds.corollary_lower_square(side)),
-        },
-        "upper": {
-            "alpert": bounds.alpert_upper(m, n),
-            "diagonal": bounds.diagonal_upper(m, n) if n >= m + 2 else None,
-        },
-        "comparator": bounds.compare_upper(m, n).to_json_dict(),
+        "lower": lower,
+        "upper": {"alpert": report.alpert_value, "diagonal": report.diagonal_value},
+        "comparator": report.to_json_dict(),
     }
     if args.n is not None:
         payload["n"] = n
@@ -286,7 +275,7 @@ class SweepRow:
 def _sweep_row(m: int, n: int, methods: set[str], budget: Budget | None) -> SweepRow:
     row = SweepRow(m=m, n=n)
     if "formula" in methods and m <= 4:
-        row.formula = _formula_value(m, n, recursive=False)
+        row.formula = formulas.rank_formula(m, n)
     if "exact" in methods:
         res = rank_exact(build(GraphShape.grid(m, n)), budget=budget)
         row.exact_lo, row.exact_hi = res.lb, res.ub

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from . import formulas, solve
 from .graphs import (
@@ -80,25 +80,18 @@ def two_sticky_shape(n: int, *, anti: bool) -> GraphShape:
     return GraphShape.grid(4, n, (left, StickyEnd("right", "bottom")))
 
 
-_BASE_MEMO: dict[tuple[GraphShape, int], Ranking] = {}
-
-
+@cache
 def base_ranking(shape: GraphShape, k: int, budget: Budget | None = None) -> Ranking:
     """A solver-found ranking of shape within k labels, memoized.
 
     Raises ValueError on a proven 'no' and RuntimeError if the budget
     runs out undecided.
     """
-    key = (shape, k)
-    hit = _BASE_MEMO.get(key)
-    if hit is not None:
-        return hit
     out = solve.rank_decision(build(shape), k, budget=budget)
     if out.feasible is None:
         raise RuntimeError(f"budget exhausted deciding {shape} at k={k}")
     if out.ranking is None:
         raise ValueError(f"{shape} has no ranking within {k} labels")
-    _BASE_MEMO[key] = out.ranking
     return out.ranking
 
 
@@ -361,36 +354,37 @@ def claimed_triangle_labels(s: int) -> int:
     return 2 * s - 2 * ((s + 1).bit_length() - 1) + 1
 
 
-def _tri_row_cuts(s: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Best row-cut schedule for every row interval of tri_s.
+@cache
+def _row_cut_cost(a: int, b: int) -> int:
+    """Labels the best row-cut schedule spends on rows a..b of a triangle.
 
-    cost[a, b] is the label count for rows a..b when a full row is cut
-    and its vertices take the top labels, the two remaining intervals
-    sharing the block below; choice[a, b] is the row that achieves it.
-    A single row is a path and gets the ruler labelling.
+    Row r of a triangle has r+1 vertices, so the cost does not depend on
+    the triangle's side.  A full row is cut and its vertices take the top
+    labels, the two remaining intervals sharing the block below; a single
+    row is a path and gets the ruler labelling; no rows cost nothing.
     """
-    cost: dict[tuple[int, int], int] = {}
-    choice: dict[tuple[int, int], int] = {}
-    for span in range(s):
-        for a in range(s - span):
-            b = a + span
-            if a == b:
-                cost[a, b] = (b + 1).bit_length()
-                continue
-            best, row = None, a
-            for w in range(a, b + 1):
-                upper = cost[a, w - 1] if w > a else 0
-                lower = cost[w + 1, b] if w < b else 0
-                c = (w + 1) + max(upper, lower)
-                if best is None or c < best:
-                    best, row = c, w
-            cost[a, b] = best
-            choice[a, b] = row
-    return cost, choice
+    if a > b:
+        return 0
+    if a == b:
+        return (b + 1).bit_length()
+    return min(_cut_at(a, b, w) for w in range(a, b + 1))
+
+
+def _cut_at(a: int, b: int, w: int) -> int:
+    return w + 1 + max(_row_cut_cost(a, w - 1), _row_cut_cost(w + 1, b))
+
+
+def _row_cut_labels(s: int) -> int:
+    """Label count of the row-cut ranking of tri_s; O(s^3) on a cold cache."""
+    # settle shorter intervals first: a cold _row_cut_cost(0, s-1) would
+    # recurse s levels deep, past the interpreter's limit for s in the hundreds
+    for b in range(s):
+        for a in range(b, -1, -1):
+            _row_cut_cost(a, b)
+    return _row_cut_cost(0, s - 1)
 
 
 def _tri_fill(s: int) -> CoordLabels:
-    cost, choice = _tri_row_cuts(s)
     lab: CoordLabels = {}
 
     def fill(a: int, b: int, base: int) -> None:
@@ -400,8 +394,9 @@ def _tri_fill(s: int) -> CoordLabels:
             for c in range(b + 1):
                 lab[(a, c)] = base + ((c + 1) & -(c + 1)).bit_length()
             return
-        w = choice[a, b]
-        t = cost[a, b]
+        # the first row that achieves the cost, as _row_cut_cost's min picks
+        w = min(range(a, b + 1), key=lambda w: _cut_at(a, b, w))
+        t = _row_cut_cost(a, b)
         for c in range(w + 1):
             lab[(w, c)] = base + t - c
         fill(a, w - 1, base)
@@ -411,7 +406,7 @@ def _tri_fill(s: int) -> CoordLabels:
     return lab
 
 
-@lru_cache(maxsize=None)
+@cache
 def triangle_ranking(s: int) -> Ranking:
     """A valid ranking of tri_s: solver-exact for s <= 6, row cuts above.
 
@@ -425,9 +420,8 @@ def triangle_ranking(s: int) -> Ranking:
         res = solve.rank_exact(build(shape))
         assert res.certificate is not None
         return res.certificate
-    lab = _tri_fill(s)
-    cost, _ = _tri_row_cuts(s)
-    return _to_ranking(shape, lab, cost[0, s - 1])
+    labels = _row_cut_labels(s)  # first, so _tri_fill finds every cost cached
+    return _to_ranking(shape, _tri_fill(s), labels)
 
 
 @dataclass(frozen=True)
@@ -445,7 +439,7 @@ def triangle_report(s_max: int) -> list[TriangleRow]:
     ]
 
 
-@lru_cache(maxsize=None)
+@cache
 def _corner_graph(m: int) -> tuple[Graph, dict[Coord, Coord]]:
     """The glued corner as it sits in the grid, plus one hub vertex.
 
@@ -488,7 +482,8 @@ def _glue_safe(r: Ranking) -> bool:
 
 
 # smallest known rankings that are valid on the triangle and glue-safe,
-# found by _search_glue_safe; re-verified before use, never trusted blind
+# found by the search in safe_triangle_ranking; re-verified before use,
+# never trusted blind
 _SAFE_SEEDS: dict[int, tuple[int, ...]] = {
     2: (1, 2, 3),
     3: (1, 2, 3, 1, 4, 2),
@@ -514,86 +509,56 @@ def safe_triangle_ranking(m: int, budget: Budget | None = None) -> Ranking:
         r = Ranking(g, seed)
         if validate(r) is None and _glue_safe(r):
             return r
-    lo = plain.label_count
-    for k in range(lo, 2 * m + 2):
-        found = _search_glue_safe(g, m, k, budget)
+    deadline = time.monotonic() + budget.seconds if budget and budget.seconds else None
+    for k in range(plain.label_count, 2 * m + 2):
+        found = _search_glue_safe(g, k, deadline)
         if found is not None:
             return found
     raise ValueError(f"no glue-safe ranking of tri_{m} within {2 * m + 1} labels")
 
 
-def _search_glue_safe(g: Graph, m: int, k: int, budget: Budget | None) -> Ranking | None:
-    deadline = time.monotonic() + budget.seconds if budget and budget.seconds else None
-    adj = g.adjacency
-    order = sorted(range(g.vertex_count), key=lambda v: -len(adj[v]))
-    labels = [0] * g.vertex_count
+def _search_glue_safe(g: Graph, k: int, deadline: float | None = None) -> Ranking | None:
+    """The first glue-safe ranking of the triangle g within k labels, or None.
 
-    def ok(v: int, label: int) -> bool:
-        # flood through assigned vertices labelled <= label; an equal
-        # label reachable that way breaks the partial ranking
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in seen or not labels[w]:
-                    continue
-                if labels[w] == label:
-                    return False
-                if labels[w] < label:
-                    seen.add(w)
-                    stack.append(w)
-        return True
+    Raises RuntimeError once time.monotonic() passes deadline.
+    """
+    order = sorted(range(g.vertex_count), key=lambda v: -len(g.adjacency[v]))
 
-    def rec(i: int) -> bool:
-        if deadline is not None and time.monotonic() > deadline:
-            raise RuntimeError(f"budget exhausted searching glue-safe tri_{m}")
-        if i == len(order):
-            # the incremental check can miss paths opened by late low
-            # labels, so the leaf revalidates the triangle outright
-            r = Ranking(g, tuple(labels))
-            return validate(r) is None and _glue_safe(r)
-        v = order[i]
-        for label in range(1, k + 1):
-            labels[v] = label
-            if ok(v, label) and rec(i + 1):
-                return True
-        labels[v] = 0
-        return False
+    def safe(labels: list[int]) -> bool:
+        r = Ranking(g, tuple(labels))
+        return validate(r) is None and _glue_safe(r)
 
-    if rec(0):
-        return Ranking(g, tuple(labels))
-    return None
+    found = solve.backtrack_labels(g, order, k, safe, deadline)
+    return None if found is None else Ranking(g, tuple(found))
 
 
 # -- segmented construction with ruler-depth cuts --------------------------
 
 
-_PIECE_CACHE: dict[frozenset[Coord], CoordLabels] = {}
+@cache
+def _piece_solution(cells: frozenset[Coord]) -> CoordLabels:
+    """Solver ranking of a segment given with its corner at (0, 0)."""
+    ordered = sorted(cells, key=lambda rc: (rc[1], rc[0]))
+    index = {rc: i for i, rc in enumerate(ordered)}
+    edges = tuple(
+        sorted(
+            (min(index[a], index[b]), max(index[a], index[b]))
+            for a, b in _unit_edges(ordered)
+        )
+    )
+    g = Graph(len(ordered), edges, tuple(ordered))
+    res = solve.rank_exact(g)
+    assert res.certificate is not None
+    if res.value > 5:
+        raise AssertionError(f"segment between cuts needs {res.value} labels, expected <= 5")
+    return {rc: res.certificate.labels[i] for i, rc in enumerate(ordered)}
 
 
 def _piece_labels(cells: frozenset[Coord]) -> CoordLabels:
     r0 = min(r for r, _ in cells)
     c0 = min(c for _, c in cells)
-    key = frozenset((r - r0, c - c0) for r, c in cells)
-    hit = _PIECE_CACHE.get(key)
-    if hit is None:
-        ordered = sorted(key, key=lambda rc: (rc[1], rc[0]))
-        index = {rc: i for i, rc in enumerate(ordered)}
-        edges = tuple(
-            sorted(
-                (min(index[a], index[b]), max(index[a], index[b]))
-                for a, b in _unit_edges(ordered)
-            )
-        )
-        g = Graph(len(ordered), edges, tuple(ordered))
-        res = solve.rank_exact(g)
-        assert res.certificate is not None
-        if res.value > 5:
-            raise AssertionError(f"segment between cuts needs {res.value} labels, expected <= 5")
-        hit = {rc: res.certificate.labels[i] for i, rc in enumerate(ordered)}
-        _PIECE_CACHE[key] = hit
-    return {(r + r0, c + c0): v for (r, c), v in hit.items()}
+    normalized = frozenset((r - r0, c - c0) for r, c in cells)
+    return {(r + r0, c + c0): v for (r, c), v in _piece_solution(normalized).items()}
 
 
 def ruler_ranking(k: int) -> Ranking:

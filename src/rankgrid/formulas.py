@@ -11,6 +11,7 @@ disagree; the disagreements are real and are surfaced, not patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import graphs, solve
 
@@ -22,6 +23,7 @@ __all__ = [
     "b_of",
     "rank_4xn",
     "rank_4xn_recursive",
+    "rank_formula",
     "bucket_4xn",
     "BoundBucket",
     "BaseTable4xn",
@@ -38,15 +40,12 @@ def rank_path(n: int) -> int:
     return n.bit_length()
 
 
+@cache
 def _solved(m: int, n: int) -> int:
+    """Base cases below each recurrence's reach, solver-filled on first use."""
     res = solve.rank_exact(graphs.build(graphs.GraphShape.grid(m, n)))
     assert res.exact
     return res.value
-
-
-# Base cases below each recurrence's reach, solver-filled on first use.
-_BASES_2XN: dict[int, int] = {}
-_BASES_3XN: dict[int, int] = {}
 
 
 def rank_2xn(n: int) -> int:
@@ -58,10 +57,8 @@ def rank_2xn(n: int) -> int:
     """
     if n < 1:
         raise ValueError("grid needs at least one column")
-    if not _BASES_2XN:
-        _BASES_2XN.update({w: _solved(2, w) for w in (1, 2, 3)})
     if n <= 3:
-        return _BASES_2XN[n]
+        return _solved(2, n)
     return 2 + rank_2xn((n - 1) // 2)
 
 
@@ -92,10 +89,8 @@ def rank_3xn(n: int) -> int:
     """
     if n < 1:
         raise ValueError("grid needs at least one column")
-    if not _BASES_3XN:
-        _BASES_3XN.update({w: _solved(3, w) for w in (1, 2, 3, 4, 5)})
     if n <= 5:
-        return _BASES_3XN[n]
+        return _solved(3, n)
     step = 4 if is_special_3xn(n) else 3
     return step + rank_3xn((n - 2) // 2)
 
@@ -121,23 +116,18 @@ class BaseTable4xn:
         return self.values[n - 1]
 
 
-_BASE4: BaseTable4xn | None = None
-
 # n = 3..8.  Hand-checked values; the test suite re-derives 3..6 with the
 # solver on every run and 7..8 in the extended tier.
 _FIXED_4XN = (6, 7, 8, 8, 9, 10)
 
 
+@cache
 def base_table_4xn() -> BaseTable4xn:
     """The n <= 8 table, solver-filling n=1,2 on first call."""
-    global _BASE4
-    if _BASE4 is None:
-        computed = tuple(_solved(4, w) for w in (1, 2))
-        _BASE4 = BaseTable4xn(
-            values=computed + _FIXED_4XN,
-            provenance=("solver",) * 2 + ("fixed",) * 6,
-        )
-    return _BASE4
+    return BaseTable4xn(
+        values=tuple(_solved(4, w) for w in (1, 2)) + _FIXED_4XN,
+        provenance=("solver",) * 2 + ("fixed",) * 6,
+    )
 
 
 def _special_k_4xn(n: int) -> int | None:
@@ -167,6 +157,14 @@ def rank_4xn(n: int) -> int:
         return 4 * k - 2
     t = n + 1
     return 4 * (t.bit_length() - 1) - 3 + b_of(t)
+
+
+def rank_formula(m: int, n: int) -> int:
+    """Rank number of the m x n grid from the closed form for m rows."""
+    forms = {1: rank_path, 2: rank_2xn, 3: rank_3xn, 4: rank_4xn}
+    if m not in forms:
+        raise ValueError(f"closed forms cover 1..4 rows, got {m}")
+    return forms[m](n)
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,19 @@ Two independent routes:
   components left after deleting v.  Subproblems are connected vertex
   subsets, memoized as bitmasks (canonicalized under the graph's
   geometric automorphisms) with [lb, ub] intervals.
-* brute_force enumerates labelings outright with backtracking.  It knows
-  nothing about separators and serves as the oracle for the engine.
+* brute_force enumerates labelings outright with backtrack_labels.  It
+  knows nothing about separators and serves as the oracle for the engine.
 
 Both respect wall-clock / node budgets.  Budget exhaustion is never
 silent: rank_exact degrades to a proven interval with the flag set,
-rank_decision reports "unknown".
+rank_decision reports "unknown", brute_force raises RuntimeError.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 from .graphs import Graph
 from .verify import Ranking, validate
@@ -30,6 +31,7 @@ __all__ = [
     "rank_exact",
     "rank_decision",
     "brute_force",
+    "backtrack_labels",
 ]
 
 
@@ -90,7 +92,6 @@ class DecisionOutcome:
     """rank_decision result: a certificate, a proven 'no', or budget out."""
 
     ranking: Ranking | None
-    proven: bool
     budget_exhausted: bool
     elapsed: float
 
@@ -98,15 +99,11 @@ class DecisionOutcome:
     def feasible(self) -> bool | None:
         if self.ranking is not None:
             return True
-        return False if self.proven else None
+        return None if self.budget_exhausted else False
 
 
 class _BudgetExhausted(Exception):
     pass
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count() if hasattr(x, "bit_count") else bin(x).count("1")
 
 
 class _Engine:
@@ -252,7 +249,7 @@ class _Engine:
             b = m & -m
             m ^= b
             verts.append(b.bit_length() - 1)
-        degs = {v: _popcount(self.adj[v] & mask) for v in verts}
+        degs = {v: (self.adj[v] & mask).bit_count() for v in verts}
         if any(d >= 2 for d in degs.values()):
             # deleting a degree-1 vertex is never better than deleting its
             # neighbour, so leaves are skipped
@@ -262,11 +259,11 @@ class _Engine:
 
     # -- exact search -----------------------------------------------------
 
-    def bounds_of(self, mask: int) -> tuple[int, int]:
-        key = self.canon(mask)
+    def bounds_of(self, mask: int, key: int) -> tuple[int, int]:
+        """Memo interval of mask, whose canonical form is key."""
         ent = self.memo.get(key)
         if ent is None:
-            ent = (max(self.path_lb(mask), 2), _popcount(mask))
+            ent = (max(self.path_lb(mask), 2), mask.bit_count())
             self.memo[key] = ent
         return ent
 
@@ -276,7 +273,7 @@ class _Engine:
             return 1 if limit >= 1 else limit + 1
         self.tick()
         key = self.canon(mask)
-        lb, ub = self.bounds_of(mask)
+        lb, ub = self.bounds_of(mask, key)
         if lb > limit:
             return limit + 1
         if lb == ub:
@@ -319,7 +316,7 @@ class _Engine:
             return True
         self.tick()
         key = self.canon(mask)
-        lb, ub = self.bounds_of(mask)
+        lb, ub = self.bounds_of(mask, key)
         if ub <= k:
             return True
         if lb > k:
@@ -343,7 +340,7 @@ class _Engine:
         best_v, best_size = -1, None
         for v in self.candidates(mask):
             comps = self.components(mask & ~(1 << v))
-            size = max(_popcount(c) for c in comps)
+            size = max(c.bit_count() for c in comps)
             if best_size is None or size < best_size:
                 best_v, best_size = v, size
         worst = 0
@@ -357,7 +354,7 @@ class _Engine:
         if mask & (mask - 1) == 0:
             labels[mask.bit_length() - 1] = 1
             return 1
-        t = self.search(mask, _popcount(mask))
+        t = self.search(mask, mask.bit_count())
         for v in self.candidates(mask):
             comps = self.components(mask & ~(1 << v))
             if all(self.search(c, t - 1) <= t - 1 for c in comps):
@@ -371,7 +368,7 @@ class _Engine:
         if mask & (mask - 1) == 0:
             labels[mask.bit_length() - 1] = 1
             return
-        lb, ub = self.bounds_of(mask)
+        _, ub = self.bounds_of(mask, self.canon(mask))
         if ub < k:
             k = ub
         for v in self.candidates(mask):
@@ -399,12 +396,8 @@ def _checked(g: Graph, labels: list[int]) -> Ranking:
     return r
 
 
-def rank_exact(g: Graph, budget: Budget | None = None, jobs: int = 1) -> RankResult:
-    """Exact rank number with certificate, or a proven interval on budget.
-
-    jobs > 1 spreads root branches over threads sharing the memo; values
-    are identical either way, certificates may differ.
-    """
+def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
+    """Exact rank number with certificate, or a proven interval on budget."""
     if g.vertex_count == 0:
         raise ValueError("rank_exact needs a nonempty graph")
     start = time.monotonic()
@@ -416,23 +409,18 @@ def rank_exact(g: Graph, budget: Budget | None = None, jobs: int = 1) -> RankRes
     heur_vals = [eng.greedy(c, heur) for c in comps]
     ub0 = max(heur_vals)
 
-    lb_total, ub_total = 1, ub0
     exhausted = False
     values: list[int] = []
     try:
         for comp, hv in zip(comps, heur_vals):
-            if jobs > 1 and len(comps) == 1:
-                v = _root_parallel(eng, comp, hv, jobs)
-            else:
-                v = min(eng.search(comp, hv - 1), hv)
-            values.append(v)
+            values.append(min(eng.search(comp, hv - 1), hv))
     except _BudgetExhausted:
         exhausted = True
 
     elapsed = time.monotonic() - start
     if exhausted:
         lb_total = max(
-            [eng.memo.get(eng.canon(c), (2, 0))[0] if _popcount(c) > 1 else 1 for c in comps]
+            [eng.memo.get(eng.canon(c), (2, 0))[0] if c.bit_count() > 1 else 1 for c in comps]
         )
         lb_total = max(lb_total, *(values or [1]))
         cert = _checked(g, _compress([heur[v] for v in range(g.vertex_count)]))
@@ -450,22 +438,6 @@ def rank_exact(g: Graph, budget: Budget | None = None, jobs: int = 1) -> RankRes
     return RankResult(value, value, "exact", cert, time.monotonic() - start)
 
 
-def _root_parallel(eng: _Engine, comp: int, hv: int, jobs: int) -> int:
-    """Warm the memo by exploring root branches in a thread pool, then let
-    the sequential search settle the value against the hot memo.  Results
-    from the pool are not trusted directly: a branch hitting its cutoff
-    reports a floor, not a value."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    def branch(v: int) -> None:
-        for c in eng.components(comp & ~(1 << v)):
-            eng.search(c, hv - 2)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(branch, eng.candidates(comp)))
-    return min(eng.search(comp, hv - 1), hv)
-
-
 def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOutcome:
     """Search for a ranking within k labels; proven 'no' reported as such."""
     if g.vertex_count == 0:
@@ -479,16 +451,16 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
     try:
         ok = all(eng.feasible(c, k) for c in comps)
     except _BudgetExhausted:
-        return DecisionOutcome(None, False, True, time.monotonic() - start)
+        return DecisionOutcome(None, True, time.monotonic() - start)
     if not ok:
-        return DecisionOutcome(None, True, False, time.monotonic() - start)
+        return DecisionOutcome(None, False, time.monotonic() - start)
     labels: dict[int, int] = {}
     for c in comps:
         eng.extract_decision(c, k, labels)
     cert = _checked(g, _compress([labels[v] for v in range(g.vertex_count)]))
     if cert.label_count > k:
         raise AssertionError("decision certificate exceeds k labels")
-    return DecisionOutcome(cert, True, False, time.monotonic() - start)
+    return DecisionOutcome(cert, False, time.monotonic() - start)
 
 
 # -- enumeration oracle ----------------------------------------------------
@@ -497,9 +469,9 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
 def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankResult:
     """Smallest k admitting any valid labeling, by direct enumeration.
 
-    Backtracks vertex by vertex in BFS order; a prefix is abandoned as
-    soon as two equal labels connect through assigned vertices at or
-    below their level.  Exponential, hence the vertex cap.
+    Runs backtrack_labels on each component in BFS order for k = 1, 2, ...
+    Exponential, hence the vertex cap.  Raises RuntimeError when the
+    budget's seconds run out.
     """
     if g.vertex_count == 0:
         raise ValueError("brute_force needs a nonempty graph")
@@ -511,20 +483,21 @@ def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankRes
     full = (1 << g.vertex_count) - 1
     eng = _Engine(g)  # reused only for component splitting
     total_labels = [0] * g.vertex_count
-    value = 0
     for comp in eng.components(full):
         verts = _bfs_order(g, comp)
-        found = None
+        sub, old = g.induced_subgraph(verts)
+
+        def valid(labels: list[int]) -> bool:
+            return validate(Ranking(sub, tuple(labels[v] for v in old))) is None
+
+        # k = |comp| always succeeds: distinct labels rank anything
         for k in range(1, len(verts) + 1):
-            found = _enumerate(g, verts, k, deadline)
+            found = backtrack_labels(g, verts, k, valid, deadline)
             if found is not None:
                 break
-        assert found is not None  # k = |comp| always works
-        for v, l in found.items():
-            total_labels[v] = l
-        value = max(value, max(found.values()))
-    labels = _compress(total_labels)
-    cert = _checked(g, labels)
+        for v in verts:
+            total_labels[v] = found[v]
+    cert = _checked(g, _compress(total_labels))
     value = cert.label_count
     return RankResult(value, value, "brute_force", cert, time.monotonic() - start)
 
@@ -543,49 +516,58 @@ def _bfs_order(g: Graph, mask: int) -> list[int]:
     return order
 
 
-def _enumerate(g: Graph, verts: list[int], k: int, deadline: float | None) -> dict[int, int] | None:
-    """DFS over labelings of verts with labels 1..k; None when none is valid."""
-    labels: dict[int, int] = {}
+def backtrack_labels(
+    g: Graph,
+    order: Sequence[int],
+    k: int,
+    accept: Callable[[list[int]], bool],
+    deadline: float | None = None,
+) -> list[int] | None:
+    """Depth-first search over labels 1..k for the vertices in order.
 
-    def ok(v: int, label: int) -> bool:
-        # flood from v through assigned vertices labelled <= label; meeting
-        # an equal label means the prefix already violates the definition
+    Vertices are labelled one by one in the given order, each trying
+    labels from 1 up.  A prefix is abandoned as soon as the new vertex
+    reaches an equal label through assigned vertices labelled below it.
+    That check only sees pairs ending at the new vertex, so a complete
+    labelling counts only once accept(labels) agrees; labels holds 0 on
+    every vertex outside order.  Returns the first accepted labels, or
+    None when no labelling is accepted.
+
+    Raises RuntimeError once time.monotonic() passes deadline; the clock
+    is read every 4096 search nodes.
+    """
+    adj = g.adjacency
+    labels = [0] * g.vertex_count
+    nodes = 0
+
+    def fits(v: int, label: int) -> bool:
         seen = {v}
         stack = [v]
         while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if w in labels and w not in seen:
-                    if labels[w] == label:
-                        return False
-                    if labels[w] < label:
-                        seen.add(w)
-                        stack.append(w)
+            for w in adj[stack.pop()]:
+                if w in seen or not labels[w]:
+                    continue
+                if labels[w] == label:
+                    return False
+                if labels[w] < label:
+                    seen.add(w)
+                    stack.append(w)
         return True
 
-    def full_check() -> bool:
-        # the incremental flood only tracks pairs ending at the new vertex,
-        # so accept a leaf only after a complete validation
-        sub, old = g.induced_subgraph(verts)
-        r = Ranking(sub, tuple(labels[v] for v in old))
-        return validate(r) is None
-
-    counter = 0
-
     def rec(i: int) -> bool:
-        nonlocal counter
-        if i == len(verts):
-            return full_check()
-        counter += 1
-        if deadline is not None and counter % 4096 == 0 and time.monotonic() > deadline:
-            raise _BudgetExhausted()
-        v = verts[i]
+        nonlocal nodes
+        if i == len(order):
+            return accept(labels)
+        nodes += 1
+        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+            raise RuntimeError(f"budget exhausted after {nodes} search nodes")
+        v = order[i]
         for label in range(1, k + 1):
-            if ok(v, label):
+            if fits(v, label):
                 labels[v] = label
                 if rec(i + 1):
                     return True
-                del labels[v]
+        labels[v] = 0
         return False
 
-    return dict(labels) if rec(0) else None
+    return labels if rec(0) else None

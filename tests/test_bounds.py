@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankgrid import bounds, formulas
+from rankgrid import bounds, construct, formulas
 from rankgrid.graphs import GraphShape, build
 from rankgrid.solve import rank_exact
 
@@ -37,18 +37,36 @@ def test_alpert_upper_always_unrolls_once():
 
 
 def test_tri_bound_values():
-    want = [1, 3, 3, 5, 7, 9, 9, 11]
+    want = [1, 3, 4, 6, 8, 11, 13, 16]
     assert [bounds.tri_bound(m) for m in range(1, 9)] == want
-    for m in range(1, 50):
-        assert bounds.tri_bound(m) == 2 * m - 2 * int(math.log2(m + 1)) + 1
+    # from side 7 up the bound is the label count of the ranking that
+    # triangle_ranking builds and validates
+    for m in (7, 10, 16):
+        assert bounds.tri_bound(m) == construct.triangle_ranking(m).label_count
+    with pytest.raises(ValueError):
+        bounds.tri_bound(0)
+
+
+def test_tri_bound_is_at_least_the_exact_rank():
+    for s in range(1, 6):
+        exact = rank_exact(build(GraphShape.triangle(s))).value
+        assert bounds.tri_bound(s) >= exact
 
 
 def test_diagonal_upper_values():
-    assert bounds.diagonal_upper(4, 20) == 18
-    assert bounds.diagonal_upper(5, 20) == 23
+    assert bounds.diagonal_upper(4, 20) == 19
+    assert bounds.diagonal_upper(5, 20) == 24
     assert bounds.diagonal_upper(1, 7) == 4
-    assert bounds.diagonal_upper(4, 14) == 16
-    assert bounds.diagonal_upper(3, 7) == 8
+    assert bounds.diagonal_upper(4, 14) == 17
+    assert bounds.diagonal_upper(3, 7) == 9
+
+
+def test_diagonal_upper_matches_the_built_cut():
+    for m, n in [(4, 14), (3, 7)]:
+        q = (n - m + 1) // 2 - 1
+        inner = rank_exact(build(GraphShape.grid(m, q))).certificate
+        cut = construct.diagonal_cut(m, n, inner, construct.safe_triangle_ranking(m))
+        assert bounds.diagonal_upper(m, n) == cut.label_count
 
 
 def test_diagonal_upper_needs_room():
@@ -68,10 +86,10 @@ def test_crossover_threshold():
 
 def test_compare_upper_reports():
     rep = bounds.compare_upper(4, 20)
-    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (14, 18, "alpert")
+    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (14, 19, "alpert")
     assert rep.threshold == pytest.approx(bounds.crossover_threshold(4))
     rep = bounds.compare_upper(5, 20)
-    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (20, 23, "alpert")
+    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (20, 24, "alpert")
 
 
 def test_compare_upper_without_diagonal():

@@ -63,6 +63,19 @@ def test_decide_both_ways(capsys):
     assert json.loads(out)["feasible"] is False
 
 
+def test_decide_json_keys(capsys):
+    keys = {"k", "feasible", "proven", "elapsed", "labels", "method"}
+    for k in ("3", "2"):
+        code, out, _ = run(capsys, "decide", "--grid", "2x2", "--k", k, "--no-cache")
+        doc = json.loads(out)
+        assert code == 0 and set(doc) == keys and doc["proven"] is True
+    code, out, _ = run(capsys, "decide", "--grid", "4x6", "--k", "7", "--no-cache",
+                       "--budget-nodes", "5")
+    doc = json.loads(out)
+    assert code == 2 and set(doc) == keys
+    assert doc["feasible"] is None and doc["proven"] is False
+
+
 def test_formula_closed_and_recursive(capsys):
     code, out, _ = run(capsys, "formula", "--m", "4", "--n", "9")
     assert code == 0
@@ -82,7 +95,7 @@ def test_bounds_grid(capsys):
     doc = json.loads(out)
     assert doc["lower"]["thm2"] == 7
     assert doc["lower"]["cor1"] == "35/9"
-    assert doc["upper"] == {"alpert": 14, "diagonal": 18}
+    assert doc["upper"] == {"alpert": 14, "diagonal": 19}
     assert doc["comparator"]["tighter"] == "alpert"
 
 
@@ -90,14 +103,14 @@ def test_bounds_triangle(capsys):
     code, out, _ = run(capsys, "bounds", "--triangle", "10")
     assert code == 0
     doc = json.loads(out)
-    assert doc == {"n": 10, "lower": {"cor2": "41/9"}, "upper": {"stacked": 15}}
+    assert doc == {"n": 10, "lower": {"cor2": "41/9"}, "upper": {"stacked": 20}}
 
 
 def test_compare(capsys):
     code, out, _ = run(capsys, "compare", "--m", "5", "--n", "20")
     assert code == 0
     doc = json.loads(out)
-    assert (doc["alpert"], doc["diagonal"], doc["tighter"]) == (20, 23, "alpert")
+    assert (doc["alpert"], doc["diagonal"], doc["tighter"]) == (20, 24, "alpert")
 
 
 def test_construct_manifest_round_trips(capsys, tmp_path):
@@ -171,6 +184,9 @@ def test_exit_code_usage_error(capsys):
     assert run(capsys, "exact")[0] == 1
     assert run(capsys, "formula", "--m", "9", "--n", "3")[0] == 1
     assert run(capsys, "bounds")[0] == 1
+    code, out, err = run(capsys, "exact", "--grid", "3x3", "--jobs", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "--jobs" in err and "Traceback" not in err
 
 
 def test_exit_code_budget_exhausted(capsys):

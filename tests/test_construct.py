@@ -145,6 +145,19 @@ def test_safe_triangle_ranking_counts():
         assert r.label_count == lam
 
 
+def test_glue_safe_search_finds_the_least_safe_count():
+    # the seed table answers safe_triangle_ranking before any search runs,
+    # so drive the search directly, one count below and at the answer
+    for m, k, found in [(3, 3, False), (3, 4, True), (4, 5, False), (4, 6, True)]:
+        g = build(GraphShape.triangle(m))
+        r = construct._search_glue_safe(g, k)
+        if not found:
+            assert r is None, (m, k)
+            continue
+        assert validate(r) is None and construct._glue_safe(r)
+        assert r.label_count <= k
+
+
 def test_diagonal_cut_matches_known_totals():
     inner = rank_exact(build(GraphShape.grid(4, 4))).certificate
     tri = construct.safe_triangle_ranking(4)

@@ -33,6 +33,17 @@ def test_three_rows_special_widths_pay_four():
         assert formulas.rank_3xn(n) == 3 + formulas.rank_3xn((n - 2) // 2), n
 
 
+def test_rank_formula_dispatches_by_rows():
+    forms = (formulas.rank_path, formulas.rank_2xn, formulas.rank_3xn, formulas.rank_4xn)
+    for m, form in enumerate(forms, start=1):
+        assert [formulas.rank_formula(m, n) for n in range(1, 40)] == [
+            form(n) for n in range(1, 40)
+        ]
+    for m in (0, 5):
+        with pytest.raises(ValueError):
+            formulas.rank_formula(m, 3)
+
+
 def test_four_rows_base_table():
     assert [formulas.rank_4xn(n) for n in range(1, 9)] == [3, 4, 6, 7, 8, 8, 9, 10]
     table = formulas.base_table_4xn()
