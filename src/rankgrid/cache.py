@@ -3,18 +3,20 @@
 Plain JSONL, append-only: a version header line followed by one record
 per result.  Records are keyed by the graph hash, so any way of arriving
 at the same canonical graph shares entries.  Unreadable lines are
-skipped with a warning rather than failing the run; the cache is an
-accelerator, never an authority.
+skipped with a warning, and a hit whose labels fail validate is a miss;
+the cache is an accelerator, never an authority.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import operator
 import os
 from pathlib import Path
 
 from .graphs import Graph
+from .verify import Ranking, validate
 
 log = logging.getLogger(__name__)
 
@@ -101,10 +103,22 @@ class SolutionCache:
                 fh.write(json.dumps({"rankgrid_cache": CACHE_VERSION}) + "\n")
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
+    def _checked(self, g: Graph, rec: dict, fits) -> dict | None:
+        """rec if its integer labels rank g within fits(label_count), else None (a miss)."""
+        try:
+            r = Ranking(g, tuple(operator.index(l) for l in rec["labels"]))
+        except (KeyError, TypeError, ValueError):
+            r = None
+        if r is not None and validate(r) is None and fits(r.label_count):
+            return rec
+        log.warning("cache %s: %s record %s fails its check; miss", self.path, rec["kind"], rec["key"])
+        return None
+
     # -- exact results -----------------------------------------------------
 
     def get_exact(self, g: Graph) -> dict | None:
-        return self._exact.get(g.graph_hash)
+        rec = self._exact.get(g.graph_hash)
+        return None if rec is None else self._checked(g, rec, lambda count: count == rec["lb"])
 
     def put_exact(self, g: Graph, lb: int, ub: int, labels: list[int] | None,
                   elapsed: float, provenance: str = "exact") -> None:
@@ -123,7 +137,10 @@ class SolutionCache:
     # -- decision results --------------------------------------------------
 
     def get_decision(self, g: Graph, k: int) -> dict | None:
-        return self._decision.get((g.graph_hash, k))
+        rec = self._decision.get((g.graph_hash, k))
+        if rec is None or rec.get("feasible") is False:  # a proven "no" carries no labels
+            return rec
+        return self._checked(g, rec, lambda count: rec.get("feasible") is True and count <= k)
 
     def put_decision(self, g: Graph, k: int, feasible: bool,
                      labels: list[int] | None, elapsed: float) -> None:

@@ -107,11 +107,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     if store is not None:
         hit = store.get_exact(g)
         if hit is not None and hit["lb"] == hit["ub"]:
-            payload = {"method": "cache", "elapsed": 0.0, "budget_exhausted": False,
-                       "value": hit["lb"]}
-            if hit.get("labels"):
-                payload["labels"] = hit["labels"]
-            _emit(payload)
+            _emit({"method": "cache", "elapsed": 0.0, "budget_exhausted": False,
+                   "value": hit["lb"], "labels": hit["labels"]})
             return 0
     res = rank_exact(g, budget=_budget_from_args(args))
     if store is not None:

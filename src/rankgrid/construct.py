@@ -22,6 +22,7 @@ from functools import cache
 from . import formulas, solve
 from .graphs import (
     GRID,
+    GRID_STEPS,
     TRIANGLE,
     Coord,
     Custom,
@@ -30,8 +31,8 @@ from .graphs import (
     ShapeError,
     StickyEnd,
     build,
+    _lattice_edges,
     staircase_triangle_map,
-    _unit_edges,
 )
 from .solve import Budget
 from .verify import Ranking, validate
@@ -448,18 +449,10 @@ def _corner_graph(m: int) -> tuple[Graph, dict[Coord, Coord]]:
     side the inner grid touches.
     """
     cmap = _corner_map(m, 0)
-    cells = sorted(cmap, key=lambda rc: (rc[1], rc[0]))
     hub = (m, 0)
-    ordered = cells + [hub]
-    index = {rc: i for i, rc in enumerate(ordered)}
-    edges = {
-        (min(index[a], index[b]), max(index[a], index[b]))
-        for a, b in _unit_edges(cells)
-    }
-    hi = index[hub]
-    for r in range(m):
-        j = index[(r, 0)]
-        edges.add((min(hi, j), max(hi, j)))
+    ordered = sorted(cmap, key=lambda rc: (rc[1], rc[0])) + [hub]
+    # cells sort by (col, row), so the first column is vertices 0..m-1
+    edges = _lattice_edges(ordered, GRID_STEPS, {hub}) + [(r, len(ordered) - 1) for r in range(m)]
     return Graph(len(ordered), tuple(sorted(edges)), tuple(ordered)), cmap
 
 
@@ -539,14 +532,7 @@ def _search_glue_safe(g: Graph, k: int, deadline: float | None = None) -> Rankin
 def _piece_solution(cells: frozenset[Coord]) -> CoordLabels:
     """Solver ranking of a segment given with its corner at (0, 0)."""
     ordered = sorted(cells, key=lambda rc: (rc[1], rc[0]))
-    index = {rc: i for i, rc in enumerate(ordered)}
-    edges = tuple(
-        sorted(
-            (min(index[a], index[b]), max(index[a], index[b]))
-            for a, b in _unit_edges(ordered)
-        )
-    )
-    g = Graph(len(ordered), edges, tuple(ordered))
+    g = Graph(len(ordered), tuple(_lattice_edges(ordered, GRID_STEPS)), tuple(ordered))
     res = solve.rank_exact(g)
     assert res.certificate is not None
     if res.value > 5:

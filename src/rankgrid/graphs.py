@@ -348,32 +348,49 @@ class Graph:
         shape = None
         if data.get("shape"):
             shape = GraphShape.from_json_dict(data["shape"])
+        n = int(data["vertex_count"])
         edges = tuple(sorted((min(u, v), max(u, v)) for u, v in data["edges"]))
         coords = tuple((int(r), int(c)) for r, c in data["coords"])
-        g = Graph(int(data["vertex_count"]), edges, coords, shape)
+        if n != len(coords):
+            raise ShapeError(f"graph JSON lists {len(coords)} coords for {n} vertices")
+        if len(set(coords)) != n:
+            raise ShapeError("graph JSON places two vertices on one coord")
+        for i, (u, v) in enumerate(edges):
+            if u == v:
+                raise ShapeError(f"graph JSON edge {u}-{v} is a self-loop")
+            if u < 0 or v >= n:
+                raise ShapeError(f"graph JSON edge {u}-{v} is out of range for {n} vertices")
+            if i and edges[i - 1] == (u, v):
+                raise ShapeError(f"graph JSON lists edge {u}-{v} twice")
+        g = Graph(n, edges, coords, shape)
         if shape is not None and build(shape).graph_hash != g.graph_hash:
             raise ShapeError("graph JSON does not match its embedded shape")
         return g
 
 
-def _unit_edges(coords: list[Coord]) -> set[tuple[Coord, Coord]]:
-    present = set(coords)
-    out: set[tuple[Coord, Coord]] = set()
-    for r, c in coords:
-        for nr, nc in ((r, c + 1), (r + 1, c)):
-            if (nr, nc) in present:
-                out.add(((r, c), (nr, nc)))
-    return out
+GRID_STEPS: tuple[Coord, ...] = ((0, 1), (1, 0))
+TRIANGLE_STEPS: tuple[Coord, ...] = GRID_STEPS + ((1, 1),)
 
 
-def _triangle_edges(coords: list[Coord]) -> set[tuple[Coord, Coord]]:
-    present = set(coords)
-    out: set[tuple[Coord, Coord]] = set()
-    for r, c in coords:
-        for nr, nc in ((r, c + 1), (r + 1, c), (r + 1, c + 1)):
-            if (nr, nc) in present:
-                out.add(((r, c), (nr, nc)))
-    return out
+def _lattice_edges(
+    ordered: list[Coord], steps: tuple[Coord, ...], unwired: frozenset[Coord] | set[Coord] = frozenset()
+) -> list[tuple[int, int]]:
+    """Sorted (u, v) index pairs, u < v, of vertices one lattice step apart.
+
+    Vertex i sits at ordered[i]; each step (dr, dc) joins (r, c) to
+    (r+dr, c+dc) when both are present.  Coords in unwired get no lattice
+    edges (custom vertices, a glue hub).
+    """
+    index = {rc: i for i, rc in enumerate(ordered) if rc not in unwired}
+    at = index.get
+    edges = []
+    for (r, c), u in index.items():
+        for dr, dc in steps:
+            v = at((r + dr, c + dc))
+            if v is not None:
+                edges.append((u, v) if u < v else (v, u))
+    edges.sort()
+    return edges
 
 
 def build(shape: GraphShape) -> Graph:
@@ -386,59 +403,42 @@ def build(shape: GraphShape) -> Graph:
         core = [(r, c) for r in range(shape.m) for c in range(r + 1)]
     else:
         core = [(r, c) for r in range(shape.m) for c in range(shape.n)]
-
-    removed: set[Coord] = set()
-    for dec in shape.decorations:
-        if isinstance(dec, RemoveCorner):
-            rc = _corner_coord(dec.corner, shape.m, shape.n)
-            removed.add(rc)
-    core = [rc for rc in core if rc not in removed]
-
-    ordered: list[Coord] = list(core)  # row-major already
-    seen = set(core)
+    removed = {_corner_coord(dec.corner, shape.m, shape.n)
+               for dec in shape.decorations if isinstance(dec, RemoveCorner)}
+    ordered = [rc for rc in core if rc not in removed]  # row-major already
+    seen = set(ordered)
+    custom: set[Coord] = set()  # wired only by their explicit edge list
     explicit_edges: list[tuple[Coord, Coord]] = []
     for dec in shape.decorations:
         if isinstance(dec, StickyEnd):
-            for rc in _sticky_coords(dec.side, dec.align, shape.m, shape.n):
-                if rc in seen:
-                    raise ShapeError(f"sticky end vertex {rc} duplicates an existing vertex")
-                seen.add(rc)
-                ordered.append(rc)
+            kind, added = "sticky end", _sticky_coords(dec.side, dec.align, shape.m, shape.n)
         elif isinstance(dec, Custom):
-            for rc in sorted(dec.extra_vertices, key=lambda rc: (rc[1], rc[0])):
-                if rc in seen:
-                    raise ShapeError(f"custom vertex {rc} duplicates an existing vertex")
-                seen.add(rc)
-                ordered.append(rc)
+            kind, added = "custom", sorted(dec.extra_vertices, key=lambda rc: (rc[1], rc[0]))
+            custom.update(added)
             explicit_edges.extend(dec.extra_edges)
+        else:
+            continue
+        for rc in added:
+            if rc in seen:
+                raise ShapeError(f"{kind} vertex {rc} duplicates an existing vertex")
+            seen.add(rc)
+            ordered.append(rc)
 
-    # Unit-rule edges cover the core and sticky staircases; custom vertices
-    # are wired only by their explicit edge list.
-    custom_coords = {rc for dec in shape.decorations if isinstance(dec, Custom) for rc in dec.extra_vertices}
-    auto_base = [rc for rc in ordered if rc not in custom_coords]
-    if shape.family == TRIANGLE:
-        coord_edges = _triangle_edges(auto_base)
-    else:
-        coord_edges = _unit_edges(auto_base)
-
-    for a, b in explicit_edges:
-        if a not in seen or b not in seen:
-            raise ShapeError(f"custom edge {a}-{b} references a missing vertex")
-        if a == b:
-            raise ShapeError(f"custom edge {a}-{b} is a self-loop")
-        key = (min(a, b), max(a, b))
-        if key in coord_edges:
-            raise ShapeError(f"custom edge {a}-{b} duplicates an existing edge")
-        coord_edges.add(key)
-
-    index = {rc: i for i, rc in enumerate(ordered)}
-    edges = tuple(
-        sorted(
-            (min(index[a], index[b]), max(index[a], index[b]))
-            for a, b in coord_edges
-        )
-    )
-    g = Graph(len(ordered), edges, tuple(ordered), shape)
+    edges = _lattice_edges(ordered, TRIANGLE_STEPS if shape.family == TRIANGLE else GRID_STEPS, custom)
+    if explicit_edges:
+        index = {rc: i for i, rc in enumerate(ordered)}
+        present = set(edges)
+        for a, b in explicit_edges:
+            if a not in seen or b not in seen:
+                raise ShapeError(f"custom edge {a}-{b} references a missing vertex")
+            if a == b:
+                raise ShapeError(f"custom edge {a}-{b} is a self-loop")
+            key = (min(index[a], index[b]), max(index[a], index[b]))
+            if key in present:
+                raise ShapeError(f"custom edge {a}-{b} duplicates an existing edge")
+            present.add(key)
+        edges = sorted(present)
+    g = Graph(len(ordered), tuple(edges), tuple(ordered), shape)
     if g.vertex_count and not g.is_connected():
         raise ShapeError("decorations leave the graph disconnected")
     return g

@@ -1,0 +1,208 @@
+"""build() against the coordinate-set derivation it replaced.
+
+The reference below derives lattice edges as a set of coordinate pairs,
+maps them to indices and sorts them, exactly as build() used to.  build()
+now looks up forward neighbours by index; both must give the same edges,
+coords and ShapeError messages on every shape family and decoration.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+
+from rankgrid.graphs import (
+    CORNERS,
+    TRIANGLE,
+    Custom,
+    Graph,
+    GraphShape,
+    RemoveCorner,
+    ShapeError,
+    StickyEnd,
+    _corner_coord,
+    _sticky_coords,
+    build,
+)
+
+Coord = tuple[int, int]
+
+
+def coord_pair_edges(coords: list[Coord], steps) -> set[tuple[Coord, Coord]]:
+    present = set(coords)
+    out: set[tuple[Coord, Coord]] = set()
+    for r, c in coords:
+        for dr, dc in steps:
+            if (r + dr, c + dc) in present:
+                out.add(((r, c), (r + dr, c + dc)))
+    return out
+
+
+def reference_build(shape: GraphShape) -> Graph:
+    if shape.family == TRIANGLE:
+        core = [(r, c) for r in range(shape.m) for c in range(r + 1)]
+    else:
+        core = [(r, c) for r in range(shape.m) for c in range(shape.n)]
+    removed = {_corner_coord(d.corner, shape.m, shape.n)
+               for d in shape.decorations if isinstance(d, RemoveCorner)}
+    core = [rc for rc in core if rc not in removed]
+    ordered = list(core)
+    seen = set(core)
+    explicit_edges = []
+    for dec in shape.decorations:
+        if isinstance(dec, StickyEnd):
+            for rc in _sticky_coords(dec.side, dec.align, shape.m, shape.n):
+                if rc in seen:
+                    raise ShapeError(f"sticky end vertex {rc} duplicates an existing vertex")
+                seen.add(rc)
+                ordered.append(rc)
+        elif isinstance(dec, Custom):
+            for rc in sorted(dec.extra_vertices, key=lambda rc: (rc[1], rc[0])):
+                if rc in seen:
+                    raise ShapeError(f"custom vertex {rc} duplicates an existing vertex")
+                seen.add(rc)
+                ordered.append(rc)
+            explicit_edges.extend(dec.extra_edges)
+    custom = {rc for d in shape.decorations if isinstance(d, Custom) for rc in d.extra_vertices}
+    steps = ((0, 1), (1, 0), (1, 1)) if shape.family == TRIANGLE else ((0, 1), (1, 0))
+    edges = coord_pair_edges([rc for rc in ordered if rc not in custom], steps)
+    for a, b in explicit_edges:
+        if a not in seen or b not in seen:
+            raise ShapeError(f"custom edge {a}-{b} references a missing vertex")
+        if a == b:
+            raise ShapeError(f"custom edge {a}-{b} is a self-loop")
+        key = (min(a, b), max(a, b))
+        if key in edges:
+            raise ShapeError(f"custom edge {a}-{b} duplicates an existing edge")
+        edges.add(key)
+    index = {rc: i for i, rc in enumerate(ordered)}
+    g = Graph(
+        len(ordered),
+        tuple(sorted((min(index[a], index[b]), max(index[a], index[b])) for a, b in edges)),
+        tuple(ordered),
+        shape,
+    )
+    if g.vertex_count and not g.is_connected():
+        raise ShapeError("decorations leave the graph disconnected")
+    return g
+
+
+def outcome(shape: GraphShape):
+    """(edges, coords) of a built shape, or the ShapeError message."""
+    try:
+        g = build(shape)
+    except ShapeError as exc:
+        return "error", str(exc)
+    return g.edges, g.coords
+
+
+def reference_outcome(shape: GraphShape):
+    try:
+        g = reference_build(shape)
+    except ShapeError as exc:
+        return "error", str(exc)
+    return g.edges, g.coords
+
+
+def sticky_shapes():
+    ends = [StickyEnd(side, align) for side in ("left", "right") for align in ("bottom", "top")]
+    for m in range(2, 6):
+        for n in range(1, 6):
+            for end in ends:
+                yield GraphShape.grid(m, n, (end,))
+            for left in ends[:2]:
+                for right in ends[2:]:
+                    yield GraphShape.grid(m, n, (left, right))
+
+
+def corner_shapes():
+    for m in range(2, 5):
+        for n in range(2, 7):
+            for count in (1, 2):
+                for picked in combinations(CORNERS, count):
+                    yield GraphShape.grid(m, n, tuple(RemoveCorner(c) for c in picked))
+
+
+CUSTOM_SHAPES = [
+    # a pendant vertex, and one wired to two core vertices
+    GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)),)),
+    GraphShape.grid(3, 3, (Custom(((1, 3),), (((0, 2), (1, 3)), ((2, 2), (1, 3)))),)),
+    # a chord between core vertices that are not lattice neighbours
+    GraphShape.grid(3, 3, (Custom((), (((0, 0), (2, 2)),)),)),
+    # custom vertices next to each other get no lattice edge between them
+    GraphShape.grid(2, 3, (Custom(((0, 3), (1, 3)), (((0, 2), (0, 3)), ((1, 2), (1, 3)))),)),
+    GraphShape.grid(2, 3, (Custom(((0, 3), (1, 3)), (((0, 2), (0, 3)), ((0, 3), (1, 3)))),)),
+    # custom beside sticky ends and removed corners, on a path and a triangle
+    GraphShape.grid(3, 2, (StickyEnd("right"), Custom(((0, -1),), (((0, -1), (0, 0)),)))),
+    GraphShape.grid(3, 3, (RemoveCorner("SE"), Custom(((2, 2),), (((2, 2), (1, 2)),)))),
+    GraphShape.grid(4, 2, (StickyEnd("left", "top"), Custom(((4, 0),), (((3, 0), (4, 0)),)))),
+    GraphShape(TRIANGLE, 3, 3, (Custom(((0, 1),), (((0, 0), (0, 1)), ((0, 1), (1, 1)))),)),
+    GraphShape("path", 1, 4, (Custom(((1, 0),), (((0, 0), (1, 0)),)),)),
+]
+
+# each with the message both derivations must raise
+CUSTOM_ERRORS = [
+    (GraphShape.grid(2, 2, (Custom(((5, 5),), ()),)),
+     "decorations leave the graph disconnected"),
+    (GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 2), (0, 2)),)),)),
+     "custom edge (0, 2)-(0, 2) is a self-loop"),
+    (GraphShape.grid(2, 2, (Custom((), (((0, 0), (0, 1)),)),)),
+     "custom edge (0, 0)-(0, 1) duplicates an existing edge"),
+    (GraphShape.grid(2, 2, (Custom((), (((0, 1), (0, 0)),)),)),
+     "custom edge (0, 1)-(0, 0) duplicates an existing edge"),
+    (GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)), ((0, 2), (0, 1)))),)),
+     "custom edge (0, 2)-(0, 1) duplicates an existing edge"),
+    (GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 3)),)),)),
+     "custom edge (0, 1)-(0, 3) references a missing vertex"),
+    (GraphShape.grid(2, 2, (Custom(((0, 2),), (((9, 9), (0, 2)),)),)),
+     "custom edge (9, 9)-(0, 2) references a missing vertex"),
+    (GraphShape.grid(2, 2, (Custom(((0, 0),), ()),)),
+     "custom vertex (0, 0) duplicates an existing vertex"),
+    (GraphShape.grid(3, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)), StickyEnd("right", "top"))),
+     "sticky end vertex (0, 2) duplicates an existing vertex"),
+    (GraphShape.grid(2, 2, (RemoveCorner("NW"), RemoveCorner("SE"))),
+     "decorations leave the graph disconnected"),
+]
+
+
+def test_triangles_match_reference():
+    for s in range(1, 13):
+        shape = GraphShape.triangle(s)
+        assert outcome(shape) == reference_outcome(shape), shape
+
+
+def test_grids_and_paths_match_reference():
+    for m in range(1, 7):
+        for n in range(1, 9):
+            shape = GraphShape.grid(m, n)
+            assert outcome(shape) == reference_outcome(shape), shape
+    for n in range(1, 9):
+        shape = GraphShape.path(n)
+        assert outcome(shape) == reference_outcome(shape), shape
+
+
+def test_sticky_ends_match_reference():
+    shapes = list(sticky_shapes())
+    assert len(shapes) == 4 * 5 * 8
+    for shape in shapes:
+        assert outcome(shape) == reference_outcome(shape), shape
+
+
+def test_corner_removals_match_reference():
+    shapes = list(corner_shapes())
+    assert len(shapes) == 3 * 5 * 10
+    for shape in shapes:
+        assert outcome(shape) == reference_outcome(shape), shape
+
+
+def test_custom_decorations_match_reference():
+    for shape in CUSTOM_SHAPES:
+        got = outcome(shape)
+        assert got[0] != "error", got
+        assert got == reference_outcome(shape), shape
+
+
+@pytest.mark.parametrize("shape,message", CUSTOM_ERRORS)
+def test_shape_errors_match_reference(shape, message):
+    assert outcome(shape) == reference_outcome(shape) == ("error", message)

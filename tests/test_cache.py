@@ -9,6 +9,9 @@ import pytest
 from rankgrid.cache import CACHE_VERSION, ENV_VAR, SolutionCache, resolve_cache_path
 from rankgrid.graphs import GraphShape, build
 
+# a valid 4-label ranking of the 2x3 grid, row-major
+LABELS = [1, 4, 1, 2, 3, 2]
+
 
 @pytest.fixture
 def g():
@@ -19,13 +22,13 @@ def test_round_trip(tmp_path, g):
     path = tmp_path / "cache.jsonl"
     c = SolutionCache(path)
     assert len(c) == 0
-    c.put_exact(g, 4, 4, [1, 2, 3, 1, 4, 1], 0.01)
+    c.put_exact(g, 4, 4, LABELS, 0.01)
     c.put_decision(g, 3, False, None, 0.002)
 
     again = SolutionCache(path)
     rec = again.get_exact(g)
     assert rec is not None and (rec["lb"], rec["ub"]) == (4, 4)
-    assert rec["labels"] == [1, 2, 3, 1, 4, 1]
+    assert rec["labels"] == LABELS
     dec = again.get_decision(g, 3)
     assert dec is not None and dec["feasible"] is False
     assert again.get_decision(g, 4) is None
@@ -47,7 +50,7 @@ def test_version_mismatch_is_read_only(tmp_path, g):
     path.write_text(json.dumps({"rankgrid_cache": CACHE_VERSION + 1}) + "\n")
     c = SolutionCache(path)
     assert not c.writable
-    c.put_exact(g, 4, 4, None, 0.0)
+    c.put_exact(g, 4, 4, LABELS, 0.0)
     # nothing appended to the foreign file
     assert path.read_text().count("\n") == 1
     assert c.get_exact(g) is not None  # still usable in memory
@@ -65,7 +68,7 @@ def test_missing_header_is_read_only(tmp_path, g):
 def test_corrupt_line_skipped(tmp_path, g):
     path = tmp_path / "cache.jsonl"
     c = SolutionCache(path)
-    c.put_exact(g, 4, 4, None, 0.0)
+    c.put_exact(g, 4, 4, LABELS, 0.0)
     with open(path, "a") as fh:
         fh.write("{broken\n")
     c2 = SolutionCache(path)
@@ -77,7 +80,7 @@ def test_keeps_tightest_interval(tmp_path, g):
     path = tmp_path / "cache.jsonl"
     c = SolutionCache(path)
     c.put_exact(g, 2, 6, None, 0.0, provenance="budget")
-    c.put_exact(g, 4, 4, None, 0.0)
+    c.put_exact(g, 4, 4, LABELS, 0.0)
     c.put_exact(g, 2, 6, None, 0.0, provenance="budget")
     rec = SolutionCache(path).get_exact(g)
     assert (rec["lb"], rec["ub"]) == (4, 4)
@@ -109,3 +112,34 @@ def test_distinct_graphs_do_not_collide(tmp_path):
     c = SolutionCache(tmp_path / "c.jsonl")
     c.put_exact(a, 4, 4, None, 0.0)
     assert c.get_exact(b) is None
+
+
+def test_exact_hit_needs_a_valid_ranking_of_lb_labels(tmp_path, g, caplog):
+    path = tmp_path / "c.jsonl"
+    c = SolutionCache(path)
+    wrong = (None, [1] * 6, [1, 2], ["1", "4", "1", "2", "3", "2"], [1, 4, 1, 2, 3, 2.5])
+    for lb, labels in [(4, w) for w in wrong] + [(3, LABELS)]:
+        c.put_exact(g, lb, lb, labels, 0.0)
+        with caplog.at_level("WARNING", logger="rankgrid.cache"):
+            caplog.clear()
+            assert SolutionCache(path).get_exact(g) is None, (lb, labels)
+        assert "fails its check" in caplog.text
+        path.unlink()
+        c = SolutionCache(path)
+    c.put_exact(g, 4, 4, LABELS, 0.0)
+    assert SolutionCache(path).get_exact(g)["labels"] == LABELS
+
+
+def test_feasible_decision_hit_needs_a_ranking_within_k(tmp_path, g, caplog):
+    c = SolutionCache(tmp_path / "c.jsonl")
+    c.put_decision(g, 2, True, [1] * 6, 0.0)
+    c.put_decision(g, 3, True, LABELS, 0.0)  # uses 4 labels, more than k
+    c.put_decision(g, 6, True, None, 0.0)
+    c.put_decision(g, 5, True, LABELS, 0.0)
+    c.put_decision(g, 1, False, None, 0.0)
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        assert [c.get_decision(g, k) for k in (2, 3, 6)] == [None, None, None]
+    assert caplog.text.count("fails its check") == 3
+    assert c.get_decision(g, 5)["labels"] == LABELS
+    # a proven "no" carries no labels and is kept as it is
+    assert c.get_decision(g, 1)["feasible"] is False

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
 from rankgrid import cli, formulas
-from rankgrid.cache import ENV_VAR
+from rankgrid.cache import CACHE_VERSION, ENV_VAR
 from rankgrid.graphs import Graph, GraphShape, build
 from rankgrid.verify import Ranking, validate
 
@@ -208,3 +209,80 @@ def test_cache_inspect(capsys, tmp_path):
     assert doc["exact"] == 1 and doc["entries"] == 1
     code, out, _ = run(capsys, "cache-inspect", "--cache", path, "--verbose")
     assert json.loads(out)["records"][0]["kind"] == "exact"
+
+
+# SHA-256 of `construct --four-rows N --out F`, taken before graphs were built
+# in index space; the certificate files must not change by a byte
+FOUR_ROW_SHA256 = {
+    9: "282169ab4cf616df8e14d4a7834a3c547321fe8f77556639bfd9fc04e6df0366",
+    22: "90bf2fc22184c5c555195f9ad924645a2869e42625b14f4e580a18413546018c",
+    37: "83423ac13d488066f76a2e1c43502ba2462c03486b5e741eb7dba46a6e22f186",
+    46: "f707fb4d6e1a099fed9df532c63dffc3bb8d19d2959579d99fa18bc7892840a0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FOUR_ROW_SHA256))
+def test_four_row_certificate_bytes_are_pinned(capsys, tmp_path, n):
+    out_file = tmp_path / "chain.json"
+    assert run(capsys, "construct", "--four-rows", str(n), "--out", str(out_file))[0] == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == FOUR_ROW_SHA256[n]
+
+
+def write_cache(path, *records):
+    lines = [{"rankgrid_cache": CACHE_VERSION}, *records]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+
+
+def grid_3x3_key():
+    return build(GraphShape.grid(3, 3)).graph_hash
+
+
+def test_exact_ignores_edited_cache_value(capsys, tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_cache(path, {"kind": "exact", "key": grid_3x3_key(), "lb": 9, "ub": 9,
+                       "labels": [1] * 9, "elapsed": 0.0, "provenance": "exact"})
+    code, out, err = run(capsys, "exact", "--grid", "3x3", "--cache", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["value"] == 5 and doc["method"] != "cache"
+
+
+def test_exact_ignores_cached_invalid_labelling(capsys, tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_cache(path, {"kind": "exact", "key": grid_3x3_key(), "lb": 4, "ub": 4,
+                       "labels": [1, 2, 1, 2, 4, 2, 1, 2, 1], "elapsed": 0.0,
+                       "provenance": "exact"})
+    code, out, _ = run(capsys, "exact", "--grid", "3x3", "--cache", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["value"] == 5 and doc["method"] != "cache"
+
+
+def test_decide_ignores_edited_feasible_record(capsys, tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_cache(path, {"kind": "decision", "key": grid_3x3_key(), "k": 2,
+                       "feasible": True, "labels": [1] * 9, "elapsed": 0.0})
+    code, out, _ = run(capsys, "decide", "--grid", "3x3", "--k", "2", "--cache", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["feasible"] is False and doc["method"] == "search"
+
+
+def path3_file(tmp_path, **graph):
+    doc = {"graph": {"shape": None, "vertex_count": 3, "edges": [[0, 1], [1, 2]],
+                     "coords": [[0, 0], [0, 1], [0, 2]], **graph}, "labels": [1, 2, 1]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("graph,message", [
+    ({"vertex_count": 4}, "lists 3 coords for 4 vertices"),
+    ({"edges": [[0, 1], [1, 999]]}, "edge 1-999 is out of range for 3 vertices"),
+    ({"edges": [[0, 1], [1, 2], [2, 2]]}, "edge 2-2 is a self-loop"),
+    ({"edges": [[0, 1], [1, 2], [2, 1]]}, "lists edge 1-2 twice"),
+    ({"coords": [[0, 0], [0, 1], [0, 1]]}, "places two vertices on one coord"),
+])
+def test_render_rejects_inconsistent_graph(capsys, tmp_path, graph, message):
+    assert run(capsys, "render", path3_file(tmp_path))[0] == 0
+    code, out, err = run(capsys, "render", path3_file(tmp_path, **graph))
+    assert code == 1 and out == ""
+    assert err.startswith("error: graph JSON") and message in err
+    assert "Traceback" not in err
