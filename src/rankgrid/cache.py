@@ -121,7 +121,7 @@ class SolutionCache:
         return None if rec is None else self._checked(g, rec, lambda count: count == rec["lb"])
 
     def put_exact(self, g: Graph, lb: int, ub: int, labels: list[int] | None,
-                  elapsed: float, provenance: str = "exact") -> None:
+                  elapsed: float) -> None:
         rec = {
             "kind": "exact",
             "key": g.graph_hash,
@@ -129,7 +129,7 @@ class SolutionCache:
             "ub": ub,
             "labels": list(labels) if labels is not None else None,
             "elapsed": round(elapsed, 6),
-            "provenance": provenance,
+            "provenance": "exact",
         }
         self._absorb(rec)
         self._append(rec)

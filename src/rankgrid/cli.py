@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -349,7 +350,10 @@ def _load_ranking(path: str) -> Ranking:
             labels = data["labels"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ranking file {path}: missing {exc}") from None
-    return Ranking(g, tuple(int(l) for l in labels))
+    try:
+        return Ranking(g, tuple(operator.index(l) for l in labels))
+    except TypeError:
+        raise ValueError(f"ranking file {path} needs integer labels") from None
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

@@ -702,6 +702,22 @@ def _endpoint_chain(n: int) -> CertificateChain:
     raise AssertionError(f"width {n} is not a run endpoint the families cover")
 
 
+def _checked_endpoint(e: int) -> CertificateChain:
+    """The chain for run endpoint e; its label count must equal the formula's."""
+    top = _endpoint_chain(e)
+    if top.labels != formulas.rank_4xn(e):
+        raise AssertionError(
+            f"endpoint {e}: built {top.labels} labels, formula says {formulas.rank_4xn(e)}"
+        )
+    return top
+
+
+def _restricted(top: CertificateChain, n: int) -> CertificateChain:
+    """top cut to its first n columns, with the cut recorded as a step."""
+    cut = restrict_columns(top.final, n)
+    return CertificateChain(top.steps + (_step("restrict", (top.final,), cut),), cut)
+
+
 def four_row_certificate(n: int) -> CertificateChain:
     """Certificate chain for G_{4,n}: endpoint construction, restricted if needed.
 
@@ -714,15 +730,8 @@ def four_row_certificate(n: int) -> CertificateChain:
     e = n
     while formulas.rank_4xn(e + 1) == formulas.rank_4xn(e):
         e += 1
-    top = _endpoint_chain(e)
-    if top.labels != formulas.rank_4xn(e):
-        raise AssertionError(
-            f"endpoint {e}: built {top.labels} labels, formula says {formulas.rank_4xn(e)}"
-        )
-    if e == n:
-        return top
-    cut = restrict_columns(top.final, n)
-    return CertificateChain(top.steps + (_step("restrict", (top.final,), cut),), cut)
+    top = _checked_endpoint(e)
+    return top if e == n else _restricted(top, n)
 
 
 def run_endpoint_certificates(k_max: int) -> list[CertificateChain]:
@@ -741,16 +750,8 @@ def run_endpoint_certificates(k_max: int) -> list[CertificateChain]:
     for n in range(1, limit + 1):
         if formulas.rank_4xn(n + 1) == formulas.rank_4xn(n):
             continue
-        top = _endpoint_chain(n)
-        if top.labels != formulas.rank_4xn(n):
-            raise AssertionError(
-                f"endpoint {n}: built {top.labels} labels, formula says {formulas.rank_4xn(n)}"
-            )
-        for inner_n in range(run_started, n):
-            cut = restrict_columns(top.final, inner_n)
-            chains.append(
-                CertificateChain(top.steps + (_step("restrict", (top.final,), cut),), cut)
-            )
+        top = _checked_endpoint(n)
+        chains.extend(_restricted(top, inner_n) for inner_n in range(run_started, n))
         chains.append(top)
         run_started = n + 1
     return chains

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -348,9 +349,14 @@ class Graph:
         shape = None
         if data.get("shape"):
             shape = GraphShape.from_json_dict(data["shape"])
-        n = int(data["vertex_count"])
-        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in data["edges"]))
-        coords = tuple((int(r), int(c)) for r, c in data["coords"])
+        index = operator.index
+        try:
+            n = index(data["vertex_count"])
+            pairs = [(index(u), index(v)) for u, v in data["edges"]]
+            coords = tuple((index(r), index(c)) for r, c in data["coords"])
+        except TypeError:
+            raise ShapeError("graph JSON needs integer vertex_count, edge endpoints and coords") from None
+        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
         if n != len(coords):
             raise ShapeError(f"graph JSON lists {len(coords)} coords for {n} vertices")
         if len(set(coords)) != n:

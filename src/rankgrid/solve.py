@@ -2,11 +2,13 @@
 
 Two independent routes:
 
-* rank_exact / rank_decision run a separator recursion: the rank of a
-  connected graph is 1 + min over vertices v of the max rank among the
-  components left after deleting v.  Subproblems are connected vertex
-  subsets, memoized as bitmasks (canonicalized under the graph's
-  geometric automorphisms) with [lb, ub] intervals.
+* rank_exact / rank_decision share one decision search, feasible(mask, k):
+  a connected graph has a ranking within k labels iff deleting some vertex
+  v leaves components that each have one within k - 1.  Subproblems are
+  connected vertex subsets, memoized as bitmasks (canonicalized under the
+  graph's geometric automorphisms) with [lb, ub] intervals.  rank_decision
+  asks it once; rank_exact starts ub at a greedy ranking's label count
+  and lowers it one label at a time until the next step down is refuted.
 * brute_force enumerates labelings outright with backtrack_labels.  It
   knows nothing about separators and serves as the oracle for the engine.
 
@@ -200,31 +202,13 @@ class _Engine:
 
     def path_lb(self, mask: int) -> int:
         """Bit-length bound from a longest shortest path (double BFS sweep)."""
-        far = self._bfs_far(mask, mask & -mask)
-        d = self._bfs_depth(mask, far)
+        far, _ = self._bfs(mask, mask & -mask)
+        _, d = self._bfs(mask, far)
         return (d + 1).bit_length()
 
-    def _bfs_far(self, mask: int, src: int) -> int:
-        seen = src
-        frontier = src
-        last = src
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= self.adj[b.bit_length() - 1]
-            nxt &= mask & ~seen
-            if nxt:
-                last = nxt
-            seen |= nxt
-            frontier = nxt
-        return last & -last
-
-    def _bfs_depth(self, mask: int, src: int) -> int:
-        seen = src
-        frontier = src
+    def _bfs(self, mask: int, src: int) -> tuple[int, int]:
+        """A farthest vertex from src inside mask (as a bit) and its depth."""
+        seen = frontier = last = src
         d = 0
         while frontier:
             nxt = 0
@@ -235,10 +219,11 @@ class _Engine:
                 nxt |= self.adj[b.bit_length() - 1]
             nxt &= mask & ~seen
             if nxt:
+                last = nxt
                 d += 1
             seen |= nxt
             frontier = nxt
-        return d
+        return last & -last, d
 
     def candidates(self, mask: int) -> list[int]:
         """Branch vertices: degree >= 2 inside the mask when possible,
@@ -257,7 +242,7 @@ class _Engine:
         verts.sort(key=lambda v: (-degs[v], self.static_pos[v]))
         return verts
 
-    # -- exact search -----------------------------------------------------
+    # -- search -----------------------------------------------------------
 
     def bounds_of(self, mask: int, key: int) -> tuple[int, int]:
         """Memo interval of mask, whose canonical form is key."""
@@ -266,46 +251,6 @@ class _Engine:
             ent = (max(self.path_lb(mask), 2), mask.bit_count())
             self.memo[key] = ent
         return ent
-
-    def search(self, mask: int, limit: int) -> int:
-        """Exact rank of the connected subproblem if <= limit, else limit+1."""
-        if mask & (mask - 1) == 0:
-            return 1 if limit >= 1 else limit + 1
-        self.tick()
-        key = self.canon(mask)
-        lb, ub = self.bounds_of(mask, key)
-        if lb > limit:
-            return limit + 1
-        if lb == ub:
-            return lb
-        best = ub
-        for v in self.candidates(mask):
-            cl = min(limit, best - 1) - 1
-            if cl < 1:
-                break
-            rem = mask & ~(1 << v)
-            worst = 0
-            feasible = True
-            for comp in self.components(rem):
-                r = self.search(comp, cl)
-                if r > cl:
-                    feasible = False
-                    break
-                if r > worst:
-                    worst = r
-            if feasible:
-                if 1 + worst < best:
-                    best = 1 + worst
-                    self.memo[key] = (lb, best)
-                if best <= lb:
-                    break
-        if best <= limit:
-            self.memo[key] = (best, best)
-            return best
-        self.memo[key] = (max(lb, limit + 1), best)
-        return limit + 1
-
-    # -- pure decision search ---------------------------------------------
 
     def feasible(self, mask: int, k: int) -> bool:
         """Is the connected subproblem rankable within k labels?  Stops at
@@ -329,6 +274,16 @@ class _Engine:
                 return True
         self.memo[key] = (max(lb, k + 1), ub)
         return False
+
+    def rank_of(self, mask: int) -> int:
+        """Exact rank of the connected subproblem: lower the memo ub one
+        label at a time with feasible until the next step down is refuted."""
+        if mask & (mask - 1) == 0:
+            return 1
+        lb, ub = self.bounds_of(mask, self.canon(mask))
+        while lb < ub and self.feasible(mask, ub - 1):
+            ub -= 1
+        return ub
 
     # -- certificates ------------------------------------------------------
 
@@ -354,10 +309,10 @@ class _Engine:
         if mask & (mask - 1) == 0:
             labels[mask.bit_length() - 1] = 1
             return 1
-        t = self.search(mask, mask.bit_count())
+        t = self.rank_of(mask)
         for v in self.candidates(mask):
             comps = self.components(mask & ~(1 << v))
-            if all(self.search(c, t - 1) <= t - 1 for c in comps):
+            if all(self.feasible(c, t - 1) for c in comps):
                 labels[v] = t
                 for c in comps:
                     self.extract(c, labels)
@@ -407,24 +362,19 @@ def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
 
     heur: dict[int, int] = {}
     heur_vals = [eng.greedy(c, heur) for c in comps]
-    ub0 = max(heur_vals)
+    for comp, hv in zip(comps, heur_vals):
+        if comp & (comp - 1):
+            key = eng.canon(comp)
+            lb, ub = eng.bounds_of(comp, key)
+            eng.memo[key] = (lb, min(ub, hv))
 
-    exhausted = False
-    values: list[int] = []
     try:
-        for comp, hv in zip(comps, heur_vals):
-            values.append(min(eng.search(comp, hv - 1), hv))
+        values = [eng.rank_of(c) for c in comps]
     except _BudgetExhausted:
-        exhausted = True
-
-    elapsed = time.monotonic() - start
-    if exhausted:
-        lb_total = max(
-            [eng.memo.get(eng.canon(c), (2, 0))[0] if c.bit_count() > 1 else 1 for c in comps]
-        )
-        lb_total = max(lb_total, *(values or [1]))
+        lb_total = max(eng.memo[eng.canon(c)][0] if c & (c - 1) else 1 for c in comps)
         cert = _checked(g, _compress([heur[v] for v in range(g.vertex_count)]))
-        return RankResult(lb_total, ub0, "exact", cert, elapsed, budget_exhausted=True)
+        return RankResult(lb_total, max(heur_vals), "exact", cert,
+                          time.monotonic() - start, budget_exhausted=True)
 
     value = max(values)
     labels: dict[int, int] = {}

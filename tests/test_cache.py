@@ -79,9 +79,9 @@ def test_corrupt_line_skipped(tmp_path, g):
 def test_keeps_tightest_interval(tmp_path, g):
     path = tmp_path / "cache.jsonl"
     c = SolutionCache(path)
-    c.put_exact(g, 2, 6, None, 0.0, provenance="budget")
+    c.put_exact(g, 2, 6, None, 0.0)
     c.put_exact(g, 4, 4, LABELS, 0.0)
-    c.put_exact(g, 2, 6, None, 0.0, provenance="budget")
+    c.put_exact(g, 2, 6, None, 0.0)
     rec = SolutionCache(path).get_exact(g)
     assert (rec["lb"], rec["ub"]) == (4, 4)
 

@@ -228,6 +228,28 @@ def test_four_row_certificate_bytes_are_pinned(capsys, tmp_path, n):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == FOUR_ROW_SHA256[n]
 
 
+# SHA-256 of `exact ... --deterministic` stdout, taken before rank_exact ran on
+# the decision search; the search may change, its certificates may not
+EXACT_SHA256 = {
+    "4x5": ("5545ad8e6deca5e9286d7f261f578d4bbb48e1225d2a3fb000871e712b0ea04e",
+            "--grid", "4x5"),
+    "3x9": ("39086fc912104a0112af5805a092862791676f9e639a714a597678d1fdb5442e",
+            "--grid", "3x9"),
+    "triangle-5": ("05d698a12ad98f14e314dd55012eb95ee668ea1ca3adbce0ac2e9c985ac11d34",
+                   "--triangle", "5"),
+    "4x4-sticky-right": ("6e7c1d80c31f5c82c4600cb650250e00b09fe73171f54382f64f307785b2d1f3",
+                         "--grid", "4x4", "--sticky", "right"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SHA256))
+def test_exact_certificate_bytes_are_pinned(capsys, name):
+    digest, *flags = EXACT_SHA256[name]
+    code, out, _ = run(capsys, "exact", *flags, "--deterministic")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def write_cache(path, *records):
     lines = [{"rankgrid_cache": CACHE_VERSION}, *records]
     path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
@@ -265,9 +287,9 @@ def test_decide_ignores_edited_feasible_record(capsys, tmp_path):
     assert code == 0 and doc["feasible"] is False and doc["method"] == "search"
 
 
-def path3_file(tmp_path, **graph):
+def path3_file(tmp_path, labels=(1, 2, 1), **graph):
     doc = {"graph": {"shape": None, "vertex_count": 3, "edges": [[0, 1], [1, 2]],
-                     "coords": [[0, 0], [0, 1], [0, 2]], **graph}, "labels": [1, 2, 1]}
+                     "coords": [[0, 0], [0, 1], [0, 2]], **graph}, "labels": list(labels)}
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -279,10 +301,22 @@ def path3_file(tmp_path, **graph):
     ({"edges": [[0, 1], [1, 2], [2, 2]]}, "edge 2-2 is a self-loop"),
     ({"edges": [[0, 1], [1, 2], [2, 1]]}, "lists edge 1-2 twice"),
     ({"coords": [[0, 0], [0, 1], [0, 1]]}, "places two vertices on one coord"),
+    # int() would truncate the next three to the valid path
+    ({"vertex_count": 3.6}, "needs integer vertex_count, edge endpoints and coords"),
+    ({"edges": [[0, 1], [1, 1.5]]}, "needs integer vertex_count, edge endpoints and coords"),
+    ({"coords": [[0, 0], [0, 1.7], [0, 2]]}, "needs integer vertex_count, edge endpoints and coords"),
 ])
 def test_render_rejects_inconsistent_graph(capsys, tmp_path, graph, message):
     assert run(capsys, "render", path3_file(tmp_path))[0] == 0
     code, out, err = run(capsys, "render", path3_file(tmp_path, **graph))
     assert code == 1 and out == ""
     assert err.startswith("error: graph JSON") and message in err
+    assert "Traceback" not in err
+
+
+def test_render_rejects_non_integer_labels(capsys, tmp_path):
+    # int() would truncate these to the valid labels 1, 2, 1
+    code, out, err = run(capsys, "render", path3_file(tmp_path, labels=[1.9, 2.9, 1.9]))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "needs integer labels" in err
     assert "Traceback" not in err
