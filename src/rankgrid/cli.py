@@ -336,13 +336,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_object(data: dict, field: str, path: str) -> dict:
+    value = data[field]
+    if not isinstance(value, dict):
+        raise ValueError(f"malformed ranking file {path}: {field!r} is not a JSON object")
+    return value
+
+
 def _load_ranking(path: str) -> Ranking:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        g = Graph.from_json_dict(data["graph"])
+        g = Graph.from_json_dict(_json_object(data, "graph", path))
         if "ranking" in data:
-            stored = data["ranking"]
+            stored = _json_object(data, "ranking", path)
             if stored.get("graph_hash") not in (None, g.graph_hash):
                 raise ValueError("ranking file hash does not match its graph")
             labels = stored["labels"]

@@ -348,6 +348,8 @@ class Graph:
     def from_json_dict(data: dict) -> "Graph":
         shape = None
         if data.get("shape"):
+            if not isinstance(data["shape"], dict):
+                raise ShapeError("graph JSON shape is not a JSON object")
             shape = GraphShape.from_json_dict(data["shape"])
         index = operator.index
         try:

@@ -6,8 +6,12 @@ Two independent routes:
   a connected graph has a ranking within k labels iff deleting some vertex
   v leaves components that each have one within k - 1.  Subproblems are
   connected vertex subsets, memoized as bitmasks (canonicalized under the
-  graph's geometric automorphisms) with [lb, ub] intervals.  rank_decision
-  asks it once; rank_exact starts ub at a greedy ranking's label count
+  graph's geometric automorphisms) with [lb, ub] intervals.  A new entry's
+  lb is path_lb; on a plain grid it is the larger of that and the rank of
+  the highest-ranked full a x b block the subset contains, since a ranking
+  restricted to a subgraph is still a ranking.  Block ranks come from
+  _block_rank, a table filled by rank_exact itself.  rank_decision asks
+  the search once; rank_exact starts ub at a greedy ranking's label count
   and lowers it one label at a time until the next step down is refuted.
 * brute_force enumerates labelings outright with backtrack_labels.  It
   knows nothing about separators and serves as the oracle for the engine.
@@ -22,8 +26,9 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cache
 
-from .graphs import Graph
+from .graphs import GRID, Graph, GraphShape, build
 from .verify import Ranking, validate
 
 __all__ = [
@@ -39,7 +44,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps on a solver call; None means unlimited."""
+    """Caps on a solver call; None means unlimited.
+
+    Both caps count the caller's own search only.  Filling the table of
+    block ranks that plain grids draw lower bounds from is a fixed cost of
+    the process, like build, and is charged to no budget: a budgeted reply
+    does not depend on what the same interpreter solved before.
+    """
 
     seconds: float | None = None
     nodes: int | None = None
@@ -111,10 +122,13 @@ class _BudgetExhausted(Exception):
 class _Engine:
     """Separator-recursion search over connected bitmask subproblems."""
 
-    def __init__(self, graph: Graph, budget: Budget | None = None) -> None:
+    def __init__(self, graph: Graph, budget: Budget | None = None,
+                 blocks: Sequence[tuple[int, int, int, int]] = ()) -> None:
         self.g = graph
         self.n = graph.vertex_count
         self.adj = list(graph.adjacency_masks)
+        self.blocks = blocks  # (rank, cells, rows, start mask), from _grid_blocks
+        self.width = graph.shape.n if blocks else 0
         self.memo: dict[int, tuple[int, int]] = {}
         self.nodes = 0
         self._node_limit = budget.nodes if budget else None
@@ -206,6 +220,33 @@ class _Engine:
         _, d = self._bfs(mask, far)
         return (d + 1).bit_length()
 
+    def block_lb(self, mask: int, lb: int) -> int:
+        """The larger of lb and the rank of the best full block in mask.
+
+        runs[b] marks the cells that start b mask cells in a row (row-major,
+        so a run may wrap into the next row); a block's start mask keeps only
+        the cells where its rows and columns fit, which rules wrapped runs out.
+        """
+        cells = mask.bit_count()
+        runs = [0, mask]
+        for rank, size, rows, start in self.blocks:
+            if rank <= lb:
+                break
+            if size > cells:
+                continue
+            cols = size // rows
+            while len(runs) <= cols:
+                runs.append(runs[-1] & (mask >> (len(runs) - 1)))
+            run = runs[cols]
+            hit = run & start
+            for r in range(1, rows):
+                if not hit:
+                    break
+                hit &= run >> (r * self.width)
+            if hit:
+                return rank
+        return lb
+
     def _bfs(self, mask: int, src: int) -> tuple[int, int]:
         """A farthest vertex from src inside mask (as a bit) and its depth."""
         seen = frontier = last = src
@@ -248,7 +289,7 @@ class _Engine:
         """Memo interval of mask, whose canonical form is key."""
         ent = self.memo.get(key)
         if ent is None:
-            ent = (max(self.path_lb(mask), 2), mask.bit_count())
+            ent = (self.block_lb(mask, max(self.path_lb(mask), 2)), mask.bit_count())
             self.memo[key] = ent
         return ent
 
@@ -351,12 +392,47 @@ def _checked(g: Graph, labels: list[int]) -> Ranking:
     return r
 
 
+@cache
+def _block_rank(a: int, b: int) -> int:
+    """Rank number of the a x b grid (a <= b), solved by rank_exact."""
+    return rank_exact(build(GraphShape.grid(a, b))).value
+
+
+def _grid_blocks(g: Graph) -> list[tuple[int, int, int, int]]:
+    """(rank, cells, rows, start mask) of the blocks of 4..24 cells that
+    fit in g, a plain grid, other than g itself; highest rank first.
+
+    A start mask has a bit at each cell where the block's top-left corner
+    can sit.  Other graphs, whose vertices are not the row-major cells of
+    a grid, get no blocks.
+    """
+    shape = g.shape
+    if shape is None or shape.family != GRID or shape.decorations:
+        return []
+    m, n = shape.m, shape.n
+    dims = [(rows, cols) for rows in range(1, min(m, 24) + 1)
+            for cols in range(1, min(n, 24 // rows) + 1)
+            if rows * cols >= 4 and (rows, cols) != (m, n)]
+    rank = {d: _block_rank(min(d), max(d)) for d in dims}
+    blocks = []
+    for rows, cols in dims:
+        # a block that holds a smaller one of the same rank proves nothing more
+        if any(rank[d] == rank[rows, cols] and d[0] <= rows and d[1] <= cols
+               and d != (rows, cols) for d in dims):
+            continue
+        line = (1 << (n - cols + 1)) - 1
+        start = sum(line << (r * n) for r in range(m - rows + 1))
+        blocks.append((rank[rows, cols], rows * cols, rows, start))
+    blocks.sort(key=lambda blk: (-blk[0], blk[1], blk[2]))
+    return blocks
+
+
 def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
     """Exact rank number with certificate, or a proven interval on budget."""
     if g.vertex_count == 0:
         raise ValueError("rank_exact needs a nonempty graph")
     start = time.monotonic()
-    eng = _Engine(g, budget)
+    eng = _Engine(g, budget, _grid_blocks(g))
     full = (1 << g.vertex_count) - 1
     comps = eng.components(full)
 
@@ -395,7 +471,7 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     start = time.monotonic()
-    eng = _Engine(g, budget)
+    eng = _Engine(g, budget, _grid_blocks(g))
     full = (1 << g.vertex_count) - 1
     comps = eng.components(full)
     try:

@@ -163,6 +163,12 @@ def test_extended_four_rows_eight():
 
 
 @pytest.mark.extended
+def test_extended_four_rows_nine():
+    res = rank_exact(build(GraphShape.grid(4, 9)))
+    assert res.value == formulas.rank_4xn(9)
+
+
+@pytest.mark.extended
 def test_extended_square_five_exact():
     exact = rank_exact(build(GraphShape.grid(5, 5))).value
     assert bounds.square_lower(5) <= exact

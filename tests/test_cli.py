@@ -70,11 +70,21 @@ def test_decide_json_keys(capsys):
         code, out, _ = run(capsys, "decide", "--grid", "2x2", "--k", k, "--no-cache")
         doc = json.loads(out)
         assert code == 0 and set(doc) == keys and doc["proven"] is True
-    code, out, _ = run(capsys, "decide", "--grid", "4x6", "--k", "7", "--no-cache",
+    code, out, _ = run(capsys, "decide", "--grid", "4x6", "--k", "8", "--no-cache",
                        "--budget-nodes", "5")
     doc = json.loads(out)
     assert code == 2 and set(doc) == keys
     assert doc["feasible"] is None and doc["proven"] is False
+
+
+def test_decide_block_bound_settles_at_the_root(capsys):
+    # 4x6 contains a 4x5 block of rank 8, so k=7 is refuted before the
+    # search spends its five nodes
+    code, out, _ = run(capsys, "decide", "--grid", "4x6", "--k", "7", "--no-cache",
+                       "--budget-nodes", "5")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["feasible"] is False and doc["proven"] is True and doc["labels"] is None
 
 
 def test_formula_closed_and_recursive(capsys):
@@ -311,6 +321,25 @@ def test_render_rejects_inconsistent_graph(capsys, tmp_path, graph, message):
     code, out, err = run(capsys, "render", path3_file(tmp_path, **graph))
     assert code == 1 and out == ""
     assert err.startswith("error: graph JSON") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["graph", "ranking", "shape"])
+def test_render_rejects_non_object_fields(capsys, tmp_path, field):
+    path = path3_file(tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if field == "shape":
+        doc["graph"]["shape"] = [1]
+    elif field == "ranking":
+        doc["ranking"] = doc.pop("labels")
+    else:
+        doc["graph"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "render", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "is not a JSON object" in err
     assert "Traceback" not in err
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import random_connected_graph
+from rankgrid import solve
 from rankgrid.graphs import GraphShape, RemoveCorner, StickyEnd, build
 from rankgrid.solve import Budget, brute_force, rank_decision, rank_exact
 from rankgrid.verify import validate
@@ -122,3 +125,104 @@ def test_deletion_never_raises_rank(rng):
             sub, _ = g.induced_subgraph(keep)
             rv = rank_exact(sub).value
             assert r - 1 <= rv <= r
+
+
+# -- block lower bounds ------------------------------------------------------
+
+
+def _placements(g, rows, cols):
+    """Bitmasks of every rows x cols rectangle of cells, found by coords."""
+    at = {rc: i for i, rc in enumerate(g.coords)}
+    out = []
+    for r0, c0 in g.coords:
+        cells = [at.get((r0 + i, c0 + j)) for i in range(rows) for j in range(cols)]
+        if None not in cells:
+            out.append(sum(1 << v for v in cells))
+    return out
+
+
+def _check_block_detection(m, n, masks):
+    g = build(GraphShape.grid(m, n))
+    eng = solve._Engine(g, blocks=solve._grid_blocks(g))
+    blocks = eng.blocks
+    assert blocks, (m, n)
+    for rank, size, rows, start in blocks:
+        placed = _placements(g, rows, size // rows)
+        eng.blocks = [(1, size, rows, start)]  # this block alone, rank 1
+        for mask in masks:
+            want = any(mask & p == p for p in placed)
+            assert (eng.block_lb(mask, 0) == 1) == want, (m, n, rows, size // rows, bin(mask))
+
+
+def test_block_detection_matches_coordinate_scan():
+    for m, n in ((3, 4), (4, 4)):
+        _check_block_detection(m, n, range(1 << (m * n)))
+    rng = random.Random(7)
+    for m, n in ((4, 6), (5, 5), (6, 6)):
+        _check_block_detection(m, n, [rng.getrandbits(m * n) for _ in range(2000)])
+
+
+def test_blocks_only_on_plain_grids():
+    assert solve._grid_blocks(build(GraphShape.grid(4, 4, (StickyEnd("right"),)))) == []
+    assert solve._grid_blocks(build(GraphShape.triangle(5))) == []
+    g = build(GraphShape.grid(4, 5))
+    sub, _ = g.induced_subgraph(range(12))
+    assert solve._grid_blocks(sub) == []
+    dims = {(rows, size // rows) for _, size, rows, _ in solve._grid_blocks(g)}
+    assert {(4, 4), (3, 4), (4, 3), (2, 2), (1, 4)} <= dims
+    # 4x5 is the grid itself; 3x5 and 1x5 hold 3x4 and 1x4, of equal rank
+    assert not {(4, 5), (3, 5), (1, 5)} & dims
+    assert all(4 <= rows * cols <= 24 for rows, cols in dims)
+
+
+def _random_connected_mask(rng, g):
+    adj = g.adjacency_masks
+    mask = 1 << rng.randrange(g.vertex_count)
+    for _ in range(rng.randrange(g.vertex_count)):
+        frontier = 0
+        for v in range(g.vertex_count):
+            if mask >> v & 1:
+                frontier |= adj[v]
+        frontier &= ~mask
+        if not frontier:
+            break
+        cells = [v for v in range(g.vertex_count) if frontier >> v & 1]
+        mask |= 1 << rng.choice(cells)
+    return mask
+
+
+def test_block_bound_is_below_the_subgraph_rank():
+    rng = random.Random(11)
+    for m, n in ((4, 4), (3, 5)):
+        g = build(GraphShape.grid(m, n))
+        eng = solve._Engine(g, blocks=solve._grid_blocks(g))
+        raised = 0
+        for _ in range(200):
+            mask = _random_connected_mask(rng, g)
+            if mask & (mask - 1) == 0:
+                continue
+            sub, _ = g.induced_subgraph([v for v in range(g.vertex_count) if mask >> v & 1])
+            lb, _ = eng.bounds_of(mask, eng.canon(mask))
+            assert lb <= rank_exact(sub).value, (m, n, bin(mask))
+            raised += lb > max(eng.path_lb(mask), 2)
+        assert raised >= 20, (m, n, raised)
+
+
+def test_block_table_is_not_charged_to_the_budget(monkeypatch):
+    engines = []
+
+    class Recording(solve._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(solve, "_Engine", Recording)
+    g = build(GraphShape.grid(4, 8))
+    runs = []
+    for cold in (True, False):
+        if cold:
+            solve._block_rank.cache_clear()
+        res = rank_exact(g, budget=Budget(nodes=10000))
+        runs.append((engines[-1].nodes, res.lb, res.ub, res.budget_exhausted))
+    assert runs[0] == runs[1]
+    assert runs[0][1:] == (8, 11, True)
