@@ -13,6 +13,8 @@ import json
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import bounds, construct, formulas
 from .cache import CACHE_VERSION, SolutionCache, resolve_cache_path
@@ -24,8 +26,40 @@ from .verify import Ranking
 __all__ = ["main"]
 
 
+def _json_text(x: object, pad: str = "") -> str:
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte, nested at pad.
+
+    Strings, plain ints, str-keyed dicts, int lists and equal-length int rows
+    take fast paths that move the per-element work into C-level join and %;
+    anything else (bool, None, floats, subclasses, empty or ragged
+    containers) is left to json.dumps.
+    """
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return str(x)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if t is dict and x and all(type(k) is str for k in x):
+        items = sep.join(f"{encode_basestring_ascii(k)}: {_json_text(x[k], inner)}" for k in sorted(x))
+        return f"{{\n{inner}{items}\n{pad}}}"
+    if (t is list or t is tuple) and x:
+        kinds = set(map(type, x))
+        if kinds == {int}:
+            return f"[\n{inner}{sep.join(map(str, x))}\n{pad}]"
+        if kinds <= {list, tuple} and x[0] and len(set(map(len, x))) == 1:
+            flat = tuple(chain.from_iterable(x))
+            if set(map(type, flat)) == {int}:
+                cell = ",\n" + inner + "  "
+                row = f"[{cell[1:]}{cell.join(['%d'] * len(x[0]))}\n{inner}]"
+                return f"[\n{inner}{sep.join([row] * len(x)) % flat}\n{pad}]"
+        return f"[\n{inner}{sep.join(_json_text(v, inner) for v in x)}\n{pad}]"
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _emit(payload: object, out: str | None = None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -322,9 +356,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     rows.append(_sweep_row(args.m, n, methods, budget).as_record())
             finally:
                 # interrupted sweeps still flush what they have
-                json.dump({"columns": _SWEEP_COLUMNS, "rows": rows}, out,
-                          indent=2, sort_keys=True)
-                out.write("\n")
+                out.write(_json_text({"columns": _SWEEP_COLUMNS, "rows": rows}) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -336,10 +368,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_object(data: dict, field: str, path: str) -> dict:
+def _json_object(data: dict, field: str) -> dict:
     value = data[field]
     if not isinstance(value, dict):
-        raise ValueError(f"malformed ranking file {path}: {field!r} is not a JSON object")
+        raise TypeError(f"{field!r} is not a JSON object")
     return value
 
 
@@ -347,16 +379,22 @@ def _load_ranking(path: str) -> Ranking:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        g = Graph.from_json_dict(_json_object(data, "graph", path))
+        if not isinstance(data, dict):
+            raise TypeError("the top level is not a JSON object")
+        g = Graph.from_json_dict(_json_object(data, "graph"))
         if "ranking" in data:
-            stored = _json_object(data, "ranking", path)
+            stored = _json_object(data, "ranking")
             if stored.get("graph_hash") not in (None, g.graph_hash):
-                raise ValueError("ranking file hash does not match its graph")
+                raise ValueError("the ranking's graph_hash does not match its graph")
             labels = stored["labels"]
         else:
             labels = data["labels"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed ranking file {path}: missing {exc}") from None
+    except ShapeError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed ranking file {path}: {exc}") from None
     try:
         return Ranking(g, tuple(operator.index(l) for l in labels))
     except TypeError:

@@ -263,8 +263,7 @@ class Graph:
     @cached_property
     def graph_hash(self) -> str:
         payload = json.dumps(
-            {"vertex_count": self.vertex_count, "edges": [list(e) for e in self.edges],
-             "coords": [list(c) for c in self.coords]},
+            {"vertex_count": self.vertex_count, "edges": self.edges, "coords": self.coords},
             sort_keys=True, separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode()).hexdigest()

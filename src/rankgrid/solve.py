@@ -7,12 +7,13 @@ Two independent routes:
   v leaves components that each have one within k - 1.  Subproblems are
   connected vertex subsets, memoized as bitmasks (canonicalized under the
   graph's geometric automorphisms) with [lb, ub] intervals.  A new entry's
-  lb is path_lb; on a plain grid it is the larger of that and the rank of
-  the highest-ranked full a x b block the subset contains, since a ranking
-  restricted to a subgraph is still a ranking.  Block ranks come from
-  _block_rank, a table filled by rank_exact itself.  rank_decision asks
-  the search once; rank_exact starts ub at a greedy ranking's label count
-  and lowers it one label at a time until the next step down is refuted.
+  lb is path_lb; on a grid (sticky ends allowed) it is the larger of that
+  and the rank of the best full a x b block of the core in the subset,
+  since a ranking restricted to a subgraph is still a ranking.  Block
+  ranks come from _block_rank, a table filled by rank_exact itself.
+  rank_decision asks the search once; rank_exact starts ub at a greedy
+  ranking's label count and lowers it one label at a time until the next
+  step down is refuted.
 * brute_force enumerates labelings outright with backtrack_labels.  It
   knows nothing about separators and serves as the oracle for the engine.
 
@@ -28,7 +29,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
-from .graphs import GRID, Graph, GraphShape, build
+from .graphs import GRID, Graph, GraphShape, StickyEnd, build
 from .verify import Ranking, validate
 
 __all__ = [
@@ -400,19 +401,21 @@ def _block_rank(a: int, b: int) -> int:
 
 def _grid_blocks(g: Graph) -> list[tuple[int, int, int, int]]:
     """(rank, cells, rows, start mask) of the blocks of 4..24 cells that
-    fit in g, a plain grid, other than g itself; highest rank first.
+    fit in the m x n core of g, a grid with at most sticky ends, other
+    than g itself; highest rank first.
 
     A start mask has a bit at each cell where the block's top-left corner
-    can sit.  Other graphs, whose vertices are not the row-major cells of
-    a grid, get no blocks.
+    can sit.  build() puts the core first, row-major, then any staircase
+    cells, so every placement lies in the core.  Other graphs get none.
     """
     shape = g.shape
-    if shape is None or shape.family != GRID or shape.decorations:
+    if shape is None or shape.family != GRID or not all(
+            isinstance(dec, StickyEnd) for dec in shape.decorations):
         return []
     m, n = shape.m, shape.n
     dims = [(rows, cols) for rows in range(1, min(m, 24) + 1)
             for cols in range(1, min(n, 24 // rows) + 1)
-            if rows * cols >= 4 and (rows, cols) != (m, n)]
+            if rows * cols >= 4 and ((rows, cols) != (m, n) or shape.decorations)]
     rank = {d: _block_rank(min(d), max(d)) for d in dims}
     blocks = []
     for rows, cols in dims:

@@ -6,10 +6,11 @@ import csv
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
-from rankgrid import cli, formulas
+from rankgrid import cli, construct, formulas
 from rankgrid.cache import CACHE_VERSION, ENV_VAR
 from rankgrid.graphs import Graph, GraphShape, build
 from rankgrid.verify import Ranking, validate
@@ -349,3 +350,71 @@ def test_render_rejects_non_integer_labels(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "needs integer labels" in err
     assert "Traceback" not in err
+
+
+# -- the indent-2 JSON writer -------------------------------------------------
+
+
+def _random_payload(rng, depth=0):
+    kind = rng.randrange(8 if depth < 4 else 1)
+    if kind == 0:
+        return rng.choice([
+            rng.randint(-5, 5), rng.randint(-2**70, 2**70), True, False, None,
+            rng.uniform(-1e3, 1e3), float("nan"), float("inf"), -float("inf"),
+            rng.choice(["", "x", 'say "hi"', "100%", "%d %s", "back\\slash", "tab\t", "naïve €"]),
+        ])
+    if kind == 1:  # int lists, sometimes holding a bool
+        return [rng.choice([rng.randint(-9, 2**65), True, False]) if rng.random() < 0.2
+                else rng.randint(-9, 2**65) for _ in range(rng.randrange(5))]
+    if kind == 2:  # int rows: equal, empty, ragged or mixed, lists or tuples
+        width = rng.randrange(4)
+        rows = [[rng.randint(-99, 99) for _ in range(width)] for _ in range(rng.randrange(5))]
+        if rows and rng.random() < 0.3:
+            rows[rng.randrange(len(rows))].append(rng.choice([7, True, None, "7"]))
+        return [tuple(r) if rng.random() < 0.3 else r for r in rows]
+    if kind == 3:
+        return {rng.choice(["a", "b", 'q"uote', "%s", "é", ""]): _random_payload(rng, depth + 1)
+                for _ in range(rng.randrange(4))}
+    if kind == 4:
+        return {rng.randint(-3, 3): _random_payload(rng, depth + 1) for _ in range(rng.randrange(3))}
+    if kind == 5:
+        return tuple(_random_payload(rng, depth + 1) for _ in range(rng.randrange(4)))
+    return [_random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(20)
+    for _ in range(2000):
+        payload = _random_payload(rng)
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True), payload
+
+
+def test_four_row_output_on_a_large_grid_matches_json_dumps(capsys, tmp_path):
+    out_file = tmp_path / "chain.json"
+    assert run(capsys, "construct", "--four-rows", "4093", "--out", str(out_file))[0] == 0
+    want = json.dumps(construct.four_row_certificate(4093).to_json_dict(), indent=2, sort_keys=True)
+    assert out_file.read_text(encoding="utf-8") == want + "\n"
+
+
+def test_sweep_json_is_indent_2_sorted(capsys):
+    code, out, _ = run(capsys, "sweep", "--m", "4", "--n-range", "3:6",
+                       "--methods", "formula,bucket,bounds,cert", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("graph,message", [
+    ({"shape": {"family": "grid", "m": 1, "n": 3, "decorations": [1]}},
+     "'int' object is not subscriptable"),
+    ({"shape": {"family": "grid", "m": "1", "n": 3}}, "'<' not supported"),
+    (None, "the top level is not a JSON object"),
+    ({"edges": [[0, 1], [0]]}, "not enough values to unpack"),
+])
+def test_render_names_the_malformed_file(capsys, tmp_path, graph, message):
+    path = path3_file(tmp_path, **(graph or {}))
+    if graph is None:
+        (tmp_path / "g.json").write_text("[1, 2, 1]")
+    code, out, err = run(capsys, "render", path)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: malformed ranking file {path}: ") and message in err
+    assert "missing" not in err and "Traceback" not in err

@@ -53,6 +53,18 @@ def test_build_is_deterministic():
     assert a.graph_hash == b.graph_hash
 
 
+@pytest.mark.parametrize("shape,digest", [
+    (GraphShape.grid(3, 4), "5c264185878f9b82e452684a44232d85fe8d135327121fb14f11e3d6b3d63874"),
+    (GraphShape.grid(4, 3, (StickyEnd("left", "top"), StickyEnd("right"))),
+     "952554f3d65fe6dbda1d4db2f0b6d92b6cc19435a67499c57e90f25ca72bb6ea"),
+    (GraphShape.triangle(4), "f4f3eef4ed8bb591204b4c0123bcc4e5e977da18cb515e91a6d81f647ec49825"),
+])
+def test_graph_hash_is_pinned(shape, digest):
+    # digests of the compact JSON of {"coords": [[r, c], ...], "edges": [[u, v], ...],
+    # "vertex_count": n}; cache keys and ranking files depend on them
+    assert build(shape).graph_hash == digest
+
+
 def test_path_family_matches_one_row_grid():
     p = build(GraphShape.path(6))
     row = build(GraphShape.grid(1, 6))

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_connected_graph
 from rankgrid import solve
-from rankgrid.graphs import GraphShape, RemoveCorner, StickyEnd, build
+from rankgrid.graphs import Custom, GraphShape, RemoveCorner, StickyEnd, build
 from rankgrid.solve import Budget, brute_force, rank_decision, rank_exact
 from rankgrid.verify import validate
 
@@ -131,18 +131,22 @@ def test_deletion_never_raises_rank(rng):
 
 
 def _placements(g, rows, cols):
-    """Bitmasks of every rows x cols rectangle of cells, found by coords."""
-    at = {rc: i for i, rc in enumerate(g.coords)}
+    """Bitmasks of every rows x cols rectangle of core cells, found by coords."""
+    m, n = g.shape.m, g.shape.n
+    at = {rc: i for i, rc in enumerate(g.coords) if 0 <= rc[0] < m and 0 <= rc[1] < n}
     out = []
-    for r0, c0 in g.coords:
+    for r0, c0 in at:
         cells = [at.get((r0 + i, c0 + j)) for i in range(rows) for j in range(cols)]
         if None not in cells:
             out.append(sum(1 << v for v in cells))
     return out
 
 
-def _check_block_detection(m, n, masks):
-    g = build(GraphShape.grid(m, n))
+RIGHT = (StickyEnd("right"),)
+
+
+def _check_block_detection(m, n, masks, decorations=()):
+    g = build(GraphShape.grid(m, n, decorations))
     eng = solve._Engine(g, blocks=solve._grid_blocks(g))
     blocks = eng.blocks
     assert blocks, (m, n)
@@ -160,10 +164,20 @@ def test_block_detection_matches_coordinate_scan():
     rng = random.Random(7)
     for m, n in ((4, 6), (5, 5), (6, 6)):
         _check_block_detection(m, n, [rng.getrandbits(m * n) for _ in range(2000)])
+    # staircase cells follow the core, so no run through them may count
+    for m, n in ((4, 4), (3, 6)):
+        size = build(GraphShape.grid(m, n, RIGHT)).vertex_count
+        _check_block_detection(m, n, [rng.getrandbits(size) for _ in range(2000)], RIGHT)
 
 
-def test_blocks_only_on_plain_grids():
-    assert solve._grid_blocks(build(GraphShape.grid(4, 4, (StickyEnd("right"),)))) == []
+def test_blocks_only_on_plain_and_sticky_grids():
+    sticky = {(rows, size // rows)
+              for _, size, rows, _ in solve._grid_blocks(build(GraphShape.grid(4, 4, RIGHT)))}
+    # the whole 4x4 core is a block of the decorated grid
+    assert {(4, 4), (2, 2), (1, 4)} <= sticky
+    for decorations in ((RemoveCorner("NE"),), (StickyEnd("left"), RemoveCorner("SW")),
+                        (Custom([(0, 4)], [((0, 3), (0, 4))]),)):
+        assert solve._grid_blocks(build(GraphShape.grid(4, 4, decorations))) == []
     assert solve._grid_blocks(build(GraphShape.triangle(5))) == []
     g = build(GraphShape.grid(4, 5))
     sub, _ = g.induced_subgraph(range(12))
@@ -193,8 +207,8 @@ def _random_connected_mask(rng, g):
 
 def test_block_bound_is_below_the_subgraph_rank():
     rng = random.Random(11)
-    for m, n in ((4, 4), (3, 5)):
-        g = build(GraphShape.grid(m, n))
+    for m, n, decorations in ((4, 4, ()), (3, 5, ()), (4, 4, RIGHT), (3, 6, RIGHT)):
+        g = build(GraphShape.grid(m, n, decorations))
         eng = solve._Engine(g, blocks=solve._grid_blocks(g))
         raised = 0
         for _ in range(200):
