@@ -116,8 +116,8 @@ class BaseTable4xn:
         return self.values[n - 1]
 
 
-# n = 3..8.  Hand-checked values; the test suite re-derives 3..7 with the
-# solver on every run and 8 in the extended tier.
+# n = 3..8.  Hand-checked values; the test suite re-derives all of them
+# with the solver on every run.
 _FIXED_4XN = (6, 7, 8, 8, 9, 10)
 
 

@@ -225,11 +225,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each vertex, ascending: with edges sorted, each
+        vertex meets its smaller neighbours first, then its larger ones."""
         nbrs: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
+        return tuple(tuple(b) for b in nbrs)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:

@@ -11,9 +11,12 @@ Two independent routes:
   and the rank of the best full a x b block of the core in the subset,
   since a ranking restricted to a subgraph is still a ranking.  Block
   ranks come from _block_rank, a table filled by rank_exact itself.
-  rank_decision asks the search once; rank_exact starts ub at a greedy
-  ranking's label count and lowers it one label at a time until the next
-  step down is refuted.
+  When an entry's lb equals the k asked, the one vertex labelled k lies
+  in every placement of every block of rank k, so only that common core
+  is tried as a separator, and an empty core refutes k.  rank_decision
+  asks the search once; rank_exact starts ub at a greedy ranking's label
+  count and lowers it one label at a time until the next step down is
+  refuted.
 * brute_force enumerates labelings outright with backtrack_labels.  It
   knows nothing about separators and serves as the oracle for the engine.
 
@@ -221,8 +224,13 @@ class _Engine:
         _, d = self._bfs(mask, far)
         return (d + 1).bit_length()
 
-    def block_lb(self, mask: int, lb: int) -> int:
+    def block_lb(self, mask: int, lb: int,
+                 hits: list[tuple[int, int, int]] | None = None) -> int:
         """The larger of lb and the rank of the best full block in mask.
+
+        Given a hits list, it instead scans every block of rank > lb, adds
+        (rows, cols, hit) for each one in mask, where hit marks the top-left
+        cells of its placements, and returns lb.
 
         runs[b] marks the cells that start b mask cells in a row (row-major,
         so a run may wrap into the next row); a block's start mask keeps only
@@ -245,8 +253,39 @@ class _Engine:
                     break
                 hit &= run >> (r * self.width)
             if hit:
-                return rank
+                if hits is None:
+                    return rank
+                hits.append((rows, cols, hit))
         return lb
+
+    def block_core(self, mask: int, k: int) -> int:
+        """The cells common to every placement in mask of every block of
+        rank >= k; -1 (all cells) when mask holds no such block.
+
+        Placements are rectangles, so their common part is the rectangle
+        from the last start row and column to the first start's far edge.
+        """
+        hits: list[tuple[int, int, int]] = []
+        self.block_lb(mask, k - 1, hits)
+        w = self.width
+        core = -1
+        for rows, cols, hit in hits:
+            row0 = ((hit & -hit).bit_length() - 1) // w
+            row1 = (hit.bit_length() - 1) // w
+            fold = 0
+            while hit:
+                fold |= hit
+                hit >>= w
+            fold &= (1 << w) - 1
+            col0 = (fold & -fold).bit_length() - 1
+            col1 = fold.bit_length() - 1
+            if row1 >= row0 + rows or col1 >= col0 + cols:
+                return 0
+            line = ((1 << (col0 + cols - col1)) - 1) << col1
+            core &= sum(line << (r * w) for r in range(row1, row0 + rows))
+            if not core:
+                return 0
+        return core
 
     def _bfs(self, mask: int, src: int) -> tuple[int, int]:
         """A farthest vertex from src inside mask (as a bit) and its depth."""
@@ -267,11 +306,11 @@ class _Engine:
             frontier = nxt
         return last & -last, d
 
-    def candidates(self, mask: int) -> list[int]:
-        """Branch vertices: degree >= 2 inside the mask when possible,
-        densest and most central first."""
+    def candidates(self, mask: int, allowed: int = -1) -> list[int]:
+        """Branch vertices among allowed: degree >= 2 inside the mask when
+        possible, densest and most central first."""
         verts = []
-        m = mask
+        m = mask & allowed
         while m:
             b = m & -m
             m ^= b
@@ -308,7 +347,15 @@ class _Engine:
             return True
         if lb > k:
             return False
-        for v in self.candidates(mask):
+        core = -1
+        if lb == k and self.blocks:
+            # rank >= k: the one vertex labelled k lies in every block of
+            # rank k, and it is the separator sought
+            core = self.block_core(mask, k)
+            if not core:
+                self.memo[key] = (k + 1, ub)
+                return False
+        for v in self.candidates(mask, core):
             rem = mask & ~(1 << v)
             if all(self.feasible(comp, k - 1) for comp in self.components(rem)):
                 if k < ub:

@@ -169,6 +169,20 @@ def test_extended_four_rows_nine():
 
 
 @pytest.mark.extended
+def test_extended_four_rows_ten():
+    res = rank_exact(build(GraphShape.grid(4, 10)))
+    assert res.value == formulas.rank_4xn(10)
+
+
+@pytest.mark.extended
+def test_extended_square_six_exact():
+    res = rank_exact(build(GraphShape.grid(6, 6)))
+    assert res.value == 11
+    assert validate(res.certificate) is None and res.certificate.label_count == 11
+    assert bounds.square_lower(6) == 9 and bounds.alpert_upper(6, 6) == 13
+
+
+@pytest.mark.extended
 def test_extended_square_five_exact():
     exact = rank_exact(build(GraphShape.grid(5, 5))).value
     assert bounds.square_lower(5) <= exact

@@ -164,6 +164,27 @@ def test_graph_json_round_trip():
     assert back.graph_hash == g.graph_hash
 
 
+def test_adjacency_is_ascending():
+    built = [build(shape) for shape in (
+        GraphShape.grid(4, 5),
+        GraphShape.grid(4, 3, (StickyEnd("left", "top"), StickyEnd("right"))),
+        GraphShape.grid(3, 4, (StickyEnd("right", "bottom"),)),
+        GraphShape.triangle(5),
+        GraphShape.grid(4, 4, (RemoveCorner("NE"), RemoveCorner("SW"))),
+        GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)),)),
+    )]
+    sub, _ = built[0].induced_subgraph([0, 2, 3, 7, 8, 9, 12, 13, 19])
+    data = built[1].to_json_dict()
+    data["shape"] = None
+    data["edges"] = [[v, u] for u, v in reversed(data["edges"])]
+    for g in built + [sub, Graph.from_json_dict(data)]:
+        nbrs = [set() for _ in range(g.vertex_count)]
+        for u, v in g.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert g.adjacency == tuple(tuple(sorted(b)) for b in nbrs)
+
+
 def test_automorphism_counts():
     # coordinate symmetries: dihedral for squares, flips for rectangles,
     # the left-right mirror for triangles

@@ -222,6 +222,68 @@ def test_block_bound_is_below_the_subgraph_rank():
         assert raised >= 20, (m, n, raised)
 
 
+def _check_block_core(m, n, masks, decorations=()):
+    g = build(GraphShape.grid(m, n, decorations))
+    eng = solve._Engine(g, blocks=solve._grid_blocks(g))
+    placed = [(rank, _placements(g, rows, size // rows)) for rank, size, rows, _ in eng.blocks]
+    for mask in masks:
+        inside = [(rank, [p for p in ps if mask & p == p]) for rank, ps in placed]
+        for k in range(1, eng.blocks[0][0] + 2):
+            want = -1
+            for rank, ps in inside:
+                if rank >= k:
+                    for p in ps:
+                        want &= p
+            assert eng.block_core(mask, k) == want, (m, n, k, bin(mask))
+
+
+def test_block_core_matches_coordinate_scan():
+    for m, n in ((3, 4), (4, 4)):
+        _check_block_core(m, n, range(1 << (m * n)))
+    rng = random.Random(13)
+    for m, n in ((4, 6), (5, 5), (6, 6)):
+        _check_block_core(m, n, [rng.getrandbits(m * n) for _ in range(2000)])
+    for m, n in ((4, 4), (3, 6)):
+        size = build(GraphShape.grid(m, n, RIGHT)).vertex_count
+        _check_block_core(m, n, [rng.getrandbits(size) for _ in range(2000)], RIGHT)
+
+
+def _induced(g, mask):
+    return g.induced_subgraph([v for v in range(g.vertex_count) if mask >> v & 1])[0]
+
+
+def test_block_core_holds_every_top_separator():
+    # a ranking of a connected mask within r = rank labels has one vertex
+    # labelled r, in every block of rank r: outside the core no vertex works
+    rng = random.Random(17)
+    empty = checked = outside = 0
+    for m, n, decorations in ((4, 4, ()), (3, 5, ()), (4, 5, ()), (4, 4, RIGHT), (3, 6, RIGHT)):
+        g = build(GraphShape.grid(m, n, decorations))
+        eng = solve._Engine(g, blocks=solve._grid_blocks(g))
+        for _ in range(40):
+            mask = _random_connected_mask(rng, g)
+            if mask & (mask - 1) == 0:
+                continue
+            r = rank_exact(_induced(g, mask)).value
+            for k in range(1, r + 2):
+                if eng.block_core(mask, k) == 0:
+                    assert k < r, (m, n, k, bin(mask))
+                    empty += 1
+            core = eng.block_core(mask, r)
+            if core == -1 or mask & ~core == 0:
+                continue
+            checked += 1
+            rest = mask & ~core
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                outside += 1
+                comps = sorted(eng.components(mask & ~v), key=int.bit_count, reverse=True)
+                assert any(rank_decision(_induced(g, c), r - 1).feasible is False
+                           for c in comps), (m, n, bin(mask), v)
+    assert empty >= 50 and checked >= 60 and outside >= 200, (empty, checked, outside)
+
+
 def test_block_table_is_not_charged_to_the_budget(monkeypatch):
     engines = []
 
