@@ -69,7 +69,7 @@ class SolutionCache:
                 self.writable = False
                 return
             for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
+                if not line.strip() or line == first:  # a racing writer's header
                     continue
                 try:
                     rec = json.loads(line)
@@ -97,11 +97,14 @@ class SolutionCache:
         if not self.writable:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        new = not self.path.exists() or self.path.stat().st_size == 0
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if new:
-                fh.write(json.dumps({"rankgrid_cache": CACHE_VERSION}) + "\n")
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        # one write on an O_APPEND descriptor: concurrent writers never
+        # interleave inside a line; two fresh writers may both add a header
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            head = "" if os.fstat(fd).st_size else json.dumps({"rankgrid_cache": CACHE_VERSION}) + "\n"
+            os.write(fd, (head + json.dumps(rec, sort_keys=True) + "\n").encode())
+        finally:
+            os.close(fd)
 
     def _checked(self, g: Graph, rec: dict, fits) -> dict | None:
         """rec if its integer labels rank g within fits(label_count), else None (a miss)."""

@@ -10,7 +10,10 @@ the diagonal, so the builders here track which rows a staircase keeps
 Every builder returns a validated Ranking or raises; nothing here trusts
 arithmetic alone.  run_endpoint_certificates drives the whole inventory:
 one certificate per constant-value run of the four-row formula, plus
-column restrictions for the interior widths.
+column restrictions for the interior widths.  Each endpoint chain is built
+once per process and kept as its steps and final labels; every width is
+rebuilt from those labels (interior ones cut to their columns) and
+validated on each call.
 """
 
 from __future__ import annotations
@@ -138,7 +141,12 @@ def _to_ranking(shape: GraphShape, cl: CoordLabels, expect: int, *, reject: bool
         missing = sorted(set(g.coords) - cl.keys())[:4]
         extra = sorted(cl.keys() - set(g.coords))[:4]
         raise AssertionError(f"assembly does not tile {shape}: missing {missing}, extra {extra}")
-    r = Ranking(g, tuple(cl[rc] for rc in g.coords))
+    return _checked(g, tuple(cl[rc] for rc in g.coords), expect, reject)
+
+
+def _checked(g: Graph, labels: tuple[int, ...], expect: int, reject: bool = False) -> Ranking:
+    """labels on g as a validated Ranking of exactly expect labels; see _to_ranking."""
+    r = Ranking(g, labels)
     bad = validate(r)
     if bad is not None:
         if reject:
@@ -297,7 +305,7 @@ def _corner_map(m: int, q: int) -> dict[Coord, Coord]:
     return staircase_triangle_map(m, q + 1, "right", "bottom")
 
 
-def diagonal_cut(m: int, n: int, inner: Ranking, tri_r: Ranking) -> Ranking:
+def diagonal_cut(m: int, n: int, inner: Ranking | None, tri_r: Ranking) -> Ranking:
     """Two corner triangles and a mirrored inner grid around one diagonal.
 
     Layout, left to right: inner grid G_{m,q} with q = ceil((n-m)/2)-1 on
@@ -305,7 +313,8 @@ def diagonal_cut(m: int, n: int, inner: Ranking, tri_r: Ranking) -> Ranking:
     li, the m-vertex descending cut on the top m labels, then the corner
     and inner again, spun 180 degrees.  The corners sit on opposite sides
     of the cut, so they can share the triangle block; both inner copies
-    sit below everything else.
+    sit below everything else.  At n = m+2, q = 0: inner is None and the
+    corners and cut alone tile the grid.
 
     The triangle ranking must stay valid when its bottom row gains a
     common low neighbour (the inner grid); incompatible inputs are
@@ -316,22 +325,20 @@ def diagonal_cut(m: int, n: int, inner: Ranking, tri_r: Ranking) -> Ranking:
     if n < m + 2:
         raise ShapeError(f"not applicable: need n >= m+2, got n={n}, m={m}")
     q = (n - m + 1) // 2 - 1
-    if q < 1:
-        raise ShapeError(f"n={n} leaves no room for the inner grid")
-    ishape = inner.graph.shape
-    if ishape is None or ishape.decorations or (ishape.m, ishape.n) != (m, q):
-        raise ShapeError(f"inner must be a plain {m}x{q} grid for n={n}")
+    ishape = inner.graph.shape if inner is not None else None
+    if (q or inner is not None) and (ishape is None or ishape.decorations or (ishape.m, ishape.n) != (m, q)):
+        raise ShapeError(f"inner must be {f'a plain {m}x{q} grid' if q else 'None'} for n={n}")
     tshape = tri_r.graph.shape
     if tshape is None or tshape.family != TRIANGLE or tshape.m != m:
         raise ShapeError(f"triangle input must cover tri_{m}")
 
-    li, lt = inner.label_count, tri_r.label_count
+    li, lt = (inner.label_count if inner is not None else 0), tri_r.label_count
     top = li + lt + m
     tri_at: dict[Coord, int] = {}
     for i, rc in enumerate(tri_r.graph.coords):
         tri_at[rc] = tri_r.labels[i]
 
-    left = dict(_coord_labels(inner))
+    left = _coord_labels(inner) if inner is not None else {}
     for grid_rc, tri_rc in _corner_map(m, q).items():
         left[grid_rc] = li + tri_at[tri_rc]
     cut = {(r, q + 1 + r): top - r for r in range(m)}
@@ -643,19 +650,18 @@ def restrict_columns(r: Ranking, n: int) -> Ranking:
         raise ShapeError("restriction expects a plain grid ranking")
     if not 1 <= n <= shape.n:
         raise ShapeError(f"cannot keep {n} of {shape.n} columns")
-    kept = {rc: v for rc, v in _coord_labels(r).items() if rc[1] < n}
-    order = {v: i + 1 for i, v in enumerate(sorted(set(kept.values())))}
-    cl = {rc: order[v] for rc, v in kept.items()}
-    return _to_ranking(GraphShape.grid(shape.m, n), cl, len(order))
+    return _restrict(shape.m, shape.n, r.labels, n)
+
+
+def _restrict(m: int, width: int, labels: tuple[int, ...], n: int) -> Ranking:
+    # build puts a plain grid's vertices row-major: (r, c) is vertex r*width + c
+    kept = [v for i in range(0, m * width, width) for v in labels[i:i + n]]
+    order = {v: i for i, v in enumerate(sorted(set(kept)), 1)}
+    return _checked(build(GraphShape.grid(m, n)), tuple(map(order.__getitem__, kept)), len(order))
 
 
 def _step(name: str, inputs: tuple[Ranking, ...], out: Ranking) -> ChainStep:
-    return ChainStep(
-        name=name,
-        inputs=tuple(r.graph.shape for r in inputs),
-        output=out.graph.shape,
-        labels=out.label_count,
-    )
+    return ChainStep(name, tuple(r.graph.shape for r in inputs), out.graph.shape, out.label_count)
 
 
 def _solver_chain(n: int) -> CertificateChain:
@@ -669,10 +675,7 @@ def _doubling_chain(k: int, base_k: int, a0_width: int, b0_anti: bool, lam0: int
     """Close after k - base_k merge rounds from solver-ranked staircase bases."""
     a = base_ranking(one_sticky_shape(a0_width), lam0)
     b = base_ranking(two_sticky_shape(a0_width - 1, anti=b0_anti), lam0)
-    steps = [
-        _step("solve-decision", (), a),
-        _step("solve-decision", (), b),
-    ]
+    steps = [_step("solve-decision", (), a), _step("solve-decision", (), b)]
     for _ in range(k - base_k):
         na = _ml_out1(a, b)
         steps.append(_step("staircase-merge", (a, b), na))
@@ -702,20 +705,27 @@ def _endpoint_chain(n: int) -> CertificateChain:
     raise AssertionError(f"width {n} is not a run endpoint the families cover")
 
 
-def _checked_endpoint(e: int) -> CertificateChain:
-    """The chain for run endpoint e; its label count must equal the formula's."""
+@cache
+def _endpoint_record(e: int) -> tuple[tuple[ChainStep, ...], tuple[int, ...]]:
+    """Run endpoint e's chain, checked against the formula, as its steps and
+    final labels: the final is the plain 4 x e grid, so no graph is kept."""
     top = _endpoint_chain(e)
     if top.labels != formulas.rank_4xn(e):
         raise AssertionError(
             f"endpoint {e}: built {top.labels} labels, formula says {formulas.rank_4xn(e)}"
         )
-    return top
+    return top.steps, top.final.labels
 
 
-def _restricted(top: CertificateChain, n: int) -> CertificateChain:
-    """top cut to its first n columns, with the cut recorded as a step."""
-    cut = restrict_columns(top.final, n)
-    return CertificateChain(top.steps + (_step("restrict", (top.final,), cut),), cut)
+def _endpoint_certificate(e: int, n: int) -> CertificateChain:
+    """Endpoint e's chain, cut to its first n columns when n < e; the final
+    ranking is built and validated afresh on every call."""
+    steps, labels = _endpoint_record(e)
+    if n == e:
+        return CertificateChain(steps, _checked(build(GraphShape.grid(4, e)), labels, steps[-1].labels))
+    cut = _restrict(4, e, labels, n)
+    restrict = ChainStep("restrict", (GraphShape.grid(4, e),), cut.graph.shape, cut.label_count)
+    return CertificateChain(steps + (restrict,), cut)
 
 
 def four_row_certificate(n: int) -> CertificateChain:
@@ -730,8 +740,7 @@ def four_row_certificate(n: int) -> CertificateChain:
     e = n
     while formulas.rank_4xn(e + 1) == formulas.rank_4xn(e):
         e += 1
-    top = _checked_endpoint(e)
-    return top if e == n else _restricted(top, n)
+    return _endpoint_certificate(e, n)
 
 
 def run_endpoint_certificates(k_max: int) -> list[CertificateChain]:
@@ -750,8 +759,6 @@ def run_endpoint_certificates(k_max: int) -> list[CertificateChain]:
     for n in range(1, limit + 1):
         if formulas.rank_4xn(n + 1) == formulas.rank_4xn(n):
             continue
-        top = _checked_endpoint(n)
-        chains.extend(_restricted(top, inner_n) for inner_n in range(run_started, n))
-        chains.append(top)
+        chains.extend(_endpoint_certificate(n, inner_n) for inner_n in range(run_started, n + 1))
         run_started = n + 1
     return chains

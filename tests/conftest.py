@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from rankgrid import construct, formulas
 from rankgrid.graphs import Graph
 
 
@@ -29,3 +31,25 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+def run_endpoint(n: int) -> int:
+    """The right endpoint of the four-row formula's run that holds width n."""
+    while formulas.rank_4xn(n + 1) == formulas.rank_4xn(n):
+        n += 1
+    return n
+
+
+@pytest.fixture
+def endpoint_builds(monkeypatch) -> Counter:
+    """Calls of construct._endpoint_chain per endpoint, counted from a cold memo."""
+    built: Counter = Counter()
+    chain = construct._endpoint_chain
+
+    def counted(e: int):
+        built[e] += 1
+        return chain(e)
+
+    monkeypatch.setattr(construct, "_endpoint_chain", counted)
+    construct._endpoint_record.cache_clear()
+    return built

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import rankgrid
 from rankgrid.cache import CACHE_VERSION, ENV_VAR, SolutionCache, resolve_cache_path
 from rankgrid.graphs import GraphShape, build
 
@@ -43,6 +50,59 @@ def test_header_written_once(tmp_path, g):
     lines = path.read_text().splitlines()
     assert json.loads(lines[0]) == {"rankgrid_cache": CACHE_VERSION}
     assert sum(1 for ln in lines if "rankgrid_cache" in ln) == 1
+
+
+def test_repeated_header_is_skipped_quietly(tmp_path, g, caplog):
+    # two writers that both found the file empty each write a header
+    path = tmp_path / "cache.jsonl"
+    header = json.dumps({"rankgrid_cache": CACHE_VERSION}) + "\n"
+    rec = {"kind": "decision", "key": g.graph_hash, "k": 4, "feasible": True,
+           "labels": LABELS, "elapsed": 0.0}
+    path.write_text(header + header + json.dumps(rec) + "\n" + header)
+    with caplog.at_level(logging.WARNING, logger="rankgrid.cache"):
+        c = SolutionCache(path)
+    assert c.writable and len(c) == 1
+    assert caplog.records == []
+
+
+# each writer opens the cache before the start signal, so all of them may
+# find it empty, then appends records whose lines are longer than 8 KiB
+_WRITER = """
+import sys, time
+from pathlib import Path
+from rankgrid.cache import SolutionCache
+from rankgrid.graphs import GraphShape, build
+path, w, ready, go = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3]), Path(sys.argv[4])
+c = SolutionCache(path)
+g = build(GraphShape.grid(2, 3))
+ready.touch()
+while not go.exists():
+    time.sleep(0.001)
+for i in range(25):
+    c.put_decision(g, 1000 * w + i, True, [w + 1] * 3000, 0.0)
+"""
+
+
+def test_concurrent_writers_never_tear_a_line(tmp_path, g, caplog):
+    path, go = tmp_path / "cache.jsonl", tmp_path / "go"
+    env = dict(os.environ, PYTHONPATH=str(Path(rankgrid.__file__).parents[1]))
+    ready = [tmp_path / f"ready{w}" for w in range(4)]
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(path), str(w), str(ready[w]), str(go)],
+                              env=env) for w in range(4)]
+    try:
+        deadline = time.monotonic() + 60
+        while not all(r.exists() for r in ready) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        go.touch()
+        codes = [p.wait(timeout=60) for p in procs]
+    assert codes == [0, 0, 0, 0]
+    assert all(len(line) > 8192 for line in path.read_text().splitlines() if "labels" in line)
+    with caplog.at_level(logging.WARNING, logger="rankgrid.cache"):
+        c = SolutionCache(path)
+    assert caplog.records == []
+    got = {rec["k"]: rec["labels"] for rec in c.entries()}
+    assert got == {1000 * w + i: [w + 1] * 3000 for w in range(4) for i in range(25)}
 
 
 def test_version_mismatch_is_read_only(tmp_path, g):

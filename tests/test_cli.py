@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from conftest import run_endpoint
 from rankgrid import cli, construct, formulas
 from rankgrid.cache import CACHE_VERSION, ENV_VAR
 from rankgrid.graphs import Graph, GraphShape, build
@@ -181,6 +182,26 @@ def test_sweep_csv(capsys):
     assert rows[0]["formula"] == "6" and rows[3]["formula"] == "8"
 
 
+def test_sweep_builds_each_endpoint_once(capsys, endpoint_builds):
+    code, out, _ = run(capsys, "sweep", "--m", "4", "--n-range", "1:64",
+                       "--methods", "formula,cert")
+    assert code == 0 and len(out.splitlines()) == 65
+    assert endpoint_builds == {e: 1 for e in {run_endpoint(n) for n in range(1, 65)}}
+
+
+def test_sweep_cert_labels_meet_the_formula(capsys):
+    code, out, _ = run(capsys, "sweep", "--m", "4", "--n-range", "1:300",
+                       "--methods", "formula,cert")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["n"]) for r in rows] == list(range(1, 301))
+    for r in rows:
+        n, formula, cert = int(r["n"]), int(r["formula"]), int(r["cert_labels"])
+        assert cert >= formula
+        if run_endpoint(n) == n:
+            assert cert == formula, n
+
+
 def test_sweep_one_row_formula_matches_exact(capsys):
     code, out, _ = run(capsys, "sweep", "--m", "1", "--n-range", "1:20",
                        "--methods", "formula,exact", "--format", "json")
@@ -229,6 +250,10 @@ FOUR_ROW_SHA256 = {
     22: "90bf2fc22184c5c555195f9ad924645a2869e42625b14f4e580a18413546018c",
     37: "83423ac13d488066f76a2e1c43502ba2462c03486b5e741eb7dba46a6e22f186",
     46: "f707fb4d6e1a099fed9df532c63dffc3bb8d19d2959579d99fa18bc7892840a0",
+    # interior widths, cut from endpoints 12, 46 and 1277
+    11: "3a1eff7b319076980ae87cd579a8801e790b9c8931814228854b9b7671eba17d",
+    40: "0c31cdcf03dc43ce968e322cfd6b5823fd3ce13397132a3b6adc7d25e8f73922",
+    1143: "55787894659943c16a616d0f11b98c883cc83aeb89c6caae4133dee4611d9f95",
 }
 
 
@@ -237,6 +262,17 @@ def test_four_row_certificate_bytes_are_pinned(capsys, tmp_path, n):
     out_file = tmp_path / "chain.json"
     assert run(capsys, "construct", "--four-rows", str(n), "--out", str(out_file))[0] == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == FOUR_ROW_SHA256[n]
+
+
+def test_four_row_bytes_do_not_depend_on_build_order(capsys, tmp_path):
+    texts: dict[int, set[bytes]] = {40: set(), 46: set()}
+    for order in ((40, 46), (46, 40)):
+        construct._endpoint_record.cache_clear()
+        for n in order:
+            out_file = tmp_path / f"{order[0]}-{n}.json"
+            assert run(capsys, "construct", "--four-rows", str(n), "--out", str(out_file))[0] == 0
+            texts[n].add(out_file.read_bytes())
+    assert [len(t) for t in texts.values()] == [1, 1]
 
 
 # SHA-256 of `exact ... --deterministic` stdout, taken before rank_exact ran on

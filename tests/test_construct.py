@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from rankgrid import construct, formulas
-from rankgrid.graphs import GraphShape, ShapeError, build
+from conftest import run_endpoint
+from rankgrid import bounds, construct, formulas
+from rankgrid.graphs import Graph, GraphShape, ShapeError, build
 from rankgrid.solve import rank_exact
-from rankgrid.verify import validate
+from rankgrid.verify import Ranking, validate
 
 
 def test_staircase_shapes():
@@ -196,6 +199,22 @@ def test_diagonal_cut_rejects_bad_dims():
         construct.diagonal_cut(4, 5, inner, tri)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_diagonal_cut_without_inner_grid(m):
+    # at n = m+2 the corners and the cut tile the grid; diagonal_upper's
+    # value there is the label count of this validated cut
+    tri = construct.safe_triangle_ranking(m)
+    out = construct.diagonal_cut(m, m + 2, None, tri)
+    assert validate(out) is None
+    assert out.graph.shape == GraphShape.grid(m, m + 2)
+    assert out.label_count == tri.label_count + m == bounds.diagonal_upper(m, m + 2)
+    inner = rank_exact(build(GraphShape.grid(m, 1))).certificate
+    with pytest.raises(ShapeError):
+        construct.diagonal_cut(m, m + 2, inner, tri)
+    with pytest.raises(ShapeError):
+        construct.diagonal_cut(m, m + 3, None, tri)
+
+
 def test_ruler_ranking_family():
     for k, (width, lam) in {3: (7, 9), 4: (17, 13), 5: (37, 17)}.items():
         r = construct.ruler_ranking(k)
@@ -249,3 +268,38 @@ def test_run_endpoint_certificates_small():
         # interior widths share their run's value, so restriction is tight
         assert c.labels == formulas.rank_4xn(c.width)
         assert validate(c.final) is None
+
+
+def _holds_no_graph(x) -> bool:
+    if isinstance(x, (Graph, Ranking)):
+        return False
+    if isinstance(x, tuple):
+        return all(_holds_no_graph(y) for y in x)
+    if dataclasses.is_dataclass(x):
+        return all(_holds_no_graph(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return True
+
+
+def test_each_endpoint_chain_is_built_once(endpoint_builds):
+    # up and back down, so a memo of only the latest endpoints would rebuild
+    for n in [*range(9, 65), *range(64, 8, -1)]:
+        chain = construct.four_row_certificate(n)
+        assert validate(chain.final) is None
+    ends = {run_endpoint(n) for n in range(9, 65)}
+    assert endpoint_builds == {e: 1 for e in ends}
+    for e in ends:
+        # the memo keeps steps and row-major labels, never a graph
+        steps, labels = construct._endpoint_record(e)
+        assert _holds_no_graph(steps) and _holds_no_graph(labels)
+        assert len(labels) == 4 * e and all(type(v) is int for v in labels)
+        assert steps[-1].output == GraphShape.grid(4, e)
+    assert endpoint_builds == {e: 1 for e in ends}
+
+
+def test_restrict_columns_matches_coordinate_restriction():
+    r = construct.four_row_certificate(46).final
+    for n in (1, 17, 40, 46):
+        cut = construct.restrict_columns(r, n)
+        kept = sorted({v for (row, c), v in zip(r.graph.coords, r.labels) if c < n})
+        want = [kept.index(v) + 1 for (row, c), v in zip(r.graph.coords, r.labels) if c < n]
+        assert list(cut.labels) == want
