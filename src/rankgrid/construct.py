@@ -580,9 +580,9 @@ def ruler_ranking(k: int) -> Ranking:
     ]
     free_set = set(free)
     out = dict(cut)
-    while free_set:
-        # flood one segment
-        seed = min(free_set)
+    for seed in free:  # row-major: an unlabelled seed is its segment's least cell
+        if seed in out:
+            continue
         comp = {seed}
         stack = [seed]
         while stack:
@@ -591,7 +591,6 @@ def ruler_ranking(k: int) -> Ranking:
                 if rc in free_set and rc not in comp:
                     comp.add(rc)
                     stack.append(rc)
-        free_set -= comp
         out.update(_piece_labels(frozenset(comp)))
     return _to_ranking(GraphShape.grid(4, width), out, 4 * k - 3)
 

@@ -26,10 +26,10 @@ vertices sorted by (col, row) in declaration order.  Everything downstream
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 Coord = tuple[int, int]
 
@@ -178,13 +178,6 @@ class GraphShape:
         return GraphShape(data["family"], data["m"], data["n"], tuple(decs))
 
 
-def sticky_profile(m: int) -> list[int]:
-    """Column heights of a sticky end on an m-row grid: [m-1, m-2, ..., 1]."""
-    if m < 1:
-        raise ShapeError(f"m must be positive, got {m}")
-    return list(range(m - 1, 0, -1))
-
-
 def _corner_coord(corner: str, m: int, n: int) -> Coord:
     return {
         "NW": (0, 0),
@@ -231,7 +224,7 @@ class Graph:
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(b) for b in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -252,22 +245,24 @@ class Graph:
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
             return True
-        seen = {0}
+        adj = self.adjacency
+        seen = [False] * self.vertex_count
+        seen[0] = True
         stack = [0]
         while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
+            for v in adj[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
                     stack.append(v)
-        return len(seen) == self.vertex_count
+        return all(seen)
 
     @cached_property
     def graph_hash(self) -> str:
-        payload = json.dumps(
-            {"vertex_count": self.vertex_count, "edges": self.edges, "coords": self.coords},
-            sort_keys=True, separators=(",", ":"),
-        )
+        """SHA-256 of the compact sorted-key JSON {"coords", "edges",
+        "vertex_count"}, written by one %-format over the flattened ints."""
+        template = '{"coords":[%s],"edges":[%s],"vertex_count":%%d}' % (
+            ",".join(["[%d,%d]"] * len(self.coords)), ",".join(["[%d,%d]"] * len(self.edges)))
+        payload = template % (*chain(*self.coords, *self.edges), self.vertex_count)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     @cached_property
@@ -388,16 +383,20 @@ def _lattice_edges(
 
     Vertex i sits at ordered[i]; each step (dr, dc) joins (r, c) to
     (r+dr, c+dc) when both are present.  Coords in unwired get no lattice
-    edges (custom vertices, a glue hub).
+    edges (custom vertices, a glue hub); each is one of ordered.  (r, c) is
+    keyed as r*w + c - lo, with lo one below the least column and w the
+    column span plus a margin each side, so a one-column step never wraps.
     """
-    index = {rc: i for i, rc in enumerate(ordered) if rc not in unwired}
+    cols = [c for _, c in ordered]
+    lo = min(cols, default=0) - 1
+    w = max(cols, default=0) - lo + 2
+    index = dict(zip([r * w + c - lo for r, c in ordered], range(len(ordered))))
+    for r, c in unwired:
+        del index[r * w + c - lo]
     at = index.get
-    edges = []
-    for (r, c), u in index.items():
-        for dr, dc in steps:
-            v = at((r + dr, c + dc))
-            if v is not None:
-                edges.append((u, v) if u < v else (v, u))
+    deltas = [dr * w + dc for dr, dc in steps]
+    edges = [(u, v) if u < v else (v, u)
+             for key, u in index.items() for d in deltas if (v := at(key + d)) is not None]
     edges.sort()
     return edges
 
@@ -414,7 +413,7 @@ def build(shape: GraphShape) -> Graph:
         core = [(r, c) for r in range(shape.m) for c in range(shape.n)]
     removed = {_corner_coord(dec.corner, shape.m, shape.n)
                for dec in shape.decorations if isinstance(dec, RemoveCorner)}
-    ordered = [rc for rc in core if rc not in removed]  # row-major already
+    ordered = [rc for rc in core if rc not in removed] if removed else core  # row-major already
     seen = set(ordered)
     custom: set[Coord] = set()  # wired only by their explicit edge list
     explicit_edges: list[tuple[Coord, Coord]] = []

@@ -4,8 +4,12 @@ A ranking assigns each vertex a label in 1..k such that any path between
 two vertices with the same label passes through a strictly larger label.
 Equivalently (and this is what validate checks): for every level c, no
 connected component of the subgraph induced by labels <= c contains two
-vertices labelled exactly c.  The level-set form runs in O(k(V+E)); the
-path form is kept in the test suite as an independent oracle.
+vertices labelled exactly c.  validate grows those components in label
+order with a union-find whose root is always its component's highest
+label, so a second vertex at a component's top label shows at once; a
+root's parent has a strictly higher label, so no find walks more than k
+steps.  The path form is kept in the test suite as an independent oracle,
+and a level-by-level union-find as the reference for witnesses.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class Ranking:
             )
         if self.graph.vertex_count == 0:
             raise ValueError("rankings of the empty graph are not supported")
-        if any(l < 1 for l in self.labels):
+        if min(self.labels) < 1:
             raise ValueError("labels must be positive integers")
 
     @property
@@ -64,62 +68,58 @@ class Violation:
         return {"level": self.level, "witnesses": list(self.witnesses), "path": list(self.path)}
 
 
-def _witness_path(g: Graph, allowed: list[bool], a: int, b: int) -> tuple[int, ...]:
-    # BFS from a to b inside the allowed vertex set; a path must exist.
-    prev = {a: -1}
-    q = deque([a])
-    while q and b not in prev:
-        u = q.popleft()
-        for v in g.adjacency[u]:
-            if allowed[v] and v not in prev:
-                prev[v] = u
-                q.append(v)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
 def validate(ranking: Ranking) -> Violation | None:
     """Return None for a valid ranking, or a Violation with a witness path.
 
-    Vertices are merged level by level with union-find; two same-level
-    vertices sharing a component expose a violation at that level.
+    Vertices join a union-find forest in label order, and each becomes the
+    parent of the root of every visited neighbour's component, so a root
+    is always its component's highest label.  A neighbour whose root
+    already has the new vertex's label (an equal-labelled neighbour is its
+    own root) is a violation, found at the lowest level that has one.
     """
     g = ranking.graph
     labels = ranking.labels
-    n = g.vertex_count
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_label: dict[int, list[int]] = {}
-    for v, l in enumerate(labels):
-        by_label.setdefault(l, []).append(v)
-
-    in_level = [False] * n
-    for c in sorted(by_label):
-        verts = by_label[c]
-        for v in verts:
-            in_level[v] = True
-            for w in g.adjacency[v]:
-                if in_level[w]:
-                    ra, rb = find(v), find(w)
-                    if ra != rb:
-                        parent[ra] = rb
-        if len(verts) > 1:
-            seen_root: dict[int, int] = {}
-            for v in verts:
-                r = find(v)
-                if r in seen_root:
-                    return Violation(c, (seen_root[r], v), _witness_path(g, in_level, seen_root[r], v))
-                seen_root[r] = v
+    adj = g.adjacency
+    parent = [-1] * g.vertex_count  # -1: not visited yet
+    for v in sorted(range(g.vertex_count), key=labels.__getitem__):
+        c = labels[v]
+        parent[v] = v
+        for x in adj[v]:
+            r = parent[x]
+            if r < 0:
+                continue
+            while r != x:  # up to the root, pointing the path at v on the way
+                parent[x] = v
+                x, r = r, parent[r]
+            if x != v:
+                if labels[x] == c:
+                    return _first_violation(g, labels, c)
+                parent[x] = v
     return None
+
+
+def _first_violation(g: Graph, labels: tuple[int, ...], c: int) -> Violation:
+    """The Violation at level c: the first level-c vertex, in index order,
+    that shares a component of the labels <= c subgraph with an earlier one,
+    that earlier vertex, and the BFS path from it inside the component."""
+    prev = [-1] * g.vertex_count  # BFS parent; a flood's start is its own
+    for v, l in enumerate(labels):
+        if l != c:
+            continue
+        if prev[v] >= 0:
+            path = [v]
+            while prev[path[-1]] != path[-1]:
+                path.append(prev[path[-1]])
+            return Violation(c, (path[-1], v), tuple(reversed(path)))
+        prev[v] = v
+        q = deque([v])
+        while q:
+            u = q.popleft()
+            for w in g.adjacency[u]:
+                if prev[w] < 0 and labels[w] <= c:
+                    prev[w] = u
+                    q.append(w)
+    raise AssertionError(f"no two vertices labelled {c} share a component")
 
 
 def is_valid(ranking: Ranking) -> bool:

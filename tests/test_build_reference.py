@@ -2,8 +2,9 @@
 
 The reference below derives lattice edges as a set of coordinate pairs,
 maps them to indices and sorts them, exactly as build() used to.  build()
-now looks up forward neighbours by index; both must give the same edges,
-coords and ShapeError messages on every shape family and decoration.
+now keys each coord as one integer and looks up forward neighbours by key;
+both must give the same edges, coords and ShapeError messages on every
+shape family and decoration.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+from rankgrid.construct import two_sticky_shape
 from rankgrid.graphs import (
     CORNERS,
     TRIANGLE,
@@ -139,6 +141,11 @@ CUSTOM_SHAPES = [
     GraphShape.grid(4, 2, (StickyEnd("left", "top"), Custom(((4, 0),), (((3, 0), (4, 0)),)))),
     GraphShape(TRIANGLE, 3, 3, (Custom(((0, 1),), (((0, 0), (0, 1)), ((0, 1), (1, 1)))),)),
     GraphShape("path", 1, 4, (Custom(((1, 0),), (((0, 0), (1, 0)),)),)),
+    # a custom vertex far right of the core widens the column span of the
+    # integer coord keys; one far left of a left sticky end as well
+    GraphShape.grid(3, 4, (Custom(((1, 10**9),), (((1, 3), (1, 10**9)),)),)),
+    GraphShape.grid(3, 2, (StickyEnd("left"), StickyEnd("right", "top"),
+                           Custom(((5, -10**6),), (((2, -2), (5, -10**6)),)))),
 ]
 
 # each with the message both derivations must raise
@@ -186,6 +193,12 @@ def test_sticky_ends_match_reference():
     shapes = list(sticky_shapes())
     assert len(shapes) == 4 * 5 * 8
     for shape in shapes:
+        assert outcome(shape) == reference_outcome(shape), shape
+
+
+def test_long_four_row_shapes_match_reference():
+    # the widest graphs the certificates build, one with negative columns
+    for shape in (GraphShape.grid(4, 4093), two_sticky_shape(2044, anti=True)):
         assert outcome(shape) == reference_outcome(shape), shape
 
 

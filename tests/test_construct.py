@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -222,6 +223,27 @@ def test_ruler_ranking_family():
         assert r.graph.shape == GraphShape.grid(4, width)
         assert r.label_count == lam
         assert formulas.rank_4xn(width) == lam
+
+
+RULER_LABEL_SHA256 = {
+    3: "ac4147e1a39b6c5bf80f8c44092ec9460c5de46e70d6230914150d635127bea1",
+    4: "b0f0cef69fbbda3e531c053788b2cb0d41bc40249bcef678ff90841719ed15d8",
+    5: "b43dca4a739b9b106ba997d576e39d7f22311bebe0fadb70db747b99b5d15ca3",
+    6: "4bfa52ed38531f097794104b06b10e6eadb3c8caf18e6bdade41532c44887061",
+    7: "a55c6bf0ebb9eb970fe580bfb0fbed097106e630b0565e765dd1312bfa831d16",
+    8: "7151956df2b1e13a560fece62ddc1efcd9ea665cfb205e108b4e1b9c4d3e1b8f",
+    9: "d282d67f783d0ae41777d0d697f11f1e599065c38b8b583dbd34dc86c793c717",
+    10: "290cfce1a927205daa581f34320aa46bf5205c9a3be43b38f9e3aa0d5953c59e",
+    11: "0e4a3f7d62d3245885dc8cc1fd542fac2e819771375467c9d2a368e76f12a235",
+}
+
+
+@pytest.mark.parametrize("k", sorted(RULER_LABEL_SHA256))
+def test_ruler_ranking_labels_are_pinned(k):
+    # SHA-256 of the comma-joined labels; the segments must be flooded from
+    # the same seeds in the same order for the ruler endpoints to stay put
+    labels = ",".join(map(str, construct.ruler_ranking(k).labels))
+    assert hashlib.sha256(labels.encode()).hexdigest() == RULER_LABEL_SHA256[k]
 
 
 def test_restrict_columns():

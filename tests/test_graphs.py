@@ -58,11 +58,22 @@ def test_build_is_deterministic():
     (GraphShape.grid(4, 3, (StickyEnd("left", "top"), StickyEnd("right"))),
      "952554f3d65fe6dbda1d4db2f0b6d92b6cc19435a67499c57e90f25ca72bb6ea"),
     (GraphShape.triangle(4), "f4f3eef4ed8bb591204b4c0123bcc4e5e977da18cb515e91a6d81f647ec49825"),
+    # one vertex, so an empty edge list
+    (GraphShape.path(1), "b5c26f226bc9a27f8a1439508222e44dba0962e927f56c0a5deb1c76720f242e"),
+    # a left sticky end puts negative columns in the payload
+    (GraphShape.grid(3, 2, (StickyEnd("left"),)),
+     "b7dd483f07d8ccd137774a9cdcf12c35ad4982c35d5afa56a62a709ffd22817b"),
+    (GraphShape.grid(4, 4093), "6e0588bec65bac87c332e7bd1792fcad59097b237abbbe03b299790ea8bec95c"),
+    # a shapeless graph read from JSON: scattered and negative coords
+    ({"shape": None, "vertex_count": 4, "edges": [[2, 0], [0, 1], [1, 3]],
+      "coords": [[0, -2], [-1, 5], [3, 3], [0, 7]]},
+     "72f9a2d20218fd73db36d45f510faabfcbde6778e1f02cde77cc8d4e84959c06"),
 ])
 def test_graph_hash_is_pinned(shape, digest):
     # digests of the compact JSON of {"coords": [[r, c], ...], "edges": [[u, v], ...],
     # "vertex_count": n}; cache keys and ranking files depend on them
-    assert build(shape).graph_hash == digest
+    g = Graph.from_json_dict(shape) if isinstance(shape, dict) else build(shape)
+    assert g.graph_hash == digest
 
 
 def test_path_family_matches_one_row_grid():

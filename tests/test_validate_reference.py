@@ -1,0 +1,140 @@
+"""validate() against the level-by-level union-find it replaced.
+
+render prints Violation witnesses, so they must not move.  The reference
+below is validate() as it was before it walked vertices in label order:
+merge each level into a union-find, then scan that level's vertices in
+index order for a repeated root, and BFS the witness path.  Both must give
+the same Violation (level, witnesses, path) on tampered labellings of every
+shape family, and None on every valid certificate.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+
+import pytest
+
+from conftest import random_connected_graph
+from rankgrid import construct, solve
+from rankgrid.graphs import Graph, GraphShape, RemoveCorner, StickyEnd, build
+from rankgrid.verify import Ranking, Violation, validate
+
+
+def reference_witness_path(g: Graph, allowed: list[bool], a: int, b: int) -> tuple[int, ...]:
+    prev = {a: -1}
+    q = deque([a])
+    while q and b not in prev:
+        u = q.popleft()
+        for v in g.adjacency[u]:
+            if allowed[v] and v not in prev:
+                prev[v] = u
+                q.append(v)
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return tuple(path)
+
+
+def reference_validate(ranking: Ranking) -> Violation | None:
+    g = ranking.graph
+    labels = ranking.labels
+    n = g.vertex_count
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    by_label: dict[int, list[int]] = {}
+    for v, l in enumerate(labels):
+        by_label.setdefault(l, []).append(v)
+
+    in_level = [False] * n
+    for c in sorted(by_label):
+        verts = by_label[c]
+        for v in verts:
+            in_level[v] = True
+            for w in g.adjacency[v]:
+                if in_level[w]:
+                    ra, rb = find(v), find(w)
+                    if ra != rb:
+                        parent[ra] = rb
+        if len(verts) > 1:
+            seen_root: dict[int, int] = {}
+            for v in verts:
+                r = find(v)
+                if r in seen_root:
+                    a = seen_root[r]
+                    return Violation(c, (a, v), reference_witness_path(g, in_level, a, v))
+                seen_root[r] = v
+    return None
+
+
+def certificates() -> list[Ranking]:
+    """Valid rankings of every family the builders and the solver produce."""
+    out = [construct.four_row_certificate(n).final for n in (1, 5, 9, 10, 13, 22, 40, 61, 95)]
+    out += [construct.triangle_ranking(s) for s in range(1, 8)]
+    out.append(construct.ruler_ranking(4))
+    out.append(construct.base_ranking(construct.one_sticky_shape(3), 6))
+    out.append(construct.base_ranking(construct.two_sticky_shape(2, anti=True), 6))
+    for shape in (
+        GraphShape.grid(3, 3, (StickyEnd("left"),)),
+        GraphShape.grid(3, 2, (StickyEnd("left", "top"), StickyEnd("right"))),
+        GraphShape.grid(3, 4, (RemoveCorner("NW"), RemoveCorner("SE"))),
+        GraphShape.grid(4, 3, (RemoveCorner("NE"),)),
+    ):
+        res = solve.rank_exact(build(shape))
+        assert res.certificate is not None
+        out.append(res.certificate)
+    # the same labels on a shapeless graph read back from JSON
+    r = out[-3]
+    data = dict(r.graph.to_json_dict(), shape=None)
+    out.append(Ranking(Graph.from_json_dict(data), r.labels))
+    return out
+
+
+CERTIFICATES = certificates()
+
+
+def test_certificates_cover_each_family():
+    shapes = [r.graph.shape for r in CERTIFICATES]
+    assert any(s is None for s in shapes)
+    families = {s.family for s in shapes if s is not None}
+    assert families == {"grid", "triangle"}
+    assert any(c < 0 for r in CERTIFICATES for _, c in r.graph.coords)  # left sticky ends
+    assert any(isinstance(d, RemoveCorner) for s in shapes if s for d in s.decorations)
+
+
+@pytest.mark.parametrize("r", CERTIFICATES, ids=lambda r: str(r.graph.vertex_count))
+def test_valid_certificates_pass_both(r):
+    assert reference_validate(r) is None
+    assert validate(r) is None
+
+
+def test_tampered_certificates_give_the_reference_violation():
+    rng = random.Random(20121)
+    violations = 0
+    for r in CERTIFICATES:
+        n, k = r.graph.vertex_count, r.label_count
+        for _ in range(40):
+            labels = list(r.labels)
+            for v in rng.sample(range(n), min(n, rng.randint(1, 3))):
+                labels[v] = rng.randint(1, k)
+            bad = Ranking(r.graph, tuple(labels))
+            want = reference_validate(bad)
+            assert validate(bad) == want, (r.graph.shape, labels)
+            violations += want is not None
+    assert violations > 500
+
+
+def test_random_labellings_give_the_reference_violation():
+    rng = random.Random(20122)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        g = random_connected_graph(rng, n)
+        r = Ranking(g, tuple(rng.randint(1, max(2, n // 2)) for _ in range(n)))
+        assert validate(r) == reference_validate(r)
