@@ -58,13 +58,17 @@ def _json_text(x: object, pad: str = "") -> str:
     return json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def _emit(payload: object, out: str | None = None) -> None:
-    text = _json_text(payload) + "\n"
+def _write(text: str, out: str | None = None) -> None:
+    """Write text to stdout, or to the file out unless it is "-"."""
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit(payload: object, out: str | None = None) -> None:
+    _write(_json_text(payload) + "\n", out)
 
 
 # -- shared flag handling --------------------------------------------------
@@ -92,12 +96,10 @@ def _shape_from_args(args: argparse.Namespace) -> GraphShape:
         m, n = _parse_dims(args.grid)
         decorations = tuple(_parse_sticky(s) for s in (args.sticky or []))
         return GraphShape.grid(m, n, decorations)
-    if args.path is not None:
-        if args.sticky:
-            raise ShapeError("sticky ends attach only to grids")
-        return GraphShape.path(args.path)
     if args.sticky:
         raise ShapeError("sticky ends attach only to grids")
+    if args.path is not None:
+        return GraphShape.path(args.path)
     return GraphShape.triangle(args.triangle)
 
 
@@ -243,12 +245,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         return 0
     if args.triangle is not None:
         r = construct.triangle_ranking(args.triangle)
-        _emit({
-            "steps": [{"name": "triangle-rows", "inputs": [],
-                       "output": r.graph.shape.to_json_dict(), "labels": r.label_count}],
-            "graph": r.graph.to_json_dict(),
-            "ranking": r.to_json_dict(),
-        }, args.out)
+        step = construct.ChainStep("triangle-rows", (), r.graph.shape, r.label_count)
+        _emit(construct.CertificateChain((step,), r).to_json_dict(), args.out)
         return 0
     chains = construct.run_endpoint_certificates(args.endpoints)
     _emit({
@@ -404,11 +402,7 @@ def _load_ranking(path: str) -> Ranking:
 def _cmd_render(args: argparse.Namespace) -> int:
     ranking = _load_ranking(args.file)
     text = render_svg(ranking) if args.format == "svg" else render_ascii(ranking) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(text, args.out)
     return 0
 
 

@@ -7,10 +7,10 @@ Two independent routes:
   v leaves components that each have one within k - 1.  Subproblems are
   connected vertex subsets, memoized as bitmasks (canonicalized under the
   graph's geometric automorphisms) with [lb, ub] intervals.  A new entry's
-  lb is path_lb; on a grid (sticky ends allowed) it is the larger of that
-  and the rank of the best full a x b block of the core in the subset,
-  since a ranking restricted to a subgraph is still a ranking.  Block
-  ranks come from _block_rank, a table filled by rank_exact itself.
+  lb is the larger of path_lb and the rank of the best a x b grid block
+  the subset holds, placed by coordinates in the graph's frame, since a
+  ranking restricted to a subgraph is still a ranking.  Block ranks come
+  from _block_rank, a table filled by rank_exact itself.
   When an entry's lb equals the k asked, the one vertex labelled k lies
   in every placement of every block of rank k, so only that common core
   is tried as a separator, and an empty core refutes k.  rank_decision
@@ -32,7 +32,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
-from .graphs import GRID, Graph, GraphShape, StickyEnd, build
+from .graphs import Graph, GraphShape, build
 from .verify import Ranking, validate
 
 __all__ = [
@@ -51,7 +51,7 @@ class Budget:
     """Caps on a solver call; None means unlimited.
 
     Both caps count the caller's own search only.  Filling the table of
-    block ranks that plain grids draw lower bounds from is a fixed cost of
+    block ranks that every graph draws lower bounds from is a fixed cost of
     the process, like build, and is charged to no budget: a budgeted reply
     does not depend on what the same interpreter solved before.
     """
@@ -127,12 +127,11 @@ class _Engine:
     """Separator-recursion search over connected bitmask subproblems."""
 
     def __init__(self, graph: Graph, budget: Budget | None = None,
-                 blocks: Sequence[tuple[int, int, int, int]] = ()) -> None:
+                 blocks: Sequence[tuple[int, tuple[int, ...]]] = ()) -> None:
         self.g = graph
         self.n = graph.vertex_count
         self.adj = list(graph.adjacency_masks)
-        self.blocks = blocks  # (rank, cells, rows, start mask), from _grid_blocks
-        self.width = graph.shape.n if blocks else 0
+        self.blocks = blocks  # (rank, placement masks), from _blocks
         self.memo: dict[int, tuple[int, int]] = {}
         self.nodes = 0
         self._node_limit = budget.nodes if budget else None
@@ -224,67 +223,28 @@ class _Engine:
         _, d = self._bfs(mask, far)
         return (d + 1).bit_length()
 
-    def block_lb(self, mask: int, lb: int,
-                 hits: list[tuple[int, int, int]] | None = None) -> int:
-        """The larger of lb and the rank of the best full block in mask.
-
-        Given a hits list, it instead scans every block of rank > lb, adds
-        (rows, cols, hit) for each one in mask, where hit marks the top-left
-        cells of its placements, and returns lb.
-
-        runs[b] marks the cells that start b mask cells in a row (row-major,
-        so a run may wrap into the next row); a block's start mask keeps only
-        the cells where its rows and columns fit, which rules wrapped runs out.
-        """
-        cells = mask.bit_count()
-        runs = [0, mask]
-        for rank, size, rows, start in self.blocks:
+    def block_lb(self, mask: int, lb: int) -> int:
+        """The larger of lb and the rank of the best block placed in mask."""
+        for rank, placements in self.blocks:
             if rank <= lb:
                 break
-            if size > cells:
-                continue
-            cols = size // rows
-            while len(runs) <= cols:
-                runs.append(runs[-1] & (mask >> (len(runs) - 1)))
-            run = runs[cols]
-            hit = run & start
-            for r in range(1, rows):
-                if not hit:
-                    break
-                hit &= run >> (r * self.width)
-            if hit:
-                if hits is None:
+            for p in placements:
+                if mask & p == p:
                     return rank
-                hits.append((rows, cols, hit))
         return lb
 
     def block_core(self, mask: int, k: int) -> int:
         """The cells common to every placement in mask of every block of
-        rank >= k; -1 (all cells) when mask holds no such block.
-
-        Placements are rectangles, so their common part is the rectangle
-        from the last start row and column to the first start's far edge.
-        """
-        hits: list[tuple[int, int, int]] = []
-        self.block_lb(mask, k - 1, hits)
-        w = self.width
+        rank >= k; -1 (all cells) when mask holds no such placement."""
         core = -1
-        for rows, cols, hit in hits:
-            row0 = ((hit & -hit).bit_length() - 1) // w
-            row1 = (hit.bit_length() - 1) // w
-            fold = 0
-            while hit:
-                fold |= hit
-                hit >>= w
-            fold &= (1 << w) - 1
-            col0 = (fold & -fold).bit_length() - 1
-            col1 = fold.bit_length() - 1
-            if row1 >= row0 + rows or col1 >= col0 + cols:
-                return 0
-            line = ((1 << (col0 + cols - col1)) - 1) << col1
-            core &= sum(line << (r * w) for r in range(row1, row0 + rows))
-            if not core:
-                return 0
+        for rank, placements in self.blocks:
+            if rank < k:
+                break
+            for p in placements:
+                if mask & p == p:
+                    core &= p
+                    if not core:
+                        return 0
         return core
 
     def _bfs(self, mask: int, src: int) -> tuple[int, int]:
@@ -442,39 +402,84 @@ def _checked(g: Graph, labels: list[int]) -> Ranking:
 
 @cache
 def _block_rank(a: int, b: int) -> int:
-    """Rank number of the a x b grid (a <= b), solved by rank_exact."""
+    """Rank number of the a x b grid (a <= b): the path rank for one row,
+    else solved by rank_exact."""
+    if a == 1:
+        return b.bit_length()
     return rank_exact(build(GraphShape.grid(a, b))).value
 
 
-def _grid_blocks(g: Graph) -> list[tuple[int, int, int, int]]:
-    """(rank, cells, rows, start mask) of the blocks of 4..24 cells that
-    fit in the m x n core of g, a grid with at most sticky ends, other
-    than g itself; highest rank first.
+def _blocks(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """(rank, placement masks) of the a x b grids of 4..24 cells in g,
+    other than g itself; highest rank first.
 
-    A start mask has a bit at each cell where the block's top-left corner
-    can sit.  build() puts the core first, row-major, then any staircase
-    cells, so every placement lies in the core.  Other graphs get none.
+    Placements are found by coordinates.  One lies in g's frame (rows
+    0..m-1 and cols 0..n-1 of its shape, else the bounding box of its
+    coords), each of its cells is a vertex, and each unit step between its
+    cells is an edge of g.  Staircase cells lie outside the frame.
     """
-    shape = g.shape
-    if shape is None or shape.family != GRID or not all(
-            isinstance(dec, StickyEnd) for dec in shape.decorations):
-        return []
-    m, n = shape.m, shape.n
-    dims = [(rows, cols) for rows in range(1, min(m, 24) + 1)
-            for cols in range(1, min(n, 24 // rows) + 1)
-            if rows * cols >= 4 and ((rows, cols) != (m, n) or shape.decorations)]
+    if g.shape is not None:
+        top = left = 0
+        m, n = g.shape.m, g.shape.n
+    else:
+        rows = [r for r, _ in g.coords]
+        cols = [c for _, c in g.coords]
+        top, left = min(rows), min(cols)
+        m, n = max(rows) - top + 1, max(cols) - left + 1
+    dims = [(a, b) for a in range(1, min(m, 24) + 1) for b in range(1, min(n, 24 // a) + 1)
+            if 4 <= a * b < g.vertex_count]
     rank = {d: _block_rank(min(d), max(d)) for d in dims}
-    blocks = []
-    for rows, cols in dims:
-        # a block that holds a smaller one of the same rank proves nothing more
-        if any(rank[d] == rank[rows, cols] and d[0] <= rows and d[1] <= cols
-               and d != (rows, cols) for d in dims):
-            continue
-        line = (1 << (n - cols + 1)) - 1
-        start = sum(line << (r * n) for r in range(m - rows + 1))
-        blocks.append((rank[rows, cols], rows * cols, rows, start))
-    blocks.sort(key=lambda blk: (-blk[0], blk[1], blk[2]))
-    return blocks
+    # a block that holds a smaller one of the same rank proves nothing more;
+    # ranks grow with blocks, so a row or a column less is the one test
+    dims = [(a, b) for a, b in dims
+            if rank.get((a - 1, b)) != rank[a, b] and rank.get((a, b - 1)) != rank[a, b]]
+    if not dims:
+        return []
+    at = {rc: v for v, rc in enumerate(g.coords)
+          if top <= rc[0] < top + m and left <= rc[1] < left + n}
+    adj = g.adjacency_masks
+
+    def joined(v: int, rc: tuple[int, int]) -> int | None:
+        u = at.get(rc)
+        return u if u is not None and adj[v] >> u & 1 else None
+
+    # per frame cell, right to left: the masks of its first 1, 2, ... cells
+    # joined rightwards by edges, how many of those have an edge down, and
+    # the cell below
+    widest = max(b for _, b in dims)
+    run: dict[int, list[int]] = {}
+    downs: dict[int, int] = {}
+    below: dict[int, int | None] = {}
+    for (r, c), v in sorted(at.items(), key=lambda item: -item[0][1]):
+        nxt = joined(v, (r, c + 1))
+        tail = run[nxt][:widest - 1] if nxt is not None else []
+        run[v] = [1 << v] + [(1 << v) | t for t in tail]
+        below[v] = joined(v, (r + 1, c))
+        downs[v] = 0 if below[v] is None else 1 + (downs[nxt] if nxt is not None else 0)
+
+    found: dict[tuple[int, int], list[int]] = {d: [] for d in dims}
+    widths = [[b for a, b in dims if a == rows] for rows in range(max(dims)[0] + 1)]
+    for v in at.values():
+        # grow the block down from top-left cell v; fit is its widest width
+        stack: list[list[int]] = []
+        cell: int | None = v
+        fit = widest
+        for a in range(1, len(widths)):
+            stack.append(run[cell])
+            fit = min(fit, len(run[cell]))
+            for b in widths[a]:
+                if b > fit:
+                    break
+                found[a, b].append(sum(masks[b - 1] for masks in stack))
+            fit = min(fit, downs[cell])
+            cell = below[cell]
+            if cell is None:
+                break
+    table: dict[int, list[int]] = {}
+    for d in sorted(dims, key=lambda d: (-rank[d], d[0] * d[1], d[0])):
+        if found[d]:
+            table.setdefault(rank[d], []).extend(found[d])
+    return [(k, tuple(placements)) for k, placements in table.items()]
 
 
 def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
@@ -482,7 +487,7 @@ def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
     if g.vertex_count == 0:
         raise ValueError("rank_exact needs a nonempty graph")
     start = time.monotonic()
-    eng = _Engine(g, budget, _grid_blocks(g))
+    eng = _Engine(g, budget, _blocks(g))
     full = (1 << g.vertex_count) - 1
     comps = eng.components(full)
 
@@ -521,7 +526,7 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     start = time.monotonic()
-    eng = _Engine(g, budget, _grid_blocks(g))
+    eng = _Engine(g, budget, _blocks(g))
     full = (1 << g.vertex_count) - 1
     comps = eng.components(full)
     try:

@@ -244,15 +244,21 @@ def test_cache_inspect(capsys, tmp_path):
 
 
 # SHA-256 of `construct --four-rows N --out F`, taken before graphs were built
-# in index space; the certificate files must not change by a byte
+# in index space (26, 50 and 110 before the solver found blocks by coords);
+# the certificate files must not change by a byte
 FOUR_ROW_SHA256 = {
     9: "282169ab4cf616df8e14d4a7834a3c547321fe8f77556639bfd9fc04e6df0366",
     22: "90bf2fc22184c5c555195f9ad924645a2869e42625b14f4e580a18413546018c",
     37: "83423ac13d488066f76a2e1c43502ba2462c03486b5e741eb7dba46a6e22f186",
     46: "f707fb4d6e1a099fed9df532c63dffc3bb8d19d2959579d99fa18bc7892840a0",
-    # interior widths, cut from endpoints 12, 46 and 1277
+    # endpoints 7 * 2^(k-2) - 2, grown from a solver-decided base with
+    # bottom-aligned staircases on both ends
+    26: "bc9b54c2c1fb82d2016b9d4d8817657207f9d71052de2f34aa33b84792c319c9",
+    110: "3d427878e0f4313e411465d01191fc328b9c3498c06a660a57816e2d63a54411",
+    # interior widths, cut from endpoints 12, 46, 54 and 1277
     11: "3a1eff7b319076980ae87cd579a8801e790b9c8931814228854b9b7671eba17d",
     40: "0c31cdcf03dc43ce968e322cfd6b5823fd3ce13397132a3b6adc7d25e8f73922",
+    50: "ef8e1ae18c14ddaed60cab37045b3c4cb4380c29881fc68d49aa9ac996794a79",
     1143: "55787894659943c16a616d0f11b98c883cc83aeb89c6caae4133dee4611d9f95",
 }
 
@@ -284,6 +290,8 @@ EXACT_SHA256 = {
             "--grid", "3x9"),
     "triangle-5": ("05d698a12ad98f14e314dd55012eb95ee668ea1ca3adbce0ac2e9c985ac11d34",
                    "--triangle", "5"),
+    "triangle-6": ("9489dd4202cbde286a59da2ea328449068f79dd89799d30ca0b4b45c68cbb8e4",
+                   "--triangle", "6"),
     "4x4-sticky-right": ("6e7c1d80c31f5c82c4600cb650250e00b09fe73171f54382f64f307785b2d1f3",
                          "--grid", "4x4", "--sticky", "right"),
 }
@@ -295,6 +303,22 @@ def test_exact_certificate_bytes_are_pinned(capsys, name):
     code, out, _ = run(capsys, "exact", *flags, "--deterministic")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.extended
+def test_extended_exact_triangle_seven(capsys):
+    code, out, _ = run(capsys, "exact", "--triangle", "7", "--deterministic")
+    assert code == 0 and json.loads(out)["value"] == 11
+    digest = "cea813ac32f4fce1cb05c50aecbf561957cad2abc406cd4ba5cc26e470b1e491"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_construct_triangle_bytes_are_pinned(capsys, tmp_path):
+    # SHA-256 taken while the command still wrote its chain dict by hand
+    out_file = tmp_path / "tri.json"
+    assert run(capsys, "construct", "--triangle", "7", "--out", str(out_file))[0] == 0
+    digest = "9b42bd0346afa37b81d4d80d8becf61c16d2300ea5966bb92fabfe7ec3db63f7"
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def write_cache(path, *records):

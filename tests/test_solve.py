@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_connected_graph
 from rankgrid import solve
-from rankgrid.graphs import Custom, GraphShape, RemoveCorner, StickyEnd, build
+from rankgrid.graphs import Custom, Graph, GraphShape, RemoveCorner, StickyEnd, build
 from rankgrid.solve import Budget, brute_force, rank_decision, rank_exact
 from rankgrid.verify import validate
 
@@ -25,6 +25,11 @@ def test_known_small_values():
     ]:
         res = rank_exact(build(shape))
         assert res.exact and res.value == want, shape
+
+
+def test_four_by_seven_less_a_corner():
+    res = rank_exact(build(GraphShape.grid(4, 7, (RemoveCorner("SW"),))))
+    assert res.value == 9 and validate(res.certificate) is None
 
 
 def test_certificate_is_valid_and_tight():
@@ -131,58 +136,102 @@ def test_deletion_never_raises_rank(rng):
 
 
 def _placements(g, rows, cols):
-    """Bitmasks of every rows x cols rectangle of core cells, found by coords."""
-    m, n = g.shape.m, g.shape.n
-    at = {rc: i for i, rc in enumerate(g.coords) if 0 <= rc[0] < m and 0 <= rc[1] < n}
+    """Bitmasks of every rows x cols grid placed in g other than g itself,
+    found by coords: inside the frame (the shape's m x n, else the bounding
+    box), every cell a vertex and every unit step between cells an edge."""
+    if g.shape is not None:
+        lo, hi = (0, 0), (g.shape.m, g.shape.n)
+    else:
+        lo = tuple(map(min, zip(*g.coords)))
+        hi = tuple(x + 1 for x in map(max, zip(*g.coords)))
+    at = {rc: i for i, rc in enumerate(g.coords)
+          if lo[0] <= rc[0] < hi[0] and lo[1] <= rc[1] < hi[1]}
     out = []
     for r0, c0 in at:
-        cells = [at.get((r0 + i, c0 + j)) for i in range(rows) for j in range(cols)]
-        if None not in cells:
-            out.append(sum(1 << v for v in cells))
+        cells = [(r0 + i, c0 + j) for i in range(rows) for j in range(cols)]
+        if not all(rc in at for rc in cells):
+            continue
+        steps = [(at[r, c], at[r + dr, c + dc]) for r, c in cells
+                 for dr, dc in ((0, 1), (1, 0)) if (r + dr, c + dc) in cells]
+        mask = sum(1 << at[rc] for rc in cells)
+        if all(g.has_edge(u, v) for u, v in steps) and mask != (1 << g.vertex_count) - 1:
+            out.append(mask)
     return out
 
 
+def _reference(g):
+    """(rank, mask) of every placement of every block of 4..24 cells."""
+    return [(solve._block_rank(min(a, b), max(a, b)), p)
+            for a in range(1, 25) for b in range(1, 24 // a + 1) if a * b >= 4
+            for p in _placements(g, a, b)]
+
+
 RIGHT = (StickyEnd("right"),)
+# a triangle; a corner cut; a custom vertex at the cut corner, wired only to
+# the cell above it; and a shapeless graph whose coords all lie on one row
+# while its edges are arbitrary: one of its eleven 1x4 windows is a path, and
+# only that one counts
+MORE_GRAPHS = (
+    build(GraphShape.triangle(5)),
+    build(GraphShape.grid(4, 5, (RemoveCorner("SW"),))),
+    build(GraphShape.grid(4, 4, (RemoveCorner("SW"), Custom([(3, 0)], [((3, 0), (2, 0))])))),
+    random_connected_graph(random.Random(0), 14),
+)
 
 
-def _check_block_detection(m, n, masks, decorations=()):
-    g = build(GraphShape.grid(m, n, decorations))
-    eng = solve._Engine(g, blocks=solve._grid_blocks(g))
-    blocks = eng.blocks
-    assert blocks, (m, n)
-    for rank, size, rows, start in blocks:
-        placed = _placements(g, rows, size // rows)
-        eng.blocks = [(1, size, rows, start)]  # this block alone, rank 1
-        for mask in masks:
-            want = any(mask & p == p for p in placed)
-            assert (eng.block_lb(mask, 0) == 1) == want, (m, n, rows, size // rows, bin(mask))
+def _grids(*dims, decorations=()):
+    return [build(GraphShape.grid(m, n, decorations)) for m, n in dims]
+
+
+def _masks(g, rng, count=2000):
+    if g.vertex_count <= 16:
+        return range(1 << g.vertex_count)
+    return [rng.getrandbits(g.vertex_count) for _ in range(count)]
+
+
+def _check_block_detection(g, masks):
+    table = solve._blocks(g)
+    ref = _reference(g)
+    assert ref and {(rank, p) for rank, ps in table for p in ps} <= set(ref)
+    eng = solve._Engine(g, blocks=table)
+    for mask in [*masks, *(p for _, p in ref)]:
+        want = max((rank for rank, p in ref if mask & p == p), default=0)
+        assert eng.block_lb(mask, 0) == want, (g.shape, bin(mask))
 
 
 def test_block_detection_matches_coordinate_scan():
-    for m, n in ((3, 4), (4, 4)):
-        _check_block_detection(m, n, range(1 << (m * n)))
     rng = random.Random(7)
-    for m, n in ((4, 6), (5, 5), (6, 6)):
-        _check_block_detection(m, n, [rng.getrandbits(m * n) for _ in range(2000)])
-    # staircase cells follow the core, so no run through them may count
-    for m, n in ((4, 4), (3, 6)):
-        size = build(GraphShape.grid(m, n, RIGHT)).vertex_count
-        _check_block_detection(m, n, [rng.getrandbits(size) for _ in range(2000)], RIGHT)
+    # staircase cells lie outside the frame, so no block may reach them
+    for g in (*_grids((3, 4), (4, 4), (4, 6), (5, 5), (6, 6)),
+              *_grids((4, 4), (3, 6), decorations=RIGHT), *MORE_GRAPHS):
+        _check_block_detection(g, _masks(g, rng))
 
 
-def test_blocks_only_on_plain_and_sticky_grids():
-    sticky = {(rows, size // rows)
-              for _, size, rows, _ in solve._grid_blocks(build(GraphShape.grid(4, 4, RIGHT)))}
-    # the whole 4x4 core is a block of the decorated grid
-    assert {(4, 4), (2, 2), (1, 4)} <= sticky
-    for decorations in ((RemoveCorner("NE"),), (StickyEnd("left"), RemoveCorner("SW")),
-                        (Custom([(0, 4)], [((0, 3), (0, 4))]),)):
-        assert solve._grid_blocks(build(GraphShape.grid(4, 4, decorations))) == []
-    assert solve._grid_blocks(build(GraphShape.triangle(5))) == []
+def _block_cells(g):
+    return {g.coords[v] for _, ps in solve._blocks(g) for p in ps
+            for v in range(g.vertex_count) if p >> v & 1}
+
+
+def test_blocks_lie_in_the_frame():
+    g = build(GraphShape.grid(4, 4, RIGHT))
+    # the whole 4x4 core is a block of the decorated grid; the frame is that
+    # core, so the staircase's own 2x2 squares are left out
+    assert any((1 << 16) - 1 in ps for _, ps in solve._blocks(g))
+    assert _block_cells(g) == {(r, c) for r in range(4) for c in range(4)}
+    # without a shape the frame is the bounding box, which holds those squares
+    assert {(2, 4), (3, 5)} <= _block_cells(Graph(g.vertex_count, g.edges, g.coords))
+    # a triangle's frame is its s x s square: tri_5's best block is the 3x3
+    # grid in its bottom-left corner
+    tri = build(GraphShape.triangle(5))
+    corner = sum(1 << tri.index_by_coord[r, c] for r in range(2, 5) for c in range(3))
+    assert solve._blocks(tri)[0] == (5, (corner,))
     g = build(GraphShape.grid(4, 5))
-    sub, _ = g.induced_subgraph(range(12))
-    assert solve._grid_blocks(sub) == []
-    dims = {(rows, size // rows) for _, size, rows, _ in solve._grid_blocks(g)}
+    dims = set()
+    for _, ps in solve._blocks(g):
+        for p in ps:
+            cells = [g.coords[v] for v in range(g.vertex_count) if p >> v & 1]
+            rows, cols = zip(*cells)
+            dims.add((max(rows) - min(rows) + 1, max(cols) - min(cols) + 1))
     assert {(4, 4), (3, 4), (4, 3), (2, 2), (1, 4)} <= dims
     # 4x5 is the grid itself; 3x5 and 1x5 hold 3x4 and 1x4, of equal rank
     assert not {(4, 5), (3, 5), (1, 5)} & dims
@@ -205,51 +254,45 @@ def _random_connected_mask(rng, g):
     return mask
 
 
+def _induced(g, mask):
+    return g.induced_subgraph([v for v in range(g.vertex_count) if mask >> v & 1])[0]
+
+
 def test_block_bound_is_below_the_subgraph_rank():
     rng = random.Random(11)
-    for m, n, decorations in ((4, 4, ()), (3, 5, ()), (4, 4, RIGHT), (3, 6, RIGHT)):
-        g = build(GraphShape.grid(m, n, decorations))
-        eng = solve._Engine(g, blocks=solve._grid_blocks(g))
-        raised = 0
+    raised = []
+    for g in (*_grids((4, 4), (3, 5)), *_grids((4, 4), (3, 6), decorations=RIGHT), *MORE_GRAPHS):
+        eng = solve._Engine(g, blocks=solve._blocks(g))
+        raised.append(0)
         for _ in range(200):
             mask = _random_connected_mask(rng, g)
             if mask & (mask - 1) == 0:
                 continue
-            sub, _ = g.induced_subgraph([v for v in range(g.vertex_count) if mask >> v & 1])
             lb, _ = eng.bounds_of(mask, eng.canon(mask))
-            assert lb <= rank_exact(sub).value, (m, n, bin(mask))
-            raised += lb > max(eng.path_lb(mask), 2)
-        assert raised >= 20, (m, n, raised)
+            assert lb <= rank_exact(_induced(g, mask)).value, (g.shape, bin(mask))
+            raised[-1] += lb > max(eng.path_lb(mask), 2)
+    # a 1x4 block never beats the path bound of a mask that holds it
+    assert min(raised[:-1]) >= 20 and raised[-1] == 0, raised
 
 
-def _check_block_core(m, n, masks, decorations=()):
-    g = build(GraphShape.grid(m, n, decorations))
-    eng = solve._Engine(g, blocks=solve._grid_blocks(g))
-    placed = [(rank, _placements(g, rows, size // rows)) for rank, size, rows, _ in eng.blocks]
+def _check_block_core(g, masks):
+    eng = solve._Engine(g, blocks=solve._blocks(g))
+    ref = _reference(g)
     for mask in masks:
-        inside = [(rank, [p for p in ps if mask & p == p]) for rank, ps in placed]
-        for k in range(1, eng.blocks[0][0] + 2):
+        inside = [(rank, p) for rank, p in ref if mask & p == p]
+        for k in range(1, max(rank for rank, _ in ref) + 2):
             want = -1
-            for rank, ps in inside:
+            for rank, p in inside:
                 if rank >= k:
-                    for p in ps:
-                        want &= p
-            assert eng.block_core(mask, k) == want, (m, n, k, bin(mask))
+                    want &= p
+            assert eng.block_core(mask, k) == want, (g.shape, k, bin(mask))
 
 
 def test_block_core_matches_coordinate_scan():
-    for m, n in ((3, 4), (4, 4)):
-        _check_block_core(m, n, range(1 << (m * n)))
     rng = random.Random(13)
-    for m, n in ((4, 6), (5, 5), (6, 6)):
-        _check_block_core(m, n, [rng.getrandbits(m * n) for _ in range(2000)])
-    for m, n in ((4, 4), (3, 6)):
-        size = build(GraphShape.grid(m, n, RIGHT)).vertex_count
-        _check_block_core(m, n, [rng.getrandbits(size) for _ in range(2000)], RIGHT)
-
-
-def _induced(g, mask):
-    return g.induced_subgraph([v for v in range(g.vertex_count) if mask >> v & 1])[0]
+    for g in (*_grids((3, 4), (4, 4), (4, 6), (5, 5), (6, 6)),
+              *_grids((4, 4), (3, 6), decorations=RIGHT), *MORE_GRAPHS):
+        _check_block_core(g, _masks(g, rng))
 
 
 def test_block_core_holds_every_top_separator():
@@ -257,9 +300,9 @@ def test_block_core_holds_every_top_separator():
     # labelled r, in every block of rank r: outside the core no vertex works
     rng = random.Random(17)
     empty = checked = outside = 0
-    for m, n, decorations in ((4, 4, ()), (3, 5, ()), (4, 5, ()), (4, 4, RIGHT), (3, 6, RIGHT)):
-        g = build(GraphShape.grid(m, n, decorations))
-        eng = solve._Engine(g, blocks=solve._grid_blocks(g))
+    for g in (*_grids((4, 4), (3, 5), (4, 5)), *_grids((4, 4), (3, 6), decorations=RIGHT),
+              *MORE_GRAPHS):
+        eng = solve._Engine(g, blocks=solve._blocks(g))
         for _ in range(40):
             mask = _random_connected_mask(rng, g)
             if mask & (mask - 1) == 0:
@@ -267,7 +310,7 @@ def test_block_core_holds_every_top_separator():
             r = rank_exact(_induced(g, mask)).value
             for k in range(1, r + 2):
                 if eng.block_core(mask, k) == 0:
-                    assert k < r, (m, n, k, bin(mask))
+                    assert k < r, (g.shape, k, bin(mask))
                     empty += 1
             core = eng.block_core(mask, r)
             if core == -1 or mask & ~core == 0:
@@ -280,7 +323,7 @@ def test_block_core_holds_every_top_separator():
                 outside += 1
                 comps = sorted(eng.components(mask & ~v), key=int.bit_count, reverse=True)
                 assert any(rank_decision(_induced(g, c), r - 1).feasible is False
-                           for c in comps), (m, n, bin(mask), v)
+                           for c in comps), (g.shape, bin(mask), v)
     assert empty >= 50 and checked >= 60 and outside >= 200, (empty, checked, outside)
 
 
