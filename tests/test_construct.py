@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
 from conftest import run_endpoint
 from rankgrid import bounds, construct, formulas
-from rankgrid.graphs import Graph, GraphShape, ShapeError, build
+from rankgrid.graphs import Graph, GraphShape, ShapeError, StickyEnd, build
 from rankgrid.solve import rank_exact
 from rankgrid.verify import Ranking, validate
 
@@ -74,6 +75,58 @@ def test_merging_lemma_output_pair():
     assert closed.label_count == 14
     # the closure width 22 is a run endpoint: the labels are optimal
     assert formulas.rank_4xn(22) == 14
+
+
+def _flipped(r: Ranking, hflip: bool, vflip: bool) -> Ranking:
+    """r's four-row staircase ranking mirrored left-right and/or top-bottom."""
+    shape = r.graph.shape
+    swap = {"left": "right", "right": "left", "bottom": "top", "top": "bottom"}
+    decs = tuple(StickyEnd(swap[d.side] if hflip else d.side, swap[d.align] if vflip else d.align)
+                 for d in shape.decorations)
+    at = {(3 - row if vflip else row, shape.n - 1 - c if hflip else c): r.labels[i]
+          for i, (row, c) in enumerate(r.graph.coords)}
+    g = build(GraphShape.grid(4, shape.n, decs))
+    out = Ranking(g, tuple(at[rc] for rc in g.coords))
+    assert validate(out) is None
+    return out
+
+
+def _one_base(w: int) -> Ranking:
+    return construct.base_ranking(construct.one_sticky_shape(w), w + 3)
+
+
+def _two_base(w: int) -> Ranking:
+    return construct.base_ranking(construct.two_sticky_shape(w, anti=w != 3), w + 4)
+
+
+# SHA-256 of the output shape's JSON and its labels; every orientation the
+# merges accept must give the same output, whichever ones the chain uses
+ORIENTATION_SHA256 = {
+    ("fold", 3): "17890384ea092cd1ce6ddd779eee920d6e3c254aa00016ce9e01e3dccf53fd9d",
+    ("fold", 4): "8be647ba2e24f12e7357a161e5bfbefdfd07f0ef13c2014776a4958f6976103e",
+    ("fold", 5): "8e176ee660b1a8c73b762cec43f1cc10160104679729c15a9831a5e6dd377dcd",
+    ("double", 2): "0ec3aa0840f70e257d45e89f3f0d29392ab9c457c6a9e4224774f8e30dbc1e54",
+    ("double", 3): "aa017e8d2e1ac82d010110404fd7f1f225f1397201163a25e305dbc89b98f928",
+    ("double", 4): "7716623bc68b50d3edabf880535afd03981b95d4fbc59cf8b19df5017f8cd631",
+    ("staircase", 3): "2b0539b9b8f29e0160b3a10024a31fca01780836b7f443313f1d92126aa0cc36",
+    ("staircase", 4): "3708bd2419dd44dc05e5bba3c064b3411c321a47754f5824377104c350f97927",
+    ("staircase", 5): "83e6da4c6ed171e7d3803d3ba94317d938759c9cfcc282b4446f58471485056d",
+}
+
+
+@pytest.mark.parametrize("merge,w", sorted(ORIENTATION_SHA256))
+def test_merges_are_pinned_in_every_orientation(merge, w):
+    flips = [(h, v) for h in (False, True) for v in (False, True)]
+    if merge == "fold":
+        outs = [construct._close_one_sticky(_flipped(_one_base(w), h, v)) for h, v in flips]
+    elif merge == "double":
+        outs = [construct.merge_two_sticky(_flipped(_two_base(w), False, v)) for v in (False, True)]
+    else:
+        outs = [construct._ml_out1(_flipped(_one_base(w), h, v), _flipped(_two_base(w - 1), False, bv))
+                for h, v in flips for bv in (False, True)]
+    for out in outs:
+        text = json.dumps(out.graph.shape.to_json_dict(), sort_keys=True) + "|" + ",".join(map(str, out.labels))
+        assert hashlib.sha256(text.encode()).hexdigest() == ORIENTATION_SHA256[merge, w]
 
 
 def test_vertical_cut_even_and_odd():
