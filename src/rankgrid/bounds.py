@@ -4,8 +4,8 @@ Two constructive upper bounds for ``G_{m,n}``: the halving bound (rank a
 separator column, recurse on the wider half) and the diagonal bound (cut
 along a staircase diagonal, pay for a triangle ranking once).  Lower bounds
 come from the square-subgrid recursion and its rational corollaries.  All of
-it is arithmetic except the tiny solver calls that finish the square
-recursion below side 5.
+it is arithmetic except the square recursion below side 5, which reads the
+exact values from solve.grid_rank.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from functools import cache
 
 from . import formulas
 from .construct import _row_cut_labels
-from .graphs import GraphShape, build
-from .solve import rank_exact
+from .solve import grid_rank
 
 __all__ = [
     "alpert_upper",
@@ -163,16 +162,16 @@ def square_lower(m: int) -> int:
     """Lower bound for the m x m grid via the square-subgrid recursion.
 
     ``r(m, m) >= m + r(s, s)`` with ``s = ceil(2m/5) - 1``; the recursion
-    runs while the side is at least 5 and finishes with the exact solver on
-    the small remainder.  The reported value is rounded up to the rational
-    corollary wherever that is tighter (first at m=14, where the bare chain
-    14 -> 5 -> 1 loses ground to rounding), so the result is always the best
-    lower bound this module can certify.
+    runs while the side is at least 5 and finishes with the small
+    remainder's exact value from ``grid_rank``.  The reported value is
+    rounded up to the rational corollary wherever that is tighter (first
+    at m=14, where the bare chain 14 -> 5 -> 1 loses ground to rounding),
+    so the result is always the best lower bound this module can certify.
     """
     if m < 1:
         raise ValueError("side must be positive")
     if m < 5:
-        return rank_exact(build(GraphShape.grid(m, m))).value
+        return grid_rank(m, m)
     recursive = m + square_lower(-(-2 * m // 5) - 1)
     return max(recursive, math.ceil(corollary_lower_square(m)), 1)
 

@@ -18,7 +18,6 @@ validated on each call.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cache
 
@@ -37,7 +36,6 @@ from .graphs import (
     _lattice_edges,
     staircase_triangle_map,
 )
-from .solve import Budget
 from .verify import Ranking, validate
 
 __all__ = [
@@ -85,15 +83,12 @@ def two_sticky_shape(n: int, *, anti: bool) -> GraphShape:
 
 
 @cache
-def base_ranking(shape: GraphShape, k: int, budget: Budget | None = None) -> Ranking:
+def base_ranking(shape: GraphShape, k: int) -> Ranking:
     """A solver-found ranking of shape within k labels, memoized.
 
-    Raises ValueError on a proven 'no' and RuntimeError if the budget
-    runs out undecided.
+    Raises ValueError on a proven 'no'.
     """
-    out = solve.rank_decision(build(shape), k, budget=budget)
-    if out.feasible is None:
-        raise RuntimeError(f"budget exhausted deciding {shape} at k={k}")
+    out = solve.rank_decision(build(shape), k)
     if out.ranking is None:
         raise ValueError(f"{shape} has no ranking within {k} labels")
     return out.ranking
@@ -173,6 +168,36 @@ def _sticky_ends(shape: GraphShape) -> dict[str, str]:
     return ends
 
 
+def _one_staircase(r: Ranking) -> tuple[int, int, CoordLabels]:
+    """Width, label count and coord labels of a one-staircase ranking,
+    turned so the staircase is on the right keeping the bottom rows."""
+    shape = _grid4_shape(r.graph)
+    ends = _sticky_ends(shape)
+    if len(ends) != 1:
+        raise ShapeError("input must have exactly one staircase")
+    cl = _coord_labels(r)
+    ((side, align),) = ends.items()
+    if side == "left":
+        cl = _hflip(cl, shape.n)
+    if align == "top":
+        cl = _vflip(cl)
+    return shape.n, r.label_count, cl
+
+
+def _two_staircase(r: Ranking) -> tuple[int, int, CoordLabels, bool]:
+    """Width, label count and coord labels of a two-staircase ranking,
+    flipped so the left staircase keeps the top rows, and whether both
+    staircases keep the same rows (aligned)."""
+    shape = _grid4_shape(r.graph)
+    ends = _sticky_ends(shape)
+    if set(ends) != {"left", "right"}:
+        raise ShapeError("input must have staircases on both ends")
+    cl = _coord_labels(r)
+    if ends["left"] == "bottom":
+        cl = _vflip(cl)
+    return shape.n, r.label_count, cl, ends["left"] == ends["right"]
+
+
 # -- staircase merges ------------------------------------------------------
 
 
@@ -184,55 +209,29 @@ def merge_two_sticky(r: Ranking) -> Ranking:
     right, whatever the input's orientation.  Row i of the cut gets
     label lambda+4-i, so the cut tops out at the far output labels.
     """
-    shape = _grid4_shape(r.graph)
-    ends = _sticky_ends(shape)
-    if set(ends) != {"left", "right"}:
-        raise ShapeError("input must have staircases on both ends")
-    n, lam = shape.n, r.label_count
-    cl = _coord_labels(r)
-    if ends["left"] == ends["right"]:
-        # aligned: one copy is flipped so the staircases interlock
-        first = _vflip(cl) if ends["left"] == "bottom" else cl
-        second = cl if ends["left"] == "bottom" else _vflip(cl)
+    n, lam, cl, aligned = _two_staircase(r)
+    if aligned:
+        # the second copy is flipped so the staircases interlock
+        second = _vflip(cl)
         cut = {(i, n + 3 - i): lam + 4 - i for i in range(4)}
     else:
-        if ends["left"] == "bottom":
-            cl = _vflip(cl)
-        first, second = cl, cl
+        second = cl
         cut = {(i, n + i): lam + 4 - i for i in range(4)}
-    out = _union(first, _shift(second, n + 4), cut)
+    out = _union(cl, _shift(second, n + 4), cut)
     return _to_ranking(two_sticky_shape(2 * n + 4, anti=True), out, lam + 4)
 
 
 def _ml_out1(a: Ranking, b: Ranking) -> Ranking:
     """One-staircase a (width n) + two-staircase b (width n-1) -> width 2n+3."""
-    sa, sb = _grid4_shape(a.graph), _grid4_shape(b.graph)
-    ea, eb = _sticky_ends(sa), _sticky_ends(sb)
-    if len(ea) != 1:
-        raise ShapeError("first input must have exactly one staircase")
-    if set(eb) != {"left", "right"}:
-        raise ShapeError("second input must have staircases on both ends")
-    if sb.n != sa.n - 1:
-        raise ShapeError(f"widths must be n and n-1, got {sa.n} and {sb.n}")
-    if a.label_count != b.label_count:
-        raise ValueError(f"label counts differ: {a.label_count} vs {b.label_count}")
-    n, lam = sa.n, a.label_count
-
-    cl_a = _coord_labels(a)
-    (side,) = ea
-    if side == "left":
-        cl_a = _hflip(cl_a, n)
-        ea = {"right": ea["left"]}
-    if ea["right"] == "top":
-        cl_a = _vflip(cl_a)
-
-    cl_b = _coord_labels(b)
-    if eb["left"] == "bottom":
-        cl_b = _vflip(cl_b)
-        eb = {s: ("top" if al == "bottom" else "bottom") for s, al in eb.items()}
+    n, lam, cl_a = _one_staircase(a)
+    nb, lam_b, cl_b, aligned = _two_staircase(b)
+    if nb != n - 1:
+        raise ShapeError(f"widths must be n and n-1, got {n} and {nb}")
+    if lam != lam_b:
+        raise ValueError(f"label counts differ: {lam} vs {lam_b}")
     cut = {(i, n + i): lam + 4 - i for i in range(4)}
     out = _union(cl_a, _shift(cl_b, n + 4), cut)
-    if eb["right"] == "top":
+    if aligned:
         out = _vflip(out)
     return _to_ranking(one_sticky_shape(2 * n + 3), out, lam + 4)
 
@@ -244,17 +243,7 @@ def _close_one_sticky(r: Ranking) -> Ranking:
     lambda+4; the staircases of the two copies and the cut tile the seam
     exactly.
     """
-    shape = _grid4_shape(r.graph)
-    ends = _sticky_ends(shape)
-    if len(ends) != 1:
-        raise ShapeError("input must have exactly one staircase")
-    w, lam = shape.n, r.label_count
-    cl = _coord_labels(r)
-    (side,) = ends
-    if side == "left":
-        cl = _hflip(cl, w)
-    if ends[side] == "top":
-        cl = _vflip(cl)
+    w, lam, cl = _one_staircase(r)
     spun = {(3 - r, 2 * w + 3 - c): v for (r, c), v in cl.items()}
     cut = {(i, w + i): lam + 4 - i for i in range(4)}
     out = _union(cl, spun, cut)
@@ -300,11 +289,6 @@ def vertical_cut(m: int, n: int, sub: Ranking) -> Ranking:
     return _to_ranking(GraphShape.grid(m, n), out, lam + m)
 
 
-def _corner_map(m: int, q: int) -> dict[Coord, Coord]:
-    # corner columns q..q+m-1, column q+d keeping rows d..m-1, onto tri_m
-    return staircase_triangle_map(m, q + 1, "right", "bottom")
-
-
 def diagonal_cut(m: int, n: int, inner: Ranking | None, tri_r: Ranking) -> Ranking:
     """Two corner triangles and a mirrored inner grid around one diagonal.
 
@@ -334,12 +318,10 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, tri_r: Ranking) -> Ranki
 
     li, lt = (inner.label_count if inner is not None else 0), tri_r.label_count
     top = li + lt + m
-    tri_at: dict[Coord, int] = {}
-    for i, rc in enumerate(tri_r.graph.coords):
-        tri_at[rc] = tri_r.labels[i]
-
+    tri_at = _coord_labels(tri_r)
     left = _coord_labels(inner) if inner is not None else {}
-    for grid_rc, tri_rc in _corner_map(m, q).items():
+    # corner columns q..q+m-1, column q+d keeping rows d..m-1, onto tri_m
+    for grid_rc, tri_rc in staircase_triangle_map(m, q + 1).items():
         left[grid_rc] = li + tri_at[tri_rc]
     cut = {(r, q + 1 + r): top - r for r in range(m)}
     # (n-m) even reflects about column (n-1)/2 exactly; odd shifts the
@@ -363,33 +345,34 @@ def claimed_triangle_labels(s: int) -> int:
 
 
 @cache
-def _row_cut_cost(a: int, b: int) -> int:
-    """Labels the best row-cut schedule spends on rows a..b of a triangle.
+def _row_cut(a: int, b: int) -> tuple[int, int]:
+    """Labels the best row-cut schedule spends on rows a..b of a triangle,
+    and the first row it cuts.
 
     Row r of a triangle has r+1 vertices, so the cost does not depend on
     the triangle's side.  A full row is cut and its vertices take the top
-    labels, the two remaining intervals sharing the block below; a single
-    row is a path and gets the ruler labelling; no rows cost nothing.
+    labels, the two remaining intervals sharing the block below; the
+    first row that achieves the least cost is the one cut.  A single row
+    is a path and gets the ruler labelling, and no rows cost nothing;
+    neither cuts a row, so both give row -1.
     """
     if a > b:
-        return 0
+        return 0, -1
     if a == b:
-        return (b + 1).bit_length()
-    return min(_cut_at(a, b, w) for w in range(a, b + 1))
-
-
-def _cut_at(a: int, b: int, w: int) -> int:
-    return w + 1 + max(_row_cut_cost(a, w - 1), _row_cut_cost(w + 1, b))
+        return (b + 1).bit_length(), -1
+    costs = [w + 1 + max(_row_cut(a, w - 1)[0], _row_cut(w + 1, b)[0]) for w in range(a, b + 1)]
+    t = min(costs)
+    return t, a + costs.index(t)
 
 
 def _row_cut_labels(s: int) -> int:
     """Label count of the row-cut ranking of tri_s; O(s^3) on a cold cache."""
-    # settle shorter intervals first: a cold _row_cut_cost(0, s-1) would
-    # recurse s levels deep, past the interpreter's limit for s in the hundreds
+    # settle shorter intervals first: a cold _row_cut(0, s-1) would recurse
+    # s levels deep, past the interpreter's limit for s in the hundreds
     for b in range(s):
         for a in range(b, -1, -1):
-            _row_cut_cost(a, b)
-    return _row_cut_cost(0, s - 1)
+            _row_cut(a, b)
+    return _row_cut(0, s - 1)[0]
 
 
 def _tri_fill(s: int) -> CoordLabels:
@@ -402,9 +385,7 @@ def _tri_fill(s: int) -> CoordLabels:
             for c in range(b + 1):
                 lab[(a, c)] = base + ((c + 1) & -(c + 1)).bit_length()
             return
-        # the first row that achieves the cost, as _row_cut_cost's min picks
-        w = min(range(a, b + 1), key=lambda w: _cut_at(a, b, w))
-        t = _row_cut_cost(a, b)
+        t, w = _row_cut(a, b)
         for c in range(w + 1):
             lab[(w, c)] = base + t - c
         fill(a, w - 1, base)
@@ -455,7 +436,7 @@ def _corner_graph(m: int) -> tuple[Graph, dict[Coord, Coord]]:
     triangle), and the hub attaches to its full-height first column, the
     side the inner grid touches.
     """
-    cmap = _corner_map(m, 0)
+    cmap = staircase_triangle_map(m, 1)
     hub = (m, 0)
     ordered = sorted(cmap, key=lambda rc: (rc[1], rc[0])) + [hub]
     # cells sort by (col, row), so the first column is vertices 0..m-1
@@ -473,7 +454,7 @@ def _glue_safe(r: Ranking) -> bool:
     """
     m = r.graph.shape.m
     g, cmap = _corner_graph(m)
-    tri_at = {rc: r.labels[i] for i, rc in enumerate(r.graph.coords)}
+    tri_at = _coord_labels(r)
     hub = (m, 0)
     labels = tuple(
         1 if rc == hub else tri_at[cmap[rc]] + 1 for rc in g.coords
@@ -492,7 +473,7 @@ _SAFE_SEEDS: dict[int, tuple[int, ...]] = {
 }
 
 
-def safe_triangle_ranking(m: int, budget: Budget | None = None) -> Ranking:
+def safe_triangle_ranking(m: int) -> Ranking:
     """A valid tri_m ranking that stays valid when glued along its bottom row.
 
     Tries the plain triangle_ranking first, then a seed table, then
@@ -509,26 +490,22 @@ def safe_triangle_ranking(m: int, budget: Budget | None = None) -> Ranking:
         r = Ranking(g, seed)
         if validate(r) is None and _glue_safe(r):
             return r
-    deadline = time.monotonic() + budget.seconds if budget and budget.seconds else None
     for k in range(plain.label_count, 2 * m + 2):
-        found = _search_glue_safe(g, k, deadline)
+        found = _search_glue_safe(g, k)
         if found is not None:
             return found
     raise ValueError(f"no glue-safe ranking of tri_{m} within {2 * m + 1} labels")
 
 
-def _search_glue_safe(g: Graph, k: int, deadline: float | None = None) -> Ranking | None:
-    """The first glue-safe ranking of the triangle g within k labels, or None.
-
-    Raises RuntimeError once time.monotonic() passes deadline.
-    """
+def _search_glue_safe(g: Graph, k: int) -> Ranking | None:
+    """The first glue-safe ranking of the triangle g within k labels, or None."""
     order = sorted(range(g.vertex_count), key=lambda v: -len(g.adjacency[v]))
 
     def safe(labels: list[int]) -> bool:
         r = Ranking(g, tuple(labels))
         return validate(r) is None and _glue_safe(r)
 
-    found = solve.backtrack_labels(g, order, k, safe, deadline)
+    found = solve.backtrack_labels(g, order, k, safe)
     return None if found is None else Ranking(g, tuple(found))
 
 

@@ -1,19 +1,19 @@
 """Closed-form and recursive rank values for narrow grids.
 
 Everything here is arithmetic; the exact solver appears only to fill the
-handful of base cases the recurrences bottom out on, and those are
-computed once per process and kept immutable.  For four-row grids two
-independent forms are provided (a closed form over the binary expansion
-of n+1, and a halving recursion) together with a report of where they
-disagree; the disagreements are real and are surfaced, not patched.
+handful of base cases the recurrences bottom out on, read from
+solve.grid_rank, the one table of small grid ranks in a process.  For
+four-row grids two independent forms are provided (a closed form over the
+binary expansion of n+1, and a halving recursion) together with a report
+of where they disagree; the disagreements are real and are surfaced, not
+patched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
-from . import graphs, solve
+from . import solve
 
 __all__ = [
     "rank_path",
@@ -26,8 +26,6 @@ __all__ = [
     "rank_formula",
     "bucket_4xn",
     "BoundBucket",
-    "BaseTable4xn",
-    "base_table_4xn",
     "Discrepancy",
     "discrepancy_report",
 ]
@@ -40,14 +38,6 @@ def rank_path(n: int) -> int:
     return n.bit_length()
 
 
-@cache
-def _solved(m: int, n: int) -> int:
-    """Base cases below each recurrence's reach, solver-filled on first use."""
-    res = solve.rank_exact(graphs.build(graphs.GraphShape.grid(m, n)))
-    assert res.exact
-    return res.value
-
-
 def rank_2xn(n: int) -> int:
     """Rank number of the two-row grid.
 
@@ -58,7 +48,7 @@ def rank_2xn(n: int) -> int:
     if n < 1:
         raise ValueError("grid needs at least one column")
     if n <= 3:
-        return _solved(2, n)
+        return solve.grid_rank(2, n)
     return 2 + rank_2xn((n - 1) // 2)
 
 
@@ -90,7 +80,7 @@ def rank_3xn(n: int) -> int:
     if n < 1:
         raise ValueError("grid needs at least one column")
     if n <= 5:
-        return _solved(3, n)
+        return solve.grid_rank(3, n)
     step = 4 if is_special_3xn(n) else 3
     return step + rank_3xn((n - 2) // 2)
 
@@ -103,31 +93,14 @@ def b_of(n: int) -> int:
     return 2 * ((n >> (s - 2)) & 1) + ((n >> (s - 3)) & 1)
 
 
-@dataclass(frozen=True)
-class BaseTable4xn:
-    """Exact four-row values for n = 1..8 with per-entry provenance."""
-
-    values: tuple[int, ...]
-    provenance: tuple[str, ...]
-
-    def value(self, n: int) -> int:
-        if not 1 <= n <= len(self.values):
-            raise ValueError(f"no base entry for n={n}")
-        return self.values[n - 1]
-
-
 # n = 3..8.  Hand-checked values; the test suite re-derives all of them
 # with the solver on every run.
 _FIXED_4XN = (6, 7, 8, 8, 9, 10)
 
 
-@cache
-def base_table_4xn() -> BaseTable4xn:
-    """The n <= 8 table, solver-filling n=1,2 on first call."""
-    return BaseTable4xn(
-        values=tuple(_solved(4, w) for w in (1, 2)) + _FIXED_4XN,
-        provenance=("solver",) * 2 + ("fixed",) * 6,
-    )
+def _base_4xn(n: int) -> int:
+    """The four-row value for n <= 8: solved for n = 1, 2, fixed above."""
+    return solve.grid_rank(4, n) if n <= 2 else _FIXED_4XN[n - 3]
 
 
 def _special_k_4xn(n: int) -> int | None:
@@ -151,7 +124,7 @@ def rank_4xn(n: int) -> int:
     if n < 1:
         raise ValueError("grid needs at least one column")
     if n <= 8:
-        return base_table_4xn().value(n)
+        return _base_4xn(n)
     k = _special_k_4xn(n)
     if k is not None:
         return 4 * k - 2
@@ -226,7 +199,7 @@ def rank_4xn_recursive(n: int) -> int:
     if n < 1:
         raise ValueError("grid needs at least one column")
     if n <= 8:
-        return base_table_4xn().value(n)
+        return _base_4xn(n)
     step = 5 if _in_interval_set(n) else 4
     return step + rank_4xn_recursive((n - 3) // 2)
 

@@ -452,23 +452,14 @@ def build(shape: GraphShape) -> Graph:
     return g
 
 
-def staircase_triangle_map(
-    m: int, n: int, side: str = "right", align: str = "bottom"
-) -> dict[Coord, Coord]:
-    """Map a sticky end plus its adjacent full column onto tri_m coords.
+def staircase_triangle_map(m: int, n: int) -> dict[Coord, Coord]:
+    """Map a right, bottom-aligned sticky end plus its adjacent full column
+    onto tri_m coords.
 
     The staircase column of height m-j becomes triangle row m-1-j; every
     unit edge of the staircase lands on a triangle edge, so the staircase
     is a spanning subgraph of tri_m.  That is what lets a triangle
     ranking be copied onto it.
     """
-    out: dict[Coord, Coord] = {}
-    for j in range(m):  # j=0 is the adjacent full column of the grid itself
-        col = n - 1 + j if side == "right" else -j
-        if align == "bottom":
-            for r in range(j, m):
-                out[(r, col)] = (m - 1 - j, r - j)
-        else:
-            for r in range(0, m - j):
-                out[(r, col)] = (m - 1 - j, r)
-    return out
+    # j=0 is the adjacent full column of the grid itself
+    return {(r, n - 1 + j): (m - 1 - j, r - j) for j in range(m) for r in range(j, m)}

@@ -10,7 +10,9 @@ Two independent routes:
   lb is the larger of path_lb and the rank of the best a x b grid block
   the subset holds, placed by coordinates in the graph's frame, since a
   ranking restricted to a subgraph is still a ranking.  Block ranks come
-  from _block_rank, a table filled by rank_exact itself.
+  from grid_rank, a table filled by rank_exact itself; the closed forms'
+  base cases and the square lower bound read the same table, so no small
+  grid is solved twice in a process.
   When an entry's lb equals the k asked, the one vertex labelled k lies
   in every placement of every block of rank k, so only that common core
   is tried as a separator, and an empty core refutes k.  rank_decision
@@ -43,6 +45,7 @@ __all__ = [
     "rank_decision",
     "brute_force",
     "backtrack_labels",
+    "grid_rank",
 ]
 
 
@@ -50,9 +53,11 @@ __all__ = [
 class Budget:
     """Caps on a solver call; None means unlimited.
 
-    Both caps count the caller's own search only.  Filling the table of
-    block ranks that every graph draws lower bounds from is a fixed cost of
-    the process, like build, and is charged to no budget: a budgeted reply
+    Each cap must be a positive number: NaN seconds are rejected like
+    zero, while infinite seconds never run out.  Both caps count the
+    caller's own search only.  Filling grid_rank, the table of block ranks
+    that every graph draws lower bounds from, is a fixed cost of the
+    process, like build, and is charged to no budget: a budgeted reply
     does not depend on what the same interpreter solved before.
     """
 
@@ -60,7 +65,7 @@ class Budget:
     nodes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.seconds is not None and self.seconds <= 0:
+        if self.seconds is not None and not self.seconds > 0:
             raise ValueError(f"budget seconds must be positive, got {self.seconds}")
         if self.nodes is not None and self.nodes <= 0:
             raise ValueError(f"budget nodes must be positive, got {self.nodes}")
@@ -401,12 +406,14 @@ def _checked(g: Graph, labels: list[int]) -> Ranking:
 
 
 @cache
-def _block_rank(a: int, b: int) -> int:
-    """Rank number of the a x b grid (a <= b): the path rank for one row,
-    else solved by rank_exact."""
-    if a == 1:
-        return b.bit_length()
-    return rank_exact(build(GraphShape.grid(a, b))).value
+def grid_rank(m: int, n: int) -> int:
+    """Rank number of the m x n grid: the path rank for one row or column,
+    else solved by rank_exact, once per process for either orientation."""
+    if m > n:
+        return grid_rank(n, m)
+    if m == 1:
+        return n.bit_length()
+    return rank_exact(build(GraphShape.grid(m, n))).value
 
 
 def _blocks(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
@@ -428,7 +435,7 @@ def _blocks(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
         m, n = max(rows) - top + 1, max(cols) - left + 1
     dims = [(a, b) for a in range(1, min(m, 24) + 1) for b in range(1, min(n, 24 // a) + 1)
             if 4 <= a * b < g.vertex_count]
-    rank = {d: _block_rank(min(d), max(d)) for d in dims}
+    rank = {d: grid_rank(*d) for d in dims}
     # a block that holds a smaller one of the same rank proves nothing more;
     # ranks grow with blocks, so a row or a column less is the one test
     dims = [(a, b) for a, b in dims

@@ -232,6 +232,18 @@ def test_exit_code_budget_exhausted(capsys):
     assert lo < hi
 
 
+def test_nan_budget_is_rejected(capsys):
+    # NaN fails every comparison, so a "<= 0" test would let it through
+    # as an unlimited budget
+    for argv in (("exact", "--grid", "3x3", "--no-cache"),
+                 ("sweep", "--m", "2", "--n-range", "1:3", "--methods", "exact")):
+        code, out, err = run(capsys, *argv, "--budget", "nan")
+        assert (code, out) == (1, "")
+        assert err == "error: budget seconds must be positive, got nan\n"
+    code, out, _ = run(capsys, "exact", "--grid", "3x3", "--no-cache", "--budget", "inf")
+    assert code == 0 and json.loads(out)["value"] == 5
+
+
 def test_cache_inspect(capsys, tmp_path):
     path = str(tmp_path / "c.jsonl")
     run(capsys, "exact", "--grid", "2x3", "--cache", path)

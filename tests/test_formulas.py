@@ -46,9 +46,6 @@ def test_rank_formula_dispatches_by_rows():
 
 def test_four_rows_base_table():
     assert [formulas.rank_4xn(n) for n in range(1, 9)] == [3, 4, 6, 7, 8, 8, 9, 10]
-    table = formulas.base_table_4xn()
-    assert table.provenance[:2] == ("solver", "solver")
-    assert set(table.provenance[2:]) == {"fixed"}
 
 
 def test_four_rows_small_table_matches_solver():

@@ -221,7 +221,7 @@ def test_disconnected_custom_rejected():
 def test_staircase_triangle_map_is_edge_faithful():
     m, n = 4, 3
     g = build(GraphShape.grid(m, n, (StickyEnd("right"),)))
-    mapping = staircase_triangle_map(m, n, "right", "bottom")
+    mapping = staircase_triangle_map(m, n)
     tri = build(GraphShape.triangle(m))
     # bijection onto the triangle's coords
     assert sorted(mapping.values()) == sorted(tri.coords)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import random_connected_graph
-from rankgrid import solve
+from rankgrid import bounds, construct, formulas, solve
 from rankgrid.graphs import Custom, Graph, GraphShape, RemoveCorner, StickyEnd, build
 from rankgrid.solve import Budget, brute_force, rank_decision, rank_exact
 from rankgrid.verify import validate
@@ -99,6 +99,9 @@ def test_budget_validation():
         Budget(seconds=0)
     with pytest.raises(ValueError):
         Budget(nodes=-1)
+    with pytest.raises(ValueError):
+        Budget(seconds=float("nan"))
+    assert Budget(seconds=float("inf")).seconds == float("inf")
 
 
 def test_interval_result_refuses_value():
@@ -161,7 +164,7 @@ def _placements(g, rows, cols):
 
 def _reference(g):
     """(rank, mask) of every placement of every block of 4..24 cells."""
-    return [(solve._block_rank(min(a, b), max(a, b)), p)
+    return [(solve.grid_rank(a, b), p)
             for a in range(1, 25) for b in range(1, 24 // a + 1) if a * b >= 4
             for p in _placements(g, a, b)]
 
@@ -327,6 +330,28 @@ def test_block_core_holds_every_top_separator():
     assert empty >= 50 and checked >= 60 and outside >= 200, (empty, checked, outside)
 
 
+def test_one_solve_per_small_grid(monkeypatch):
+    # the blocks, the closed forms' base cases and square_lower's small
+    # squares all read one table of grid ranks
+    real = solve.rank_exact
+    solved = []
+
+    def recording(g, *args, **kwargs):
+        solved.append(g.graph_hash)
+        return real(g, *args, **kwargs)
+
+    for mod in (solve, formulas, bounds, construct):
+        if getattr(mod, "rank_exact", None) is real:
+            monkeypatch.setattr(mod, "rank_exact", recording)
+    solve.grid_rank.cache_clear()
+    bounds.square_lower.cache_clear()
+    assert formulas.rank_3xn(5) == 6 and formulas.rank_4xn(2) == 4
+    assert bounds.square_lower(4) == 7
+    assert solve.rank_exact(build(GraphShape.grid(4, 5))).value == 8
+    assert build(GraphShape.grid(4, 4)).graph_hash in solved
+    assert len(solved) == len(set(solved))
+
+
 def test_block_table_is_not_charged_to_the_budget(monkeypatch):
     engines = []
 
@@ -340,7 +365,7 @@ def test_block_table_is_not_charged_to_the_budget(monkeypatch):
     runs = []
     for cold in (True, False):
         if cold:
-            solve._block_rank.cache_clear()
+            solve.grid_rank.cache_clear()
         res = rank_exact(g, budget=Budget(nodes=10000))
         runs.append((engines[-1].nodes, res.lb, res.ub, res.budget_exhausted))
     assert runs[0] == runs[1]
