@@ -62,10 +62,8 @@ def alpert_upper(m: int, n: int) -> int:
     """
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")
-    if m == 1:
-        return formulas.rank_path(n)
-    if n == 1:
-        return formulas.rank_path(m)
+    if m == 1 or n == 1:
+        return _best_known(m, n)
     return m + _best_known(m, n // 2)
 
 

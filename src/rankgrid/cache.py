@@ -81,7 +81,7 @@ class SolutionCache:
         kind = rec["kind"]
         if kind == "exact":
             key = rec["key"]
-            lb, ub = int(rec["lb"]), int(rec["ub"])
+            lb, ub = operator.index(rec["lb"]), operator.index(rec["ub"])
             if lb > ub:
                 raise ValueError("inverted interval")
             old = self._exact.get(key)
@@ -89,7 +89,7 @@ class SolutionCache:
             if old is None or (lb, -ub) > (old["lb"], -old["ub"]):
                 self._exact[key] = rec
         elif kind == "decision":
-            self._decision[(rec["key"], int(rec["k"]))] = rec
+            self._decision[(rec["key"], operator.index(rec["k"]))] = rec
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 

@@ -12,7 +12,7 @@ import csv
 import json
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -20,7 +20,7 @@ from . import bounds, construct, formulas
 from .cache import CACHE_VERSION, SolutionCache, resolve_cache_path
 from .graphs import Graph, GraphShape, ShapeError, StickyEnd, build
 from .render import render_ascii, render_svg
-from .solve import Budget, rank_decision, rank_exact
+from .solve import Budget, grid_rank, rank_decision, rank_exact
 from .verify import Ranking
 
 __all__ = ["main"]
@@ -259,8 +259,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 # -- sweep -----------------------------------------------------------------
 
-_SWEEP_COLUMNS = ["m", "n", "formula", "exact_lo", "exact_hi", "bucket_lo",
-                  "bucket_hi", "alpert", "diagonal", "cert_labels", "flags"]
 _SWEEP_METHODS = ("formula", "exact", "bucket", "bounds", "cert")
 
 
@@ -297,16 +295,19 @@ class SweepRow:
         return ";".join(toks)
 
     def as_record(self) -> dict[str, object]:
-        rec = {c: getattr(self, c) for c in _SWEEP_COLUMNS[:-1]}
-        rec["flags"] = self.flags()
-        return rec
+        return {**asdict(self), "flags": self.flags()}
+
+
+_SWEEP_COLUMNS = [f.name for f in fields(SweepRow)] + ["flags"]
 
 
 def _sweep_row(m: int, n: int, methods: set[str], budget: Budget | None) -> SweepRow:
     row = SweepRow(m=m, n=n)
     if "formula" in methods and m <= 4:
         row.formula = formulas.rank_formula(m, n)
-    if "exact" in methods:
+    if "exact" in methods and budget is None:
+        row.exact_lo = row.exact_hi = grid_rank(m, n)
+    elif "exact" in methods:
         res = rank_exact(build(GraphShape.grid(m, n)), budget=budget)
         row.exact_lo, row.exact_hi = res.lb, res.ub
     if "bucket" in methods and m == 4 and n >= 5:

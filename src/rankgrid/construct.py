@@ -397,7 +397,7 @@ def _tri_fill(s: int) -> CoordLabels:
 
 @cache
 def triangle_ranking(s: int) -> Ranking:
-    """A valid ranking of tri_s: solver-exact for s <= 6, row cuts above.
+    """A valid ranking of tri_s: solve.solved's for s <= 6, row cuts above.
 
     The row-cut schedule does not reach claimed_triangle_labels at every
     s; triangle_report shows the gap rather than hiding it.
@@ -406,9 +406,7 @@ def triangle_ranking(s: int) -> Ranking:
         raise ValueError("triangle side must be positive")
     shape = GraphShape.triangle(s)
     if s <= 6:
-        res = solve.rank_exact(build(shape))
-        assert res.certificate is not None
-        return res.certificate
+        return solve.solved(shape)
     labels = _row_cut_labels(s)  # first, so _tri_fill finds every cost cached
     return _to_ranking(shape, _tri_fill(s), labels)
 
@@ -641,10 +639,8 @@ def _step(name: str, inputs: tuple[Ranking, ...], out: Ranking) -> ChainStep:
 
 
 def _solver_chain(n: int) -> CertificateChain:
-    res = solve.rank_exact(build(GraphShape.grid(4, n)))
-    assert res.exact and res.certificate is not None
-    cert = res.certificate
-    return CertificateChain(( _step("solve", (), cert),), cert)
+    cert = solve.solved(GraphShape.grid(4, n))
+    return CertificateChain((_step("solve", (), cert),), cert)
 
 
 def _doubling_chain(k: int, base_k: int, a0_width: int, b0_anti: bool, lam0: int) -> CertificateChain:

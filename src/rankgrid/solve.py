@@ -10,9 +10,10 @@ Two independent routes:
   lb is the larger of path_lb and the rank of the best a x b grid block
   the subset holds, placed by coordinates in the graph's frame, since a
   ranking restricted to a subgraph is still a ranking.  Block ranks come
-  from grid_rank, a table filled by rank_exact itself; the closed forms'
-  base cases and the square lower bound read the same table, so no small
-  grid is solved twice in a process.
+  from grid_rank, which reads solved, the process's one table of
+  unbudgeted rank_exact certificates by shape; the closed forms' base
+  cases, square_lower, construct's small chains and triangles and an
+  unbudgeted sweep read it too, so none of them solves a shape twice.
   When an entry's lb equals the k asked, the one vertex labelled k lies
   in every placement of every block of rank k, so only that common core
   is tried as a separator, and an empty core refutes k.  rank_decision
@@ -46,6 +47,7 @@ __all__ = [
     "brute_force",
     "backtrack_labels",
     "grid_rank",
+    "solved",
 ]
 
 
@@ -55,10 +57,10 @@ class Budget:
 
     Each cap must be a positive number: NaN seconds are rejected like
     zero, while infinite seconds never run out.  Both caps count the
-    caller's own search only.  Filling grid_rank, the table of block ranks
-    that every graph draws lower bounds from, is a fixed cost of the
-    process, like build, and is charged to no budget: a budgeted reply
-    does not depend on what the same interpreter solved before.
+    caller's own search only.  Filling solved, the table of exact solves
+    that block bounds draw from, is a fixed cost of the process, like
+    build, and charged to no budget; a budgeted call never takes its reply
+    from it, so the reply does not depend on what was solved before.
     """
 
     seconds: float | None = None
@@ -406,14 +408,20 @@ def _checked(g: Graph, labels: list[int]) -> Ranking:
 
 
 @cache
+def solved(shape: GraphShape) -> Ranking:
+    """An optimal ranking of build(shape): rank_exact, unbudgeted, once per process."""
+    return rank_exact(build(shape)).certificate
+
+
+@cache
 def grid_rank(m: int, n: int) -> int:
     """Rank number of the m x n grid: the path rank for one row or column,
-    else solved by rank_exact, once per process for either orientation."""
+    else the label count of solved, one entry for either orientation."""
     if m > n:
         return grid_rank(n, m)
     if m == 1:
         return n.bit_length()
-    return rank_exact(build(GraphShape.grid(m, n))).value
+    return solved(GraphShape.grid(m, n)).label_count
 
 
 def _blocks(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
@@ -495,8 +503,7 @@ def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
         raise ValueError("rank_exact needs a nonempty graph")
     start = time.monotonic()
     eng = _Engine(g, budget, _blocks(g))
-    full = (1 << g.vertex_count) - 1
-    comps = eng.components(full)
+    comps = eng.components((1 << g.vertex_count) - 1)
 
     heur: dict[int, int] = {}
     heur_vals = [eng.greedy(c, heur) for c in comps]
@@ -534,8 +541,7 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
         raise ValueError(f"k must be >= 1, got {k}")
     start = time.monotonic()
     eng = _Engine(g, budget, _blocks(g))
-    full = (1 << g.vertex_count) - 1
-    comps = eng.components(full)
+    comps = eng.components((1 << g.vertex_count) - 1)
     try:
         ok = all(eng.feasible(c, k) for c in comps)
     except _BudgetExhausted:
@@ -568,10 +574,9 @@ def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankRes
     start = time.monotonic()
     deadline = (start + budget.seconds) if budget and budget.seconds else None
 
-    full = (1 << g.vertex_count) - 1
     eng = _Engine(g)  # reused only for component splitting
     total_labels = [0] * g.vertex_count
-    for comp in eng.components(full):
+    for comp in eng.components((1 << g.vertex_count) - 1):
         verts = _bfs_order(g, comp)
         sub, old = g.induced_subgraph(verts)
 

@@ -202,6 +202,15 @@ def test_sweep_cert_labels_meet_the_formula(capsys):
             assert cert == formula, n
 
 
+def test_budgeted_sweep_does_not_read_the_table_of_exact_solves(capsys):
+    # an unbudgeted sweep fills solve.solved; a budgeted one still searches
+    argv = ("sweep", "--m", "4", "--n-range", "6:6", "--methods", "exact")
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, *argv, "--budget-nodes", "50")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and int(row["exact_lo"]) < int(row["exact_hi"])
+
+
 def test_sweep_one_row_formula_matches_exact(capsys):
     code, out, _ = run(capsys, "sweep", "--m", "1", "--n-range", "1:20",
                        "--methods", "formula,exact", "--format", "json")
@@ -359,6 +368,20 @@ def test_exact_ignores_cached_invalid_labelling(capsys, tmp_path):
     code, out, _ = run(capsys, "exact", "--grid", "3x3", "--cache", str(path))
     doc = json.loads(out)
     assert code == 0 and doc["value"] == 5 and doc["method"] != "cache"
+
+
+def test_exact_skips_cache_records_with_non_integer_bounds(capsys, tmp_path):
+    path = tmp_path / "c.jsonl"
+    good = {"kind": "exact", "key": grid_3x3_key(), "lb": 5, "ub": 5,
+            "labels": [1, 2, 1, 3, 5, 4, 1, 2, 1], "elapsed": 0.0, "provenance": "exact"}
+    write_cache(path, {**good, "lb": "5", "ub": "5"}, good)
+    code, out, _ = run(capsys, "exact", "--grid", "3x3", "--cache", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["method"] == "cache" and doc["value"] == 5
+    write_cache(path, {**good, "lb": 5.0, "ub": 5.0})
+    code, out, _ = run(capsys, "exact", "--grid", "3x3", "--cache", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["method"] == "exact" and type(doc["value"]) is int and doc["value"] == 5
 
 
 def test_decide_ignores_edited_feasible_record(capsys, tmp_path):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import random_connected_graph
-from rankgrid import bounds, construct, formulas, solve
+from rankgrid import bounds, cli, construct, formulas, solve
 from rankgrid.graphs import Custom, Graph, GraphShape, RemoveCorner, StickyEnd, build
 from rankgrid.solve import Budget, brute_force, rank_decision, rank_exact
 from rankgrid.verify import validate
@@ -330,9 +330,10 @@ def test_block_core_holds_every_top_separator():
     assert empty >= 50 and checked >= 60 and outside >= 200, (empty, checked, outside)
 
 
-def test_one_solve_per_small_grid(monkeypatch):
-    # the blocks, the closed forms' base cases and square_lower's small
-    # squares all read one table of grid ranks
+def test_one_solve_per_small_grid(monkeypatch, capsys):
+    # the blocks, the closed forms' base cases, square_lower's small squares,
+    # the small four-row chains, small triangles and unbudgeted sweeps all
+    # read one table of exact solves
     real = solve.rank_exact
     solved = []
 
@@ -340,14 +341,19 @@ def test_one_solve_per_small_grid(monkeypatch):
         solved.append(g.graph_hash)
         return real(g, *args, **kwargs)
 
-    for mod in (solve, formulas, bounds, construct):
+    for mod in (solve, formulas, bounds, construct, cli):
         if getattr(mod, "rank_exact", None) is real:
             monkeypatch.setattr(mod, "rank_exact", recording)
-    solve.grid_rank.cache_clear()
-    bounds.square_lower.cache_clear()
+    for memo in (solve.solved, solve.grid_rank, bounds.square_lower,
+                 construct._endpoint_record, construct.triangle_ranking):
+        memo.cache_clear()
     assert formulas.rank_3xn(5) == 6 and formulas.rank_4xn(2) == 4
     assert bounds.square_lower(4) == 7
-    assert solve.rank_exact(build(GraphShape.grid(4, 5))).value == 8
+    assert cli.main(["sweep", "--m", "4", "--n-range", "4:7", "--methods", "formula,exact,cert"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert len(construct.run_endpoint_certificates(4)) == 26
+    assert [construct.triangle_ranking(s).label_count for s in range(1, 7)] == [1, 3, 4, 6, 8, 9]
+    assert solve.rank_exact(build(GraphShape.grid(5, 5))).value == 9
     assert build(GraphShape.grid(4, 4)).graph_hash in solved
     assert len(solved) == len(set(solved))
 
@@ -365,6 +371,7 @@ def test_block_table_is_not_charged_to_the_budget(monkeypatch):
     runs = []
     for cold in (True, False):
         if cold:
+            solve.solved.cache_clear()
             solve.grid_rank.cache_clear()
         res = rank_exact(g, budget=Budget(nodes=10000))
         runs.append((engines[-1].nodes, res.lb, res.ub, res.budget_exhausted))
