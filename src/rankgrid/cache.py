@@ -4,7 +4,8 @@ Plain JSONL, append-only: a version header line followed by one record
 per result.  Records are keyed by the graph hash, so any way of arriving
 at the same canonical graph shares entries.  Unreadable lines are
 skipped with a warning, and a hit whose labels fail validate is a miss;
-the cache is an accelerator, never an authority.
+the cache is an accelerator, never an authority.  An interval record (a
+solve that ran out of budget) settles nothing and is a quiet miss.
 """
 
 from __future__ import annotations
@@ -121,7 +122,9 @@ class SolutionCache:
 
     def get_exact(self, g: Graph) -> dict | None:
         rec = self._exact.get(g.graph_hash)
-        return None if rec is None else self._checked(g, rec, lambda count: count == rec["lb"])
+        if rec is None or rec["lb"] != rec["ub"]:
+            return None
+        return self._checked(g, rec, lambda count: count == rec["lb"])
 
     def put_exact(self, g: Graph, lb: int, ub: int, labels: list[int] | None,
                   elapsed: float) -> None:

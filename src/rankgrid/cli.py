@@ -143,7 +143,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     store = _open_cache(args)
     if store is not None:
         hit = store.get_exact(g)
-        if hit is not None and hit["lb"] == hit["ub"]:
+        if hit is not None:
             _emit({"method": "cache", "elapsed": 0.0, "budget_exhausted": False,
                    "value": hit["lb"], "labels": hit["labels"]})
             return 0
@@ -507,10 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ShapeError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -27,7 +27,6 @@ from .graphs import (
     GRID_STEPS,
     TRIANGLE,
     Coord,
-    Custom,
     Graph,
     GraphShape,
     ShapeError,
@@ -101,8 +100,9 @@ def _coord_labels(r: Ranking) -> CoordLabels:
     return {rc: r.labels[i] for i, rc in enumerate(r.graph.coords)}
 
 
-def _vflip(cl: CoordLabels, rows: int = 4) -> CoordLabels:
-    return {(rows - 1 - r, c): v for (r, c), v in cl.items()}
+def _vflip(cl: CoordLabels) -> CoordLabels:
+    # reflect the four rows top to bottom
+    return {(3 - r, c): v for (r, c), v in cl.items()}
 
 
 def _hflip(cl: CoordLabels, width: int) -> CoordLabels:
@@ -124,28 +124,26 @@ def _union(*parts: CoordLabels) -> CoordLabels:
     return out
 
 
-def _to_ranking(shape: GraphShape, cl: CoordLabels, expect: int, *, reject: bool = False) -> Ranking:
+def _to_ranking(shape: GraphShape, cl: CoordLabels, expect: int) -> Ranking:
     """Materialize an assembled labelling and insist it is a valid ranking.
 
-    Geometry or label-count mismatches are construction bugs and assert;
-    an invalid ranking asserts too unless reject=True, where it raises
-    ValueError (for builders whose inputs can legitimately clash).
+    Builders check their inputs before they assemble, so a labelling that
+    does not tile the shape, fails validate or misses the expected label
+    count is a construction bug: each raises AssertionError.
     """
     g = build(shape)
     if set(g.coords) != cl.keys():
         missing = sorted(set(g.coords) - cl.keys())[:4]
         extra = sorted(cl.keys() - set(g.coords))[:4]
         raise AssertionError(f"assembly does not tile {shape}: missing {missing}, extra {extra}")
-    return _checked(g, tuple(cl[rc] for rc in g.coords), expect, reject)
+    return _checked(g, tuple(cl[rc] for rc in g.coords), expect)
 
 
-def _checked(g: Graph, labels: tuple[int, ...], expect: int, reject: bool = False) -> Ranking:
+def _checked(g: Graph, labels: tuple[int, ...], expect: int) -> Ranking:
     """labels on g as a validated Ranking of exactly expect labels; see _to_ranking."""
     r = Ranking(g, labels)
     bad = validate(r)
     if bad is not None:
-        if reject:
-            raise ValueError(f"assembled labelling is not a ranking: {bad}")
         raise AssertionError(f"construction produced an invalid ranking: {bad}")
     if r.label_count != expect:
         raise AssertionError(f"expected {expect} labels, assembly uses {r.label_count}")
@@ -300,9 +298,9 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, tri_r: Ranking) -> Ranki
     sit below everything else.  At n = m+2, q = 0: inner is None and the
     corners and cut alone tile the grid.
 
-    The triangle ranking must stay valid when its bottom row gains a
-    common low neighbour (the inner grid); incompatible inputs are
-    rejected with ValueError.  See safe_triangle_ranking.
+    Inputs are checked first: inner or tri_r failing validate, or tri_r
+    not glue-safe beside an inner grid (see safe_triangle_ranking), raises
+    ValueError.  Checked inputs always assemble, so a failed assembly asserts.
     """
     if m < 2:
         raise ShapeError("needs at least two rows; one-row grids take vertical_cut")
@@ -315,6 +313,12 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, tri_r: Ranking) -> Ranki
     tshape = tri_r.graph.shape
     if tshape is None or tshape.family != TRIANGLE or tshape.m != m:
         raise ShapeError(f"triangle input must cover tri_{m}")
+    if inner is not None and (bad := validate(inner)) is not None:
+        raise ValueError(f"inner is not a ranking: {bad}")
+    if (bad := validate(tri_r)) is not None:
+        raise ValueError(f"triangle input is not a ranking: {bad}")
+    if q and not _glue_safe(tri_r):
+        raise ValueError("triangle ranking is not glue-safe next to the inner grid")
 
     li, lt = (inner.label_count if inner is not None else 0), tri_r.label_count
     top = li + lt + m
@@ -331,7 +335,7 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, tri_r: Ranking) -> Ranki
         (m - 1 - r, axis - c): v for (r, c), v in left.items() if axis - c < n
     }
     out = _union(left, cut, right)
-    return _to_ranking(GraphShape.grid(m, n), out, top, reject=True)
+    return _to_ranking(GraphShape.grid(m, n), out, top)
 
 
 # -- triangle rankings -----------------------------------------------------
@@ -461,8 +465,8 @@ def _glue_safe(r: Ranking) -> bool:
 
 
 # smallest known rankings that are valid on the triangle and glue-safe,
-# found by the search in safe_triangle_ranking; re-verified before use,
-# never trusted blind
+# found once by a backtracking search (test_construct reruns it for tri_3
+# and tri_4); safe_triangle_ranking re-checks one before every use
 _SAFE_SEEDS: dict[int, tuple[int, ...]] = {
     2: (1, 2, 3),
     3: (1, 2, 3, 1, 4, 2),
@@ -474,37 +478,22 @@ _SAFE_SEEDS: dict[int, tuple[int, ...]] = {
 def safe_triangle_ranking(m: int) -> Ranking:
     """A valid tri_m ranking that stays valid when glued along its bottom row.
 
-    Tries the plain triangle_ranking first, then a seed table, then
-    searches upward from the exact count for the smallest glue-safe
-    labelling.  For tri_4 this lands at 6 labels: every 5-label ranking
-    has two equal labels the inner grid would reconnect.
+    The plain triangle_ranking if _glue_safe accepts it, else the seed
+    table's ranking, checked again; for tri_4 that is 6 labels, since
+    every 5-label ranking has two equal labels the inner grid would
+    reconnect.  Any other m raises ValueError: no glue-safe ranking is
+    known, so no diagonal cut of m rows with an inner grid is built.
     """
     plain = triangle_ranking(m)
     if _glue_safe(plain):
         return plain
-    g = build(GraphShape.triangle(m))
     seed = _SAFE_SEEDS.get(m)
-    if seed is not None and len(seed) == g.vertex_count:
-        r = Ranking(g, seed)
-        if validate(r) is None and _glue_safe(r):
-            return r
-    for k in range(plain.label_count, 2 * m + 2):
-        found = _search_glue_safe(g, k)
-        if found is not None:
-            return found
-    raise ValueError(f"no glue-safe ranking of tri_{m} within {2 * m + 1} labels")
-
-
-def _search_glue_safe(g: Graph, k: int) -> Ranking | None:
-    """The first glue-safe ranking of the triangle g within k labels, or None."""
-    order = sorted(range(g.vertex_count), key=lambda v: -len(g.adjacency[v]))
-
-    def safe(labels: list[int]) -> bool:
-        r = Ranking(g, tuple(labels))
-        return validate(r) is None and _glue_safe(r)
-
-    found = solve.backtrack_labels(g, order, k, safe)
-    return None if found is None else Ranking(g, tuple(found))
+    if seed is None:
+        raise ValueError(f"no known glue-safe ranking of tri_{m}")
+    r = Ranking(build(GraphShape.triangle(m)), seed)
+    if validate(r) is not None or not _glue_safe(r):
+        raise AssertionError(f"seed of tri_{m} is not a glue-safe ranking")
+    return r
 
 
 # -- segmented construction with ruler-depth cuts --------------------------
@@ -543,30 +532,22 @@ def ruler_ranking(k: int) -> Ranking:
         raise ValueError("need k >= 3")
     pieces = 1 << (k - 2)
     width = 5 * pieces - 3
-    cut: CoordLabels = {}
+    # per row, the column of every cut, between sentinels -1 and width
+    cols: list[list[int]] = [[-1] for _ in range(4)]
+    out: CoordLabels = {}
     for i in range(1, pieces):
-        base = 5 * i - 3
         offs = (0, 1, 2, 1) if i % 2 else (1, 0, 1, 2)
         depth = (i & -i).bit_length()
         for r in range(4):
-            cut[(r, base + offs[r])] = 4 * depth + 5 - r
-    free = [
-        (r, c) for r in range(4) for c in range(width) if (r, c) not in cut
-    ]
-    free_set = set(free)
-    out = dict(cut)
-    for seed in free:  # row-major: an unlabelled seed is its segment's least cell
-        if seed in out:
-            continue
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            r, c = stack.pop()
-            for rc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if rc in free_set and rc not in comp:
-                    comp.add(rc)
-                    stack.append(rc)
-        out.update(_piece_labels(frozenset(comp)))
+            cols[r].append(5 * i - 3 + offs[r])
+            out[(r, cols[r][-1])] = 4 * depth + 5 - r
+    for row in cols:
+        row.append(width)
+    # segment j holds, in each row, the columns strictly between cuts j and j+1
+    for j in range(pieces):
+        out.update(_piece_labels(frozenset(
+            (r, c) for r, row in enumerate(cols) for c in range(row[j] + 1, row[j + 1])
+        )))
     return _to_ranking(GraphShape.grid(4, width), out, 4 * k - 3)
 
 

@@ -23,9 +23,10 @@ Two independent routes:
 * brute_force enumerates labelings outright with backtrack_labels.  It
   knows nothing about separators and serves as the oracle for the engine.
 
-Both respect wall-clock / node budgets.  Budget exhaustion is never
-silent: rank_exact degrades to a proven interval with the flag set,
-rank_decision reports "unknown", brute_force raises RuntimeError.
+Both respect wall-clock / node budgets, which cover rebuilding the
+certificate from the memo as well as the search.  Budget exhaustion is
+never silent: rank_exact degrades to a proven interval with the flag
+set, rank_decision reports "unknown", brute_force raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -514,17 +515,16 @@ def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
             eng.memo[key] = (lb, min(ub, hv))
 
     try:
-        values = [eng.rank_of(c) for c in comps]
+        value = max(eng.rank_of(c) for c in comps)
+        labels: dict[int, int] = {}
+        for comp in comps:
+            eng.extract(comp, labels)
     except _BudgetExhausted:
+        # a component whose rank_of finished has its value as memo lb
         lb_total = max(eng.memo[eng.canon(c)][0] if c & (c - 1) else 1 for c in comps)
         cert = _checked(g, _compress([heur[v] for v in range(g.vertex_count)]))
         return RankResult(lb_total, max(heur_vals), "exact", cert,
                           time.monotonic() - start, budget_exhausted=True)
-
-    value = max(values)
-    labels: dict[int, int] = {}
-    for comp in comps:
-        eng.extract(comp, labels)
     cert = _checked(g, [labels[v] for v in range(g.vertex_count)])
     if cert.label_count != value:
         raise AssertionError(
@@ -543,14 +543,13 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
     eng = _Engine(g, budget, _blocks(g))
     comps = eng.components((1 << g.vertex_count) - 1)
     try:
-        ok = all(eng.feasible(c, k) for c in comps)
+        if not all(eng.feasible(c, k) for c in comps):
+            return DecisionOutcome(None, False, time.monotonic() - start)
+        labels: dict[int, int] = {}
+        for c in comps:
+            eng.extract_decision(c, k, labels)
     except _BudgetExhausted:
         return DecisionOutcome(None, True, time.monotonic() - start)
-    if not ok:
-        return DecisionOutcome(None, False, time.monotonic() - start)
-    labels: dict[int, int] = {}
-    for c in comps:
-        eng.extract_decision(c, k, labels)
     cert = _checked(g, _compress([labels[v] for v in range(g.vertex_count)]))
     if cert.label_count > k:
         raise AssertionError("decision certificate exceeds k labels")

@@ -190,6 +190,18 @@ def test_exact_hit_needs_a_valid_ranking_of_lb_labels(tmp_path, g, caplog):
     assert SolutionCache(path).get_exact(g)["labels"] == LABELS
 
 
+def test_interval_record_is_a_quiet_miss(tmp_path):
+    # a budget-exhausted solve stores lb < ub; the next run must re-solve
+    # without reporting the record as corrupt
+    env = dict(os.environ, PYTHONPATH=str(Path(rankgrid.__file__).parents[1]))
+    argv = [sys.executable, "-m", "rankgrid.cli", "exact", "--grid", "4x8",
+            "--budget-nodes", "200", "--cache", str(tmp_path / "c.jsonl")]
+    for _ in range(2):
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (2, "")
+        assert json.loads(done.stdout)["budget_exhausted"] is True
+
+
 def test_feasible_decision_hit_needs_a_ranking_within_k(tmp_path, g, caplog):
     c = SolutionCache(tmp_path / "c.jsonl")
     c.put_decision(g, 2, True, [1] * 6, 0.0)

@@ -241,6 +241,17 @@ def test_exit_code_budget_exhausted(capsys):
     assert lo < hi
 
 
+def test_budget_out_during_certificate_extraction_exits_2(capsys):
+    # both budgets run out after the search, while its certificate is rebuilt
+    code, out, err = run(capsys, "exact", "--grid", "3x5", "--budget-nodes", "40", "--no-cache")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["interval"] == [6, 8]
+    code, out, err = run(capsys, "decide", "--grid", "4x5", "--k", "8", "--budget-nodes", "10",
+                         "--no-cache")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["proven"] is False
+
+
 def test_nan_budget_is_rejected(capsys):
     # NaN fails every comparison, so a "<= 0" test would let it through
     # as an unlimited budget

@@ -5,11 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import time
 
 import pytest
 
 from conftest import run_endpoint
-from rankgrid import bounds, construct, formulas
+from rankgrid import bounds, construct, formulas, solve
 from rankgrid.graphs import Graph, GraphShape, ShapeError, StickyEnd, build
 from rankgrid.solve import rank_exact
 from rankgrid.verify import Ranking, validate
@@ -203,16 +204,28 @@ def test_safe_triangle_ranking_counts():
 
 
 def test_glue_safe_search_finds_the_least_safe_count():
-    # the seed table answers safe_triangle_ranking before any search runs,
-    # so drive the search directly, one count below and at the answer
+    # the seed table holds the least glue-safe counts: a full search finds
+    # none one label below a seed and one at its count
     for m, k, found in [(3, 3, False), (3, 4, True), (4, 5, False), (4, 6, True)]:
         g = build(GraphShape.triangle(m))
-        r = construct._search_glue_safe(g, k)
-        if not found:
-            assert r is None, (m, k)
-            continue
-        assert validate(r) is None and construct._glue_safe(r)
-        assert r.label_count <= k
+        order = sorted(range(g.vertex_count), key=lambda v: -len(g.adjacency[v]))
+
+        def safe(labels: list[int]) -> bool:
+            r = Ranking(g, tuple(labels))
+            return validate(r) is None and construct._glue_safe(r)
+
+        labels = solve.backtrack_labels(g, order, k, safe)
+        assert (labels is not None) == found, (m, k)
+        if found:
+            assert max(labels) == k == construct.safe_triangle_ranking(m).label_count
+
+
+def test_safe_triangle_ranking_without_a_known_one_raises_at_once():
+    construct.triangle_ranking(6)  # the exact solve, not what is timed here
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="no known glue-safe ranking of tri_6"):
+        construct.safe_triangle_ranking(6)
+    assert time.monotonic() - start < 1.0
 
 
 def test_diagonal_cut_matches_known_totals():
@@ -244,6 +257,19 @@ def test_diagonal_cut_rejects_unsafe_triangle():
         pytest.skip("solver happened to return a glue-safe certificate")
     with pytest.raises(ValueError):
         construct.diagonal_cut(4, 14, inner, unsafe)
+
+
+def test_diagonal_cut_rejects_invalid_inputs():
+    # inputs that are not rankings are bad input, refused before assembly
+    inner = rank_exact(build(GraphShape.grid(4, 4))).certificate
+    tri = construct.safe_triangle_ranking(4)
+    flat_inner = Ranking(inner.graph, (1,) * 16)
+    with pytest.raises(ValueError, match="inner is not a ranking"):
+        construct.diagonal_cut(4, 14, flat_inner, tri)
+    flat_tri = Ranking(tri.graph, (1,) * 10)
+    for n, sub in [(14, inner), (6, None)]:
+        with pytest.raises(ValueError, match="triangle input is not a ranking"):
+            construct.diagonal_cut(4, n, sub, flat_tri)
 
 
 def test_diagonal_cut_rejects_bad_dims():
@@ -293,8 +319,8 @@ RULER_LABEL_SHA256 = {
 
 @pytest.mark.parametrize("k", sorted(RULER_LABEL_SHA256))
 def test_ruler_ranking_labels_are_pinned(k):
-    # SHA-256 of the comma-joined labels; the segments must be flooded from
-    # the same seeds in the same order for the ruler endpoints to stay put
+    # SHA-256 of the comma-joined labels; the segments must be the same cell
+    # sets between the same cut columns for the ruler endpoints to stay put
     labels = ",".join(map(str, construct.ruler_ranking(k).labels))
     assert hashlib.sha256(labels.encode()).hexdigest() == RULER_LABEL_SHA256[k]
 

@@ -94,6 +94,33 @@ def test_budget_exhaustion_reports_interval():
     assert res.certificate.label_count == res.ub
 
 
+@pytest.mark.parametrize("shape, budgets", [
+    (GraphShape.grid(3, 5), range(40, 55)),
+    (GraphShape.grid(4, 5), range(588, 606)),
+    (GraphShape.grid(2, 20), range(196, 255)),
+    (GraphShape.path(100), range(5, 6)),
+])
+def test_budget_running_out_in_certificate_extraction(shape, budgets):
+    # these budgets outlast the search but not the rebuilding of its
+    # certificate; the reply is still a proven interval, never an exception
+    g = build(shape)
+    value = rank_exact(g).value
+    for nodes in budgets:
+        res = rank_exact(g, budget=Budget(nodes=nodes))
+        assert res.lb <= value <= res.ub, nodes
+        assert validate(res.certificate) is None
+        assert res.certificate.label_count == res.ub
+
+
+def test_decision_budget_running_out_in_certificate_extraction():
+    g = build(GraphShape.grid(4, 5))
+    for nodes in range(10, 20):
+        out = rank_decision(g, 8, budget=Budget(nodes=nodes))
+        assert out.feasible is not False, nodes
+        if out.ranking is not None:
+            assert validate(out.ranking) is None and out.ranking.label_count <= 8
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(seconds=0)
