@@ -128,6 +128,11 @@ class SolutionCache:
 
     def put_exact(self, g: Graph, lb: int, ub: int, labels: list[int] | None,
                   elapsed: float) -> None:
+        """Record [lb, ub] for g unless the cache already holds an interval
+        at least as tight, so repeated budgeted runs do not grow the file."""
+        old = self._exact.get(g.graph_hash)
+        if old is not None and old["lb"] >= lb and old["ub"] <= ub:
+            return
         rec = {
             "kind": "exact",
             "key": g.graph_hash,

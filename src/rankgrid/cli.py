@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import operator
 import sys
@@ -503,9 +504,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command with the cyclic collector paused.
+
+    rankgrid's data are acyclic (int-keyed dicts, tuples, frozen
+    dataclasses), so reference counting frees them without the collector;
+    a command leaves only a fixed few hundred cyclic objects, mostly the
+    parser, whatever its size.  The caller's collector state is restored on
+    every exit path, --help's SystemExit included.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:  # ShapeError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
@@ -513,6 +523,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

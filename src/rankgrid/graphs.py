@@ -333,11 +333,14 @@ class Graph:
         return Graph(len(keep), edges, coords), keep
 
     def to_json_dict(self) -> dict:
+        """The graph as JSON-ready data.  edges and coords are the graph's
+        own tuples, not copies: the JSON writers put a tuple out exactly as
+        a list, and a copy would cost about three containers per vertex."""
         return {
             "shape": self.shape.to_json_dict() if self.shape is not None else None,
             "vertex_count": self.vertex_count,
-            "edges": [list(e) for e in self.edges],
-            "coords": [list(c) for c in self.coords],
+            "edges": self.edges,
+            "coords": self.coords,
         }
 
     @staticmethod

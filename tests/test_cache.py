@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import rankgrid
+from rankgrid import cli
 from rankgrid.cache import CACHE_VERSION, ENV_VAR, SolutionCache, resolve_cache_path
 from rankgrid.graphs import GraphShape, build
 
@@ -200,6 +201,29 @@ def test_interval_record_is_a_quiet_miss(tmp_path):
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (2, "")
         assert json.loads(done.stdout)["budget_exhausted"] is True
+
+
+def test_repeated_budgeted_runs_append_once(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    argv = ["exact", "--grid", "4x8", "--budget-nodes", "200", "--cache", str(path)]
+    for _ in range(3):
+        assert cli.main(argv) == 2
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"rankgrid_cache": CACHE_VERSION}
+    assert len(lines) == 2
+
+
+def test_only_tightening_intervals_are_appended(tmp_path, g):
+    path = tmp_path / "c.jsonl"
+    c = SolutionCache(path)
+    steps = [(2, 6, True), (2, 6, False), (3, 6, True), (3, 6, False), (2, 5, True),
+             (3, 5, True), (4, 4, True), (4, 4, False), (3, 5, False)]
+    for lb, ub, written in steps:
+        before = path.stat().st_size if path.exists() else 0
+        c.put_exact(g, lb, ub, LABELS if lb == ub else None, 0.0)
+        assert (path.stat().st_size > before) is written, (lb, ub)
+    assert SolutionCache(path).get_exact(g)["labels"] == LABELS
 
 
 def test_feasible_decision_hit_needs_a_ranking_within_k(tmp_path, g, caplog):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -239,6 +240,61 @@ def test_exit_code_budget_exhausted(capsys):
     assert doc["budget_exhausted"] is True
     lo, hi = doc["interval"]
     assert lo < hi
+
+
+def test_main_restores_the_collector_state(capsys, monkeypatch):
+    def broken(n):
+        raise AssertionError("forced")
+
+    monkeypatch.setattr(construct, "four_row_certificate", broken)
+    commands = [
+        (0, ["formula", "--m", "4", "--n", "9"]),
+        (1, ["exact", "--grid", "0x4"]),
+        (2, ["exact", "--grid", "4x6", "--no-cache", "--budget-nodes", "50"]),
+        (3, ["construct", "--four-rows", "9"]),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            for code, argv in commands:
+                assert cli.main(argv) == code, argv
+                assert gc.isenabled() is enabled, argv
+            with pytest.raises(SystemExit):
+                cli.main(["--help"])
+            assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
+def test_command_cyclic_garbage_does_not_grow_with_its_work(capsys, tmp_path):
+    # main pauses the collector because a command's cyclic garbage is a
+    # fixed few hundred objects (mostly the parser), not a share of its work
+    out = str(tmp_path / "c.json")
+    pairs = [
+        (["construct", "--four-rows", "64", "--out", out], ["construct", "--four-rows", "2000", "--out", out]),
+        (["exact", "--grid", "3x4"], ["exact", "--grid", "4x6"]),
+    ]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for pair in pairs:
+            counts = []
+            for argv in pair:
+                gc.collect()
+                assert cli.main(argv) == 0
+                counts.append(gc.collect())
+            assert max(counts) < 1000, (pair, counts)
+            assert abs(counts[0] - counts[1]) <= 100, (pair, counts)
+    finally:
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_budget_out_during_certificate_extraction_exits_2(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from rankgrid.graphs import (
@@ -173,6 +175,24 @@ def test_graph_json_round_trip():
     assert back.edges == g.edges
     assert back.coords == g.coords
     assert back.graph_hash == g.graph_hash
+
+
+@pytest.mark.parametrize("shape", [
+    GraphShape.grid(3, 5),
+    GraphShape.grid(4, 6, (StickyEnd("left"), StickyEnd("right"))),
+    GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)),)),
+    GraphShape.triangle(5),
+])
+def test_graph_json_dict_writes_like_lists(shape):
+    # to_json_dict hands out the graph's own tuples; they must dump exactly
+    # as the per-edge and per-coord lists it once built
+    g = build(shape)
+    data = g.to_json_dict()
+    assert data["edges"] is g.edges and data["coords"] is g.coords
+    as_lists = dict(data, edges=[list(e) for e in g.edges], coords=[list(c) for c in g.coords])
+    assert json.dumps(data, sort_keys=True) == json.dumps(as_lists, sort_keys=True)
+    back = Graph.from_json_dict(data)
+    assert back == g and back.shape == g.shape
 
 
 def test_adjacency_is_ascending():
