@@ -2,10 +2,12 @@
 
 Two constructive upper bounds for ``G_{m,n}``: the halving bound (rank a
 separator column, recurse on the wider half) and the diagonal bound (cut
-along a staircase diagonal, pay for a triangle ranking once).  Lower bounds
-come from the square-subgrid recursion and its rational corollaries.  All of
-it is arithmetic except the square recursion below side 5, which reads the
-exact values from solve.grid_rank.
+along a staircase diagonal, pay for a glued corner ranking once).  Lower
+bounds come from the square-subgrid recursion and its rational corollaries.
+All of it is arithmetic except two table reads: the square recursion below
+side 5 reads exact values from solve.grid_rank, and the diagonal bound reads
+the corner's rank from solve.solved(construct.corner_shape(m)), the corner
+construct.diagonal_cut places.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 from functools import cache
 
 from . import formulas
-from .construct import _row_cut_labels
-from .solve import grid_rank
+from .construct import _row_cut_labels, corner_shape
+from .solve import grid_rank, solved
 
 __all__ = [
     "alpert_upper",
@@ -79,20 +81,28 @@ def tri_bound(m: int) -> int:
     return _row_cut_labels(m)
 
 
-def diagonal_upper(m: int, n: int) -> int:
-    """Diagonal-cut upper bound: corner triangles plus a recursive inner grid.
+# diagonal_upper is on the paths that print values, so it must not pay for
+# a slow solve: the glued corner solves cold in 0.025 s at m = 5, 0.55 s
+# at m = 6 and about 23 s at m = 7 (2-vCPU host, CPython 3.11)
+_CORNER_MAX_M = 5
 
-    Evaluates ``m + tri_bound(m) + r(m, ceil((n - m) / 2) - 1)`` with the
-    same sub-instance values as :func:`alpert_upper`.  Only applicable for
-    n >= m + 2; narrower grids leave no room for the cut.
+
+def diagonal_upper(m: int, n: int) -> int | None:
+    """Diagonal-cut upper bound: the label count of construct.diagonal_cut.
+
+    Evaluates ``m + c(m) + r(m, ceil((n - m) / 2) - 1)``, where c(m) is the
+    rank of solve.solved(corner_shape(m)) and the inner grid takes the same
+    sub-instance value as :func:`alpert_upper`.  None where no cut is
+    built: n < m + 2 leaves no room, one row has no corner, and corners
+    past _CORNER_MAX_M rows are not solved here.
     """
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")
-    if n < m + 2:
-        raise ValueError(f"diagonal bound needs n >= m + 2, got {m}x{n}")
+    if not 2 <= m <= _CORNER_MAX_M or n < m + 2:
+        return None
     inner = -(-(n - m) // 2) - 1
     rest = _best_known(m, inner) if inner > 0 else 0
-    return m + tri_bound(m) + rest
+    return m + solved(corner_shape(m)).label_count + rest
 
 
 def crossover_threshold(m: int) -> float:
@@ -130,15 +140,12 @@ class ComparatorReport:
 def compare_upper(m: int, n: int) -> ComparatorReport:
     """Evaluate both upper bounds and name the strictly smaller one.
 
-    ``tighter`` is "alpert", "diagonal", or "tie"; when the diagonal bound
-    is not applicable (n < m + 2) its value is None and the halving bound
+    ``tighter`` is "alpert", "diagonal", or "tie"; where no diagonal cut
+    is built (see diagonal_upper) its value is None and the halving bound
     wins by default.
     """
     a = alpert_upper(m, n)
-    try:
-        d: int | None = diagonal_upper(m, n)
-    except ValueError:
-        d = None
+    d = diagonal_upper(m, n)
     if d is None or a < d:
         tighter = "alpert"
     elif d < a:

@@ -86,8 +86,9 @@ class SolutionCache:
             if lb > ub:
                 raise ValueError("inverted interval")
             old = self._exact.get(key)
-            # keep the tightest information seen
-            if old is None or (lb, -ub) > (old["lb"], -old["ub"]):
+            # keep the tightest information seen; of equal intervals the
+            # later wins, so a fresh solve replaces a record that failed
+            if old is None or (lb, -ub) >= (old["lb"], -old["ub"]):
                 self._exact[key] = rec
         elif kind == "decision":
             self._decision[(rec["key"], operator.index(rec["k"]))] = rec
@@ -121,10 +122,15 @@ class SolutionCache:
     # -- exact results -----------------------------------------------------
 
     def get_exact(self, g: Graph) -> dict | None:
+        """The settled record for g, or None.  A record that fails its
+        check leaves the view, so put_exact appends the fresh solve."""
         rec = self._exact.get(g.graph_hash)
         if rec is None or rec["lb"] != rec["ub"]:
             return None
-        return self._checked(g, rec, lambda count: count == rec["lb"])
+        if self._checked(g, rec, lambda count: count == rec["lb"]) is None:
+            del self._exact[g.graph_hash]
+            return None
+        return rec
 
     def put_exact(self, g: Graph, lb: int, ub: int, labels: list[int] | None,
                   elapsed: float) -> None:

@@ -316,8 +316,7 @@ def _sweep_row(m: int, n: int, methods: set[str], budget: Budget | None) -> Swee
         row.bucket_lo, row.bucket_hi = b.lower, b.upper
     if "bounds" in methods:
         row.alpert = bounds.alpert_upper(m, n)
-        if n >= m + 2:
-            row.diagonal = bounds.diagonal_upper(m, n)
+        row.diagonal = bounds.diagonal_upper(m, n)
     if "cert" in methods and m == 4:
         row.cert_labels = construct.four_row_certificate(n).labels
     return row

@@ -25,15 +25,14 @@ from . import formulas, solve
 from .graphs import (
     GRID,
     GRID_STEPS,
-    TRIANGLE,
     Coord,
+    Custom,
     Graph,
     GraphShape,
     ShapeError,
     StickyEnd,
     build,
     _lattice_edges,
-    staircase_triangle_map,
 )
 from .verify import Ranking, validate
 
@@ -44,9 +43,9 @@ __all__ = [
     "merge_two_sticky",
     "merging_lemma",
     "vertical_cut",
+    "corner_shape",
     "diagonal_cut",
     "triangle_ranking",
-    "safe_triangle_ranking",
     "claimed_triangle_labels",
     "TriangleRow",
     "triangle_report",
@@ -287,20 +286,37 @@ def vertical_cut(m: int, n: int, sub: Ranking) -> Ranking:
     return _to_ranking(GraphShape.grid(m, n), out, lam + m)
 
 
-def diagonal_cut(m: int, n: int, inner: Ranking | None, tri_r: Ranking) -> Ranking:
-    """Two corner triangles and a mirrored inner grid around one diagonal.
+def corner_shape(m: int) -> GraphShape:
+    """The glued corner: one full column of m cells, a bottom staircase on
+    its right, and every two first-column cells that are not already
+    adjacent joined by an edge.  diagonal_cut takes a ranking of it."""
+    pairs = tuple(((a, 0), (b, 0)) for a in range(m) for b in range(a + 2, m))
+    return GraphShape.grid(m, 1, (StickyEnd("right"),) + ((Custom((), pairs),) if pairs else ()))
+
+
+def diagonal_cut(m: int, n: int, inner: Ranking | None, corner: Ranking) -> Ranking:
+    """Two glued corners and a mirrored inner grid around one diagonal.
 
     Layout, left to right: inner grid G_{m,q} with q = ceil((n-m)/2)-1 on
-    labels 1..li, a triangular corner carrying tri_r's labels shifted by
-    li, the m-vertex descending cut on the top m labels, then the corner
-    and inner again, spun 180 degrees.  The corners sit on opposite sides
-    of the cut, so they can share the triangle block; both inner copies
-    sit below everything else.  At n = m+2, q = 0: inner is None and the
-    corners and cut alone tile the grid.
+    labels 1..li, a corner carrying corner's labels shifted by li (its
+    cell (r, c) at grid cell (r, q + c)), the m-vertex descending cut on
+    the top m labels, then the corner and inner again, spun 180 degrees.
+    The corners sit on opposite sides of the cut, so they can share one
+    label block; both inner copies sit below everything else.  At
+    n = m+2, q = 0: inner is None and the corners and cut alone tile the
+    grid.
 
-    Inputs are checked first: inner or tri_r failing validate, or tri_r
-    not glue-safe beside an inner grid (see safe_triangle_ranking), raises
-    ValueError.  Checked inputs always assemble, so a failed assembly asserts.
+    corner must rank corner_shape(m), whose first column is a clique.
+    Every corner label exceeds every inner label, so a path that leaves
+    the corner through the inner grid meets only lower labels and comes
+    back on the first column: to the corner the inner grid is one edge
+    between any two first-column cells, and the clique already holds it.
+    The unit edges of the staircase are grid edges, so a ranking of
+    corner_shape(m) stays a ranking once glued.
+
+    Inputs are checked first: a corner of any other shape raises
+    ShapeError, and inner or corner failing validate raises ValueError.
+    Checked inputs always assemble, so a failed assembly asserts.
     """
     if m < 2:
         raise ShapeError("needs at least two rows; one-row grids take vertical_cut")
@@ -310,23 +326,17 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, tri_r: Ranking) -> Ranki
     ishape = inner.graph.shape if inner is not None else None
     if (q or inner is not None) and (ishape is None or ishape.decorations or (ishape.m, ishape.n) != (m, q)):
         raise ShapeError(f"inner must be {f'a plain {m}x{q} grid' if q else 'None'} for n={n}")
-    tshape = tri_r.graph.shape
-    if tshape is None or tshape.family != TRIANGLE or tshape.m != m:
-        raise ShapeError(f"triangle input must cover tri_{m}")
+    if corner.graph.shape != corner_shape(m):
+        raise ShapeError(f"corner must be a ranking of corner_shape({m})")
     if inner is not None and (bad := validate(inner)) is not None:
         raise ValueError(f"inner is not a ranking: {bad}")
-    if (bad := validate(tri_r)) is not None:
-        raise ValueError(f"triangle input is not a ranking: {bad}")
-    if q and not _glue_safe(tri_r):
-        raise ValueError("triangle ranking is not glue-safe next to the inner grid")
+    if (bad := validate(corner)) is not None:
+        raise ValueError(f"corner is not a ranking: {bad}")
 
-    li, lt = (inner.label_count if inner is not None else 0), tri_r.label_count
-    top = li + lt + m
-    tri_at = _coord_labels(tri_r)
+    li = inner.label_count if inner is not None else 0
+    top = li + corner.label_count + m
     left = _coord_labels(inner) if inner is not None else {}
-    # corner columns q..q+m-1, column q+d keeping rows d..m-1, onto tri_m
-    for grid_rc, tri_rc in staircase_triangle_map(m, q + 1).items():
-        left[grid_rc] = li + tri_at[tri_rc]
+    left.update(((r, q + c), li + v) for (r, c), v in _coord_labels(corner).items())
     cut = {(r, q + 1 + r): top - r for r in range(m)}
     # (n-m) even reflects about column (n-1)/2 exactly; odd shifts the
     # mirror one column right and clips one inner column off the far side
@@ -428,72 +438,6 @@ def triangle_report(s_max: int) -> list[TriangleRow]:
         TriangleRow(s, claimed_triangle_labels(s), triangle_ranking(s).label_count)
         for s in range(1, s_max + 1)
     ]
-
-
-@cache
-def _corner_graph(m: int) -> tuple[Graph, dict[Coord, Coord]]:
-    """The glued corner as it sits in the grid, plus one hub vertex.
-
-    The corner keeps only unit edges (it is a spanning subgraph of the
-    triangle), and the hub attaches to its full-height first column, the
-    side the inner grid touches.
-    """
-    cmap = staircase_triangle_map(m, 1)
-    hub = (m, 0)
-    ordered = sorted(cmap, key=lambda rc: (rc[1], rc[0])) + [hub]
-    # cells sort by (col, row), so the first column is vertices 0..m-1
-    edges = _lattice_edges(ordered, GRID_STEPS, {hub}) + [(r, len(ordered) - 1) for r in range(m)]
-    return Graph(len(ordered), tuple(sorted(edges)), tuple(ordered)), cmap
-
-
-def _glue_safe(r: Ranking) -> bool:
-    """Does r survive the corner placement next to a lower-labelled grid?
-
-    In the assembly every corner label exceeds every inner label, so at
-    any corner level the whole inner grid is present and acts as one
-    low hub joining the corner's first column.  Checking the corner's
-    unit-edge geometry with that hub is exactly the glued condition.
-    """
-    m = r.graph.shape.m
-    g, cmap = _corner_graph(m)
-    tri_at = _coord_labels(r)
-    hub = (m, 0)
-    labels = tuple(
-        1 if rc == hub else tri_at[cmap[rc]] + 1 for rc in g.coords
-    )
-    return validate(Ranking(g, labels)) is None
-
-
-# smallest known rankings that are valid on the triangle and glue-safe,
-# found once by a backtracking search (test_construct reruns it for tri_3
-# and tri_4); safe_triangle_ranking re-checks one before every use
-_SAFE_SEEDS: dict[int, tuple[int, ...]] = {
-    2: (1, 2, 3),
-    3: (1, 2, 3, 1, 4, 2),
-    4: (3, 1, 5, 2, 4, 1, 1, 6, 2, 3),
-    5: (1, 2, 3, 4, 1, 7, 1, 5, 6, 1, 3, 2, 1, 8, 4),
-}
-
-
-def safe_triangle_ranking(m: int) -> Ranking:
-    """A valid tri_m ranking that stays valid when glued along its bottom row.
-
-    The plain triangle_ranking if _glue_safe accepts it, else the seed
-    table's ranking, checked again; for tri_4 that is 6 labels, since
-    every 5-label ranking has two equal labels the inner grid would
-    reconnect.  Any other m raises ValueError: no glue-safe ranking is
-    known, so no diagonal cut of m rows with an inner grid is built.
-    """
-    plain = triangle_ranking(m)
-    if _glue_safe(plain):
-        return plain
-    seed = _SAFE_SEEDS.get(m)
-    if seed is None:
-        raise ValueError(f"no known glue-safe ranking of tri_{m}")
-    r = Ranking(build(GraphShape.triangle(m)), seed)
-    if validate(r) is not None or not _glue_safe(r):
-        raise AssertionError(f"seed of tri_{m} is not a glue-safe ranking")
-    return r
 
 
 # -- segmented construction with ruler-depth cuts --------------------------

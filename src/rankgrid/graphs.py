@@ -386,7 +386,7 @@ def _lattice_edges(
 
     Vertex i sits at ordered[i]; each step (dr, dc) joins (r, c) to
     (r+dr, c+dc) when both are present.  Coords in unwired get no lattice
-    edges (custom vertices, a glue hub); each is one of ordered.  (r, c) is
+    edges (custom vertices); each is one of ordered.  (r, c) is
     keyed as r*w + c - lo, with lo one below the least column and w the
     column span plus a margin each side, so a one-column step never wraps.
     """
@@ -454,15 +454,3 @@ def build(shape: GraphShape) -> Graph:
         raise ShapeError("decorations leave the graph disconnected")
     return g
 
-
-def staircase_triangle_map(m: int, n: int) -> dict[Coord, Coord]:
-    """Map a right, bottom-aligned sticky end plus its adjacent full column
-    onto tri_m coords.
-
-    The staircase column of height m-j becomes triangle row m-1-j; every
-    unit edge of the staircase lands on a triangle edge, so the staircase
-    is a spanning subgraph of tri_m.  That is what lets a triangle
-    ranking be copied onto it.
-    """
-    # j=0 is the adjacent full column of the grid itself
-    return {(r, n - 1 + j): (m - 1 - j, r - j) for j in range(m) for r in range(j, m)}

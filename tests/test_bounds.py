@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from rankgrid import bounds, construct, formulas
+from rankgrid import bounds, construct, formulas, solve
 from rankgrid.graphs import GraphShape, build
 from rankgrid.solve import rank_exact
+from rankgrid.verify import validate
 
 
 def test_alpert_upper_values():
@@ -54,27 +55,41 @@ def test_tri_bound_is_at_least_the_exact_rank():
 
 
 def test_diagonal_upper_values():
-    assert bounds.diagonal_upper(4, 20) == 19
-    assert bounds.diagonal_upper(5, 20) == 24
-    assert bounds.diagonal_upper(1, 7) == 4
-    assert bounds.diagonal_upper(4, 14) == 17
+    assert bounds.diagonal_upper(4, 20) == 18
+    assert bounds.diagonal_upper(5, 20) == 23
+    assert bounds.diagonal_upper(4, 14) == 16
     assert bounds.diagonal_upper(3, 7) == 9
+    assert bounds.diagonal_upper(2, 4) == 4
 
 
 def test_diagonal_upper_matches_the_built_cut():
-    for m, n in [(4, 14), (3, 7)]:
+    # every printed diagonal value with an exact inner grid (q <= 4) is the
+    # label count of a cut that is built and validated; with the halving
+    # value for the inner grid (m = 5, q >= 5) the same count is built
+    # from a vertical cut of the solved half
+    walk = [(m, n) for m in range(2, 6) for n in range(m + 2, m + 11)]
+    for m, n in walk + [(5, 16), (5, 17), (5, 18)]:
         q = (n - m + 1) // 2 - 1
-        inner = rank_exact(build(GraphShape.grid(m, q))).certificate
-        cut = construct.diagonal_cut(m, n, inner, construct.safe_triangle_ranking(m))
-        assert bounds.diagonal_upper(m, n) == cut.label_count
+        if q > 4:
+            inner = construct.vertical_cut(m, q, solve.solved(GraphShape.grid(m, q // 2)))
+        else:
+            inner = solve.solved(GraphShape.grid(m, q)) if q else None
+        cut = construct.diagonal_cut(m, n, inner, solve.solved(construct.corner_shape(m)))
+        assert validate(cut) is None
+        assert bounds.diagonal_upper(m, n) == cut.label_count, (m, n)
+        assert bounds.compare_upper(m, n).diagonal_value == cut.label_count
 
 
 def test_diagonal_upper_needs_room():
-    with pytest.raises(ValueError):
-        bounds.diagonal_upper(4, 5)
-    with pytest.raises(ValueError):
-        bounds.diagonal_upper(3, 3)
-    bounds.diagonal_upper(3, 5)
+    # None wherever no cut is built: no room, no corner, or no solved corner
+    assert bounds.diagonal_upper(4, 5) is None
+    assert bounds.diagonal_upper(3, 3) is None
+    assert bounds.diagonal_upper(3, 5) == 7
+    assert all(bounds.diagonal_upper(1, n) is None for n in range(1, 41))
+    assert all(bounds.diagonal_upper(m, 40) is None for m in range(6, 13))
+    for m, n in [(0, 5), (3, 0)]:
+        with pytest.raises(ValueError):
+            bounds.diagonal_upper(m, n)
 
 
 def test_crossover_threshold():
@@ -86,10 +101,12 @@ def test_crossover_threshold():
 
 def test_compare_upper_reports():
     rep = bounds.compare_upper(4, 20)
-    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (14, 19, "alpert")
+    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (14, 18, "alpert")
     assert rep.threshold == pytest.approx(bounds.crossover_threshold(4))
     rep = bounds.compare_upper(5, 20)
-    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (20, 24, "alpert")
+    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (20, 23, "alpert")
+    rep = bounds.compare_upper(4, 6)
+    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (10, 9, "diagonal")
 
 
 def test_compare_upper_without_diagonal():
@@ -99,12 +116,12 @@ def test_compare_upper_without_diagonal():
 
 
 def test_compare_upper_consistent_over_sweep():
-    for m in range(1, 7):
-        for n in range(m + 2, 80):
+    for m in range(1, 13):
+        for n in range(1, 80):
             rep = bounds.compare_upper(m, n)
             assert rep.alpert_value == bounds.alpert_upper(m, n)
             assert rep.diagonal_value == bounds.diagonal_upper(m, n)
-            if rep.alpert_value < rep.diagonal_value:
+            if rep.diagonal_value is None or rep.alpert_value < rep.diagonal_value:
                 assert rep.tighter == "alpert"
             elif rep.alpert_value > rep.diagonal_value:
                 assert rep.tighter == "diagonal"

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from conftest import run_endpoint
-from rankgrid import cli, construct, formulas
+from rankgrid import bounds, cli, construct, formulas
 from rankgrid.cache import CACHE_VERSION, ENV_VAR
 from rankgrid.graphs import Graph, GraphShape, build
 from rankgrid.verify import Ranking, validate
@@ -109,7 +109,7 @@ def test_bounds_grid(capsys):
     doc = json.loads(out)
     assert doc["lower"]["thm2"] == 7
     assert doc["lower"]["cor1"] == "35/9"
-    assert doc["upper"] == {"alpert": 14, "diagonal": 19}
+    assert doc["upper"] == {"alpert": 14, "diagonal": 18}
     assert doc["comparator"]["tighter"] == "alpert"
 
 
@@ -124,7 +124,21 @@ def test_compare(capsys):
     code, out, _ = run(capsys, "compare", "--m", "5", "--n", "20")
     assert code == 0
     doc = json.loads(out)
-    assert (doc["alpert"], doc["diagonal"], doc["tighter"]) == (20, 24, "alpert")
+    assert (doc["alpert"], doc["diagonal"], doc["tighter"]) == (20, 23, "alpert")
+    doc = json.loads(run(capsys, "compare", "--m", "4", "--n", "6")[1])
+    assert (doc["alpert"], doc["diagonal"], doc["tighter"]) == (10, 9, "diagonal")
+
+
+def test_print_paths_never_run_the_triangle_dp(capsys, monkeypatch):
+    # bounds, compare and sweep print the diagonal bound without the O(m^3)
+    # row-cut table; only bounds --triangle prints tri_bound
+    def refuse(m):
+        raise AssertionError(f"tri_bound({m}) on a print path")
+
+    monkeypatch.setattr(bounds, "tri_bound", refuse)
+    for argv in (["bounds", "--m", "400", "--n", "410"], ["compare", "--m", "400", "--n", "410"],
+                 ["sweep", "--m", "400", "--n-range", "402:404", "--methods", "bounds"]):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_construct_manifest_round_trips(capsys, tmp_path):
@@ -435,6 +449,22 @@ def test_exact_ignores_cached_invalid_labelling(capsys, tmp_path):
     code, out, _ = run(capsys, "exact", "--grid", "3x3", "--cache", str(path))
     doc = json.loads(out)
     assert code == 0 and doc["value"] == 5 and doc["method"] != "cache"
+
+
+def test_exact_heals_a_record_that_fails_its_check(capsys, tmp_path):
+    # the fresh solve is appended, and of two equal intervals the later
+    # wins on reload, so the second run is a hit
+    path = tmp_path / "c.jsonl"
+    write_cache(path, {"kind": "exact", "key": build(GraphShape.grid(2, 3)).graph_hash,
+                       "lb": 4, "ub": 4, "labels": [1] * 6, "elapsed": 0.0,
+                       "provenance": "exact"})
+    methods = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "exact", "--grid", "2x3", "--cache", str(path))
+        doc = json.loads(out)
+        assert code == 0 and doc["value"] == 4
+        methods.append(doc["method"])
+    assert methods == ["exact", "cache"]
 
 
 def test_exact_skips_cache_records_with_non_integer_bounds(capsys, tmp_path):

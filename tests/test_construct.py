@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
 
 import pytest
 
@@ -196,103 +195,96 @@ def test_triangle_report_shape_and_gap():
     assert rows[3].claimed == 5 and rows[3].achieved == 6
 
 
-def test_safe_triangle_ranking_counts():
-    for m, lam in [(2, 3), (3, 4), (4, 6)]:
-        r = construct.safe_triangle_ranking(m)
-        assert validate(r) is None
-        assert r.label_count == lam
+def test_corner_ranks():
+    # the glued corner: a column, its bottom staircase, and the column as a clique
+    assert construct.corner_shape(2) == GraphShape.grid(2, 1, (StickyEnd("right"),))
+    for m, rank in [(2, 2), (3, 4), (4, 5), (5, 7)]:
+        shape = construct.corner_shape(m)
+        g = build(shape)
+        assert g.vertex_count == m * (m + 1) // 2
+        column = [g.index_by_coord[(r, 0)] for r in range(m)]
+        assert all(g.has_edge(u, v) for u in column for v in column if u < v)
+        corner = solve.solved(shape)
+        assert validate(corner) is None and corner.label_count == rank
 
 
-def test_glue_safe_search_finds_the_least_safe_count():
-    # the seed table holds the least glue-safe counts: a full search finds
-    # none one label below a seed and one at its count
-    for m, k, found in [(3, 3, False), (3, 4, True), (4, 5, False), (4, 6, True)]:
-        g = build(GraphShape.triangle(m))
-        order = sorted(range(g.vertex_count), key=lambda v: -len(g.adjacency[v]))
-
-        def safe(labels: list[int]) -> bool:
-            r = Ranking(g, tuple(labels))
-            return validate(r) is None and construct._glue_safe(r)
-
-        labels = solve.backtrack_labels(g, order, k, safe)
-        assert (labels is not None) == found, (m, k)
-        if found:
-            assert max(labels) == k == construct.safe_triangle_ranking(m).label_count
-
-
-def test_safe_triangle_ranking_without_a_known_one_raises_at_once():
-    construct.triangle_ranking(6)  # the exact solve, not what is timed here
-    start = time.monotonic()
-    with pytest.raises(ValueError, match="no known glue-safe ranking of tri_6"):
-        construct.safe_triangle_ranking(6)
-    assert time.monotonic() - start < 1.0
+def corner(m: int) -> Ranking:
+    return solve.solved(construct.corner_shape(m))
 
 
 def test_diagonal_cut_matches_known_totals():
     inner = rank_exact(build(GraphShape.grid(4, 4))).certificate
-    tri = construct.safe_triangle_ranking(4)
-    out = construct.diagonal_cut(4, 14, inner, tri)
+    out = construct.diagonal_cut(4, 14, inner, corner(4))
     assert validate(out) is None
-    assert out.label_count == inner.label_count + tri.label_count + 4 == 17
-    odd = construct.diagonal_cut(4, 13, inner, tri)
+    assert out.label_count == inner.label_count + corner(4).label_count + 4 == 16
+    odd = construct.diagonal_cut(4, 13, inner, corner(4))
     assert validate(odd) is None
-    assert odd.label_count == 17
+    assert odd.label_count == 16
 
 
 def test_diagonal_cut_three_rows():
     # width 7 leaves room for a single inner column
     inner = rank_exact(build(GraphShape.grid(3, 1))).certificate
-    tri = construct.safe_triangle_ranking(3)
-    out = construct.diagonal_cut(3, 7, inner, tri)
+    out = construct.diagonal_cut(3, 7, inner, corner(3))
     assert validate(out) is None
-    assert out.label_count == inner.label_count + tri.label_count + 3 == 9
+    assert out.label_count == inner.label_count + corner(3).label_count + 3 == 9
 
 
-def test_diagonal_cut_rejects_unsafe_triangle():
-    # an exact triangle ranking that is not glue-safe must be refused,
-    # not silently assembled into a broken certificate
+def test_diagonal_cut_refuses_other_corners():
     inner = rank_exact(build(GraphShape.grid(4, 4))).certificate
-    unsafe = construct.triangle_ranking(4)
-    if construct._glue_safe(unsafe):
-        pytest.skip("solver happened to return a glue-safe certificate")
-    with pytest.raises(ValueError):
-        construct.diagonal_cut(4, 14, inner, unsafe)
+    for wrong in (construct.triangle_ranking(4), corner(3)):
+        with pytest.raises(ShapeError, match="corner_shape"):
+            construct.diagonal_cut(4, 14, inner, wrong)
+    # valid on the unit-edge staircase, but (0, 0) and (2, 0) share a label
+    # the inner grid would join
+    at = {(0, 0): 1, (1, 0): 3, (2, 0): 1, (1, 1): 1, (2, 1): 2, (2, 2): 1}
+    stair = build(GraphShape.grid(3, 1, (StickyEnd("right"),)))
+    assert validate(Ranking(stair, tuple(at[rc] for rc in stair.coords))) is None
+    glued = build(construct.corner_shape(3))
+    sub = rank_exact(build(GraphShape.grid(3, 1))).certificate
+    with pytest.raises(ValueError, match="corner is not a ranking"):
+        construct.diagonal_cut(3, 7, sub, Ranking(glued, tuple(at[rc] for rc in glued.coords)))
+
+
+def test_diagonal_cut_takes_a_corner_read_back_from_json():
+    # a corner written to a file keeps its shape, clique edges included
+    data = json.loads(json.dumps(corner(4).graph.to_json_dict()))
+    back = Ranking(Graph.from_json_dict(data), corner(4).labels)
+    inner = solve.solved(GraphShape.grid(4, 4))
+    assert construct.diagonal_cut(4, 14, inner, back).label_count == 16
 
 
 def test_diagonal_cut_rejects_invalid_inputs():
     # inputs that are not rankings are bad input, refused before assembly
     inner = rank_exact(build(GraphShape.grid(4, 4))).certificate
-    tri = construct.safe_triangle_ranking(4)
     flat_inner = Ranking(inner.graph, (1,) * 16)
     with pytest.raises(ValueError, match="inner is not a ranking"):
-        construct.diagonal_cut(4, 14, flat_inner, tri)
-    flat_tri = Ranking(tri.graph, (1,) * 10)
+        construct.diagonal_cut(4, 14, flat_inner, corner(4))
+    flat_corner = Ranking(corner(4).graph, (1,) * 10)
     for n, sub in [(14, inner), (6, None)]:
-        with pytest.raises(ValueError, match="triangle input is not a ranking"):
-            construct.diagonal_cut(4, n, sub, flat_tri)
+        with pytest.raises(ValueError, match="corner is not a ranking"):
+            construct.diagonal_cut(4, n, sub, flat_corner)
 
 
 def test_diagonal_cut_rejects_bad_dims():
     inner = rank_exact(build(GraphShape.grid(4, 4))).certificate
-    tri = construct.safe_triangle_ranking(4)
     with pytest.raises(ShapeError):
-        construct.diagonal_cut(4, 5, inner, tri)
+        construct.diagonal_cut(4, 5, inner, corner(4))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_diagonal_cut_without_inner_grid(m):
     # at n = m+2 the corners and the cut tile the grid; diagonal_upper's
     # value there is the label count of this validated cut
-    tri = construct.safe_triangle_ranking(m)
-    out = construct.diagonal_cut(m, m + 2, None, tri)
+    out = construct.diagonal_cut(m, m + 2, None, corner(m))
     assert validate(out) is None
     assert out.graph.shape == GraphShape.grid(m, m + 2)
-    assert out.label_count == tri.label_count + m == bounds.diagonal_upper(m, m + 2)
+    assert out.label_count == corner(m).label_count + m == bounds.diagonal_upper(m, m + 2)
     inner = rank_exact(build(GraphShape.grid(m, 1))).certificate
     with pytest.raises(ShapeError):
-        construct.diagonal_cut(m, m + 2, inner, tri)
+        construct.diagonal_cut(m, m + 2, inner, corner(m))
     with pytest.raises(ShapeError):
-        construct.diagonal_cut(m, m + 3, None, tri)
+        construct.diagonal_cut(m, m + 3, None, corner(m))
 
 
 def test_ruler_ranking_family():

@@ -14,7 +14,6 @@ from rankgrid.graphs import (
     ShapeError,
     StickyEnd,
     build,
-    staircase_triangle_map,
 )
 
 
@@ -236,19 +235,3 @@ def test_disconnected_custom_rejected():
     island = GraphShape.grid(2, 2, (Custom(((5, 5),), ()),))
     with pytest.raises(ShapeError):
         build(island)
-
-
-def test_staircase_triangle_map_is_edge_faithful():
-    m, n = 4, 3
-    g = build(GraphShape.grid(m, n, (StickyEnd("right"),)))
-    mapping = staircase_triangle_map(m, n)
-    tri = build(GraphShape.triangle(m))
-    # bijection onto the triangle's coords
-    assert sorted(mapping.values()) == sorted(tri.coords)
-    # every unit edge of the glued region maps to a triangle edge
-    tri_idx = tri.index_by_coord
-    for a, b in g.edges:
-        ca, cb = g.coords[a], g.coords[b]
-        if ca in mapping and cb in mapping:
-            u, v = tri_idx[mapping[ca]], tri_idx[mapping[cb]]
-            assert tri.has_edge(u, v)
