@@ -45,6 +45,7 @@ class SolutionCache:
         self.path = Path(path)
         self.writable = True
         self._exact: dict[str, dict] = {}
+        self._failed: dict[str, dict] = {}  # records get_exact dropped
         self._decision: dict[tuple[str, int], dict] = {}
         self._load()
 
@@ -123,21 +124,24 @@ class SolutionCache:
 
     def get_exact(self, g: Graph) -> dict | None:
         """The settled record for g, or None.  A record that fails its
-        check leaves the view, so put_exact appends the fresh solve."""
+        check leaves the view but is kept aside: it is still in the file."""
         rec = self._exact.get(g.graph_hash)
         if rec is None or rec["lb"] != rec["ub"]:
             return None
         if self._checked(g, rec, lambda count: count == rec["lb"]) is None:
-            del self._exact[g.graph_hash]
+            self._failed[g.graph_hash] = self._exact.pop(g.graph_hash)
             return None
         return rec
 
     def put_exact(self, g: Graph, lb: int, ub: int, labels: list[int] | None,
                   elapsed: float) -> None:
-        """Record [lb, ub] for g unless the cache already holds an interval
-        at least as tight, so repeated budgeted runs do not grow the file."""
+        """Record [lb, ub] for g unless the view holds one at least as tight or
+        a failed record would still win on reload: reruns do not grow the file."""
         old = self._exact.get(g.graph_hash)
         if old is not None and old["lb"] >= lb and old["ub"] <= ub:
+            return
+        bad = self._failed.get(g.graph_hash)
+        if bad is not None and (lb, -ub) < (bad["lb"], -bad["ub"]):
             return
         rec = {
             "kind": "exact",

@@ -159,42 +159,38 @@ class _Engine:
 
     # -- symmetry ---------------------------------------------------------
 
-    def _build_perm_tables(self) -> list[list[list[int]]]:
-        """Per-byte lookup tables for each nontrivial automorphism."""
+    def _build_perm_tables(self) -> list[list[int]]:
+        """Per-byte tables: entry b of table i packs the images of a mask
+        whose byte i is b under every nontrivial automorphism, n bits each."""
+        n = self.n
+        perms = [p for p in self.g.automorphisms if p != tuple(range(n))]
+        single = [sum(1 << (i * n + p[v]) for i, p in enumerate(perms))
+                  for v in range(n)] + [0] * 7
         tables = []
-        for perm in self.g.automorphisms:
-            if perm == tuple(range(self.n)):
-                continue
-            nbytes = (self.n + 7) // 8
-            tab = []
-            for byte_idx in range(nbytes):
-                row = []
-                for byte in range(256):
-                    out = 0
-                    b = byte
-                    while b:
-                        low = b & -b
-                        v = byte_idx * 8 + low.bit_length() - 1
-                        if v < self.n:
-                            out |= 1 << perm[v]
-                        b ^= low
-                    row.append(out)
-                tab.append(row)
-            tables.append(tab)
+        for base in range(0, n if perms else 0, 8):
+            row = [0] * 256
+            for b in range(1, 256):
+                low = b & -b
+                row[b] = row[b ^ low] | single[base + low.bit_length() - 1]
+            tables.append(row)
         return tables
 
     def canon(self, mask: int) -> int:
+        """The least of mask and its images under the automorphisms."""
+        packed = 0
+        m = mask
+        for row in self._perm_tables:
+            packed |= row[m & 0xFF]
+            m >>= 8
         best = mask
-        for tab in self._perm_tables:
-            img = 0
-            m = mask
-            i = 0
-            while m:
-                img |= tab[i][m & 0xFF]
-                m >>= 8
-                i += 1
+        n = self.n
+        full = (1 << n) - 1
+        # a nonempty mask has a nonempty image in every lane
+        while packed:
+            img = packed & full
             if img < best:
                 best = img
+            packed >>= n
         return best
 
     # -- plumbing ---------------------------------------------------------
@@ -223,6 +219,35 @@ class _Engine:
                 comp |= frontier
             comps.append(comp)
             rem &= ~comp
+        return comps
+
+    def split(self, mask: int, v: int) -> list[int]:
+        """components(mask & ~(1 << v)), in its order, for a connected mask:
+        each component holds a neighbour of v, so a flood that holds every
+        neighbour not yet placed leaves the rest of the mask as one component."""
+        adj = self.adj
+        rest = mask & ~(1 << v)
+        nbrs = adj[v] & rest
+        comps = []
+        while nbrs:
+            comp = frontier = nbrs & -nbrs
+            while frontier and nbrs & ~comp:
+                nxt = 0
+                f = frontier
+                while f:
+                    u = f.bit_length() - 1
+                    f ^= 1 << u
+                    nxt |= adj[u]
+                frontier = nxt & rest & ~comp
+                comp |= frontier
+            if not nbrs & ~comp:
+                comps.append(rest)
+                break
+            comps.append(comp)
+            rest ^= comp
+            nbrs &= ~comp
+        if len(comps) > 1:
+            comps.sort(key=lambda c: c & -c)
         return comps
 
     def path_lb(self, mask: int) -> int:
@@ -257,22 +282,23 @@ class _Engine:
 
     def _bfs(self, mask: int, src: int) -> tuple[int, int]:
         """A farthest vertex from src inside mask (as a bit) and its depth."""
-        seen = frontier = last = src
+        adj = self.adj
+        rest = mask & ~src
+        frontier = src
         d = 0
-        while frontier:
+        while True:
             nxt = 0
             f = frontier
             while f:
-                b = f & -f
-                f ^= b
-                nxt |= self.adj[b.bit_length() - 1]
-            nxt &= mask & ~seen
-            if nxt:
-                last = nxt
-                d += 1
-            seen |= nxt
+                v = f.bit_length() - 1
+                f ^= 1 << v
+                nxt |= adj[v]
+            nxt &= rest
+            if not nxt:
+                return frontier & -frontier, d
+            rest ^= nxt
             frontier = nxt
-        return last & -last, d
+            d += 1
 
     def candidates(self, mask: int, allowed: int = -1) -> list[int]:
         """Branch vertices among allowed: degree >= 2 inside the mask when
@@ -324,8 +350,7 @@ class _Engine:
                 self.memo[key] = (k + 1, ub)
                 return False
         for v in self.candidates(mask, core):
-            rem = mask & ~(1 << v)
-            if all(self.feasible(comp, k - 1) for comp in self.components(rem)):
+            if all(self.feasible(comp, k - 1) for comp in self.split(mask, v)):
                 if k < ub:
                     self.memo[key] = (lb, k)
                 return True
@@ -351,12 +376,12 @@ class _Engine:
             return 1
         best_v, best_size = -1, None
         for v in self.candidates(mask):
-            comps = self.components(mask & ~(1 << v))
+            comps = self.split(mask, v)
             size = max(c.bit_count() for c in comps)
             if best_size is None or size < best_size:
                 best_v, best_size = v, size
         worst = 0
-        for comp in self.components(mask & ~(1 << best_v)):
+        for comp in self.split(mask, best_v):
             worst = max(worst, self.greedy(comp, labels))
         labels[best_v] = worst + 1
         return worst + 1
@@ -368,7 +393,7 @@ class _Engine:
             return 1
         t = self.rank_of(mask)
         for v in self.candidates(mask):
-            comps = self.components(mask & ~(1 << v))
+            comps = self.split(mask, v)
             if all(self.feasible(c, t - 1) for c in comps):
                 labels[v] = t
                 for c in comps:
@@ -384,7 +409,7 @@ class _Engine:
         if ub < k:
             k = ub
         for v in self.candidates(mask):
-            comps = self.components(mask & ~(1 << v))
+            comps = self.split(mask, v)
             if all(self.feasible(c, k - 1) for c in comps):
                 labels[v] = k
                 for c in comps:

@@ -214,6 +214,29 @@ def test_repeated_budgeted_runs_append_once(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_budgeted_runs_do_not_append_behind_a_failed_record(tmp_path, capsys):
+    # the forged record fails its check, but on reload its tighter interval
+    # still wins over a budget-exhausted one, so appending those grew the
+    # file by a line a run; an unbudgeted solve still heals the key
+    path = tmp_path / "c.jsonl"
+    g = build(GraphShape.grid(4, 8))
+    path.write_text(json.dumps({"rankgrid_cache": CACHE_VERSION}) + "\n" + json.dumps(
+        {"kind": "exact", "key": g.graph_hash, "lb": 9, "ub": 9, "labels": [1] * 32,
+         "elapsed": 0.0, "provenance": "exact"}) + "\n")
+    argv = ["exact", "--grid", "4x8", "--cache", str(path)]
+    for _ in range(3):
+        assert cli.main([*argv, "--budget-nodes", "200"]) == 2
+    capsys.readouterr()
+    assert len(path.read_text().splitlines()) == 2
+    methods = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        methods.append((doc["method"], doc["value"]))
+    assert methods == [("exact", 10), ("cache", 10)]
+    assert len(path.read_text().splitlines()) == 3
+
+
 def test_only_tightening_intervals_are_appended(tmp_path, g):
     path = tmp_path / "c.jsonl"
     c = SolutionCache(path)

@@ -404,3 +404,80 @@ def test_block_table_is_not_charged_to_the_budget(monkeypatch):
         runs.append((engines[-1].nodes, res.lb, res.ub, res.budget_exhausted))
     assert runs[0] == runs[1]
     assert runs[0][1:] == (8, 11, True)
+
+
+# -- kernel primitives and the search they drive -----------------------------
+
+
+@pytest.mark.parametrize("shape, want", [
+    (GraphShape.grid(4, 6), (8, 258, 73)),
+    (GraphShape.grid(5, 5), (9, 2679, 800)),
+    (GraphShape.triangle(5), (8, 3476, 1092)),
+    (GraphShape.grid(4, 4, RIGHT), (7, 218, 77)),
+])
+def test_search_trajectory_is_pinned(shape, want):
+    # a faster kernel must run the same search: same value, same number of
+    # nodes, same memo entries
+    g = build(shape)
+    eng = solve._Engine(g, None, solve._blocks(g))
+    value = eng.rank_of((1 << g.vertex_count) - 1)
+    assert (value, eng.nodes, len(eng.memo)) == want
+
+
+@pytest.mark.parametrize("m, n, interval", [(4, 8, (8, 11)), (4, 9, (8, 12)), (6, 6, (8, 13))])
+def test_budgeted_intervals_are_pinned(m, n, interval):
+    res = rank_exact(build(GraphShape.grid(m, n)), budget=Budget(nodes=10000))
+    assert res.budget_exhausted and (res.lb, res.ub) == interval
+
+
+SHAPELESS = Graph.from_json_dict({
+    "vertex_count": 11,
+    "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [2, 4], [4, 5], [5, 6], [6, 4],
+              [6, 7], [7, 8], [8, 9], [9, 10], [10, 7], [1, 9]],
+    "coords": [[0, c] for c in range(11)],
+})
+
+
+@pytest.mark.parametrize("g", [
+    build(GraphShape.grid(3, 4)),
+    build(GraphShape.triangle(4)),
+    build(GraphShape.grid(3, 3, RIGHT)),
+    build(construct.corner_shape(4)),
+    SHAPELESS,
+], ids=["grid3x4", "triangle4", "grid3x3-right", "corner4", "shapeless"])
+def test_split_matches_components(g):
+    eng = solve._Engine(g)
+    checked = 0
+    for mask in range(1, 1 << g.vertex_count):
+        if len(eng.components(mask)) != 1:
+            continue
+        rest = mask
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            v = b.bit_length() - 1
+            assert eng.split(mask, v) == eng.components(mask & ~b), (bin(mask), v)
+            checked += 1
+    assert checked > 1000
+
+
+def _image(perm, mask):
+    return sum(1 << perm[v] for v in range(len(perm)) if mask >> v & 1)
+
+
+@pytest.mark.parametrize("shape, automorphisms", [
+    (GraphShape.grid(6, 6), 8),
+    (GraphShape.grid(5, 5), 8),
+    (GraphShape.grid(3, 3), 8),
+    (GraphShape.triangle(5), 2),
+    (GraphShape.grid(4, 4, RIGHT), 1),
+])
+def test_canon_is_the_least_image(shape, automorphisms):
+    g = build(shape)
+    assert len(g.automorphisms) == automorphisms
+    eng = solve._Engine(g)
+    rng = random.Random(g.vertex_count)
+    for mask in [rng.getrandbits(g.vertex_count) for _ in range(300)]:
+        want = min(mask, *(_image(p, mask) for p in g.automorphisms))
+        # with the identity alone (the sticky 4x4), want is mask itself
+        assert eng.canon(mask) == want, bin(mask)
