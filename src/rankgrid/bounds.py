@@ -25,7 +25,6 @@ __all__ = [
     "alpert_upper",
     "tri_bound",
     "diagonal_upper",
-    "crossover_threshold",
     "ComparatorReport",
     "compare_upper",
     "square_lower",
@@ -105,26 +104,15 @@ def diagonal_upper(m: int, n: int) -> int | None:
     return m + solved(corner_shape(m)).label_count + rest
 
 
-def crossover_threshold(m: int) -> float:
-    """Width beyond which the diagonal bound tends to beat the halving bound.
-
-    Closed form ``(m+1)^(3/2) * m^(1/(2m)) / (8*sqrt(2)) - 1``.  Roughly
-    0.18 at m=4 and 90.8 at m=100, so the diagonal cut only pays off for
-    grids that are much wider than tall.
-    """
-    return (m + 1) ** 1.5 * m ** (1.0 / (2 * m)) / (8.0 * math.sqrt(2.0)) - 1.0
-
-
 @dataclass(frozen=True)
 class ComparatorReport:
-    """Concrete values of both upper bounds plus the analytic crossover."""
+    """Concrete values of both upper bounds and the tighter one."""
 
     m: int
     n: int
     alpert_value: int
     diagonal_value: int | None
     tighter: str
-    threshold: float
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -133,7 +121,6 @@ class ComparatorReport:
             "alpert": self.alpert_value,
             "diagonal": self.diagonal_value,
             "tighter": self.tighter,
-            "threshold": self.threshold,
         }
 
 
@@ -158,7 +145,6 @@ def compare_upper(m: int, n: int) -> ComparatorReport:
         alpert_value=a,
         diagonal_value=d,
         tighter=tighter,
-        threshold=crossover_threshold(m),
     )
 
 

@@ -34,7 +34,7 @@ from .graphs import (
     build,
     _lattice_edges,
 )
-from .verify import Ranking, validate
+from .verify import Ranking, checked, validate
 
 __all__ = [
     "one_sticky_shape",
@@ -135,18 +135,7 @@ def _to_ranking(shape: GraphShape, cl: CoordLabels, expect: int) -> Ranking:
         missing = sorted(set(g.coords) - cl.keys())[:4]
         extra = sorted(cl.keys() - set(g.coords))[:4]
         raise AssertionError(f"assembly does not tile {shape}: missing {missing}, extra {extra}")
-    return _checked(g, tuple(cl[rc] for rc in g.coords), expect)
-
-
-def _checked(g: Graph, labels: tuple[int, ...], expect: int) -> Ranking:
-    """labels on g as a validated Ranking of exactly expect labels; see _to_ranking."""
-    r = Ranking(g, labels)
-    bad = validate(r)
-    if bad is not None:
-        raise AssertionError(f"construction produced an invalid ranking: {bad}")
-    if r.label_count != expect:
-        raise AssertionError(f"expected {expect} labels, assembly uses {r.label_count}")
-    return r
+    return checked(g, tuple(cl[rc] for rc in g.coords), expect)
 
 
 def _grid4_shape(g: Graph) -> GraphShape:
@@ -556,7 +545,7 @@ def _restrict(m: int, width: int, labels: tuple[int, ...], n: int) -> Ranking:
     # build puts a plain grid's vertices row-major: (r, c) is vertex r*width + c
     kept = [v for i in range(0, m * width, width) for v in labels[i:i + n]]
     order = {v: i for i, v in enumerate(sorted(set(kept)), 1)}
-    return _checked(build(GraphShape.grid(m, n)), tuple(map(order.__getitem__, kept)), len(order))
+    return checked(build(GraphShape.grid(m, n)), tuple(map(order.__getitem__, kept)), len(order))
 
 
 def _step(name: str, inputs: tuple[Ranking, ...], out: Ranking) -> ChainStep:
@@ -619,7 +608,7 @@ def _endpoint_certificate(e: int, n: int) -> CertificateChain:
     ranking is built and validated afresh on every call."""
     steps, labels = _endpoint_record(e)
     if n == e:
-        return CertificateChain(steps, _checked(build(GraphShape.grid(4, e)), labels, steps[-1].labels))
+        return CertificateChain(steps, checked(build(GraphShape.grid(4, e)), labels, steps[-1].labels))
     cut = _restrict(4, e, labels, n)
     restrict = ChainStep("restrict", (GraphShape.grid(4, e),), cut.graph.shape, cut.label_count)
     return CertificateChain(steps + (restrict,), cut)

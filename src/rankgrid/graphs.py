@@ -242,19 +242,22 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edge_set
 
-    def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
+    def component(self, src: int) -> list[int]:
+        """src's connected component in BFS order from src, each vertex's
+        neighbours taken in ascending order."""
         adj = self.adjacency
         seen = [False] * self.vertex_count
-        seen[0] = True
-        stack = [0]
-        while stack:
-            for v in adj[stack.pop()]:
+        seen[src] = True
+        order = [src]
+        for u in order:  # order grows as the flood reaches new vertices
+            for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
-                    stack.append(v)
-        return all(seen)
+                    order.append(v)
+        return order
+
+    def is_connected(self) -> bool:
+        return self.vertex_count == 0 or len(self.component(0)) == self.vertex_count
 
     @cached_property
     def graph_hash(self) -> str:

@@ -19,9 +19,14 @@ Two independent routes:
   is tried as a separator, and an empty core refutes k.  rank_decision
   asks the search once; rank_exact starts ub at a greedy ranking's label
   count and lowers it one label at a time until the next step down is
-  refuted.
-* brute_force enumerates labelings outright with backtrack_labels.  It
-  knows nothing about separators and serves as the oracle for the engine.
+  refuted.  Both rebuild their certificate with one memo walk, extract:
+  rank_exact lets each part take its own rank, rank_decision caps the
+  top label at k.
+* brute_force enumerates labelings outright with backtrack_labels, one
+  component of Graph.component at a time.  It knows nothing about
+  separators, shares no code with the engine, and serves as its oracle.
+
+Every ranking either route returns has passed verify.checked.
 
 Both respect wall-clock / node budgets, which cover rebuilding the
 certificate from the memo as well as the search.  Budget exhaustion is
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .graphs import Graph, GraphShape, build
-from .verify import Ranking, validate
+from .verify import Ranking, checked, validate
 
 __all__ = [
     "Budget",
@@ -145,16 +150,14 @@ class _Engine:
         self._node_limit = budget.nodes if budget else None
         self._deadline = (time.monotonic() + budget.seconds) if budget and budget.seconds else None
         # static tie-break: central vertices first (good separators early)
-        if self.n:
-            rows = [r for r, _ in graph.coords]
-            cols = [c for _, c in graph.coords]
-            cr = (min(rows) + max(rows)) / 2
-            cc = (min(cols) + max(cols)) / 2
-            cent = [abs(r - cr) + abs(c - cc) for r, c in graph.coords]
-            self.static_order = sorted(range(self.n), key=lambda v: (cent[v], v))
-            self.static_pos = [0] * self.n
-            for i, v in enumerate(self.static_order):
-                self.static_pos[v] = i
+        rows = [r for r, _ in graph.coords]
+        cols = [c for _, c in graph.coords]
+        cr = (min(rows) + max(rows)) / 2
+        cc = (min(cols) + max(cols)) / 2
+        cent = [abs(r - cr) + abs(c - cc) for r, c in graph.coords]
+        self.static_pos = [0] * self.n
+        for i, v in enumerate(sorted(range(self.n), key=lambda v: (cent[v], v))):
+            self.static_pos[v] = i
         self._perm_tables = self._build_perm_tables()
 
     # -- symmetry ---------------------------------------------------------
@@ -386,36 +389,28 @@ class _Engine:
         labels[best_v] = worst + 1
         return worst + 1
 
-    def extract(self, mask: int, labels: dict[int, int]) -> int:
-        """Rebuild an optimal ranking from the solved memo; returns rank."""
+    def extract(self, mask: int, labels: dict[int, int], k: int | None = None) -> None:
+        """Rebuild a ranking of the connected subproblem from the memo.
+
+        With k None each part takes its own rank, so the ranking is
+        optimal.  With k set the top label is k, or the memo ub when that
+        is lower, and the parts are ranked within one label less.
+        """
         if mask & (mask - 1) == 0:
             labels[mask.bit_length() - 1] = 1
-            return 1
-        t = self.rank_of(mask)
+            return
+        if k is None:
+            t = self.rank_of(mask)
+        else:
+            t = min(k, self.bounds_of(mask, self.canon(mask))[1])
         for v in self.candidates(mask):
             comps = self.split(mask, v)
             if all(self.feasible(c, t - 1) for c in comps):
                 labels[v] = t
                 for c in comps:
-                    self.extract(c, labels)
-                return t
-        raise AssertionError("no separator matches the solved value; memo corrupted")
-
-    def extract_decision(self, mask: int, k: int, labels: dict[int, int]) -> None:
-        if mask & (mask - 1) == 0:
-            labels[mask.bit_length() - 1] = 1
-            return
-        _, ub = self.bounds_of(mask, self.canon(mask))
-        if ub < k:
-            k = ub
-        for v in self.candidates(mask):
-            comps = self.split(mask, v)
-            if all(self.feasible(c, k - 1) for c in comps):
-                labels[v] = k
-                for c in comps:
-                    self.extract_decision(c, k - 1, labels)
+                    self.extract(c, labels, None if k is None else t - 1)
                 return
-        raise AssertionError("decision replay failed; memo corrupted")
+        raise AssertionError("no separator fits the memo's answers; memo corrupted")
 
 
 def _compress(labels: list[int]) -> list[int]:
@@ -423,14 +418,6 @@ def _compress(labels: list[int]) -> list[int]:
     ordered = sorted(set(labels))
     remap = {l: i + 1 for i, l in enumerate(ordered)}
     return [remap[l] for l in labels]
-
-
-def _checked(g: Graph, labels: list[int]) -> Ranking:
-    r = Ranking(g, tuple(labels))
-    bad = validate(r)
-    if bad is not None:
-        raise AssertionError(f"solver produced an invalid ranking: {bad}")
-    return r
 
 
 @cache
@@ -547,14 +534,10 @@ def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
     except _BudgetExhausted:
         # a component whose rank_of finished has its value as memo lb
         lb_total = max(eng.memo[eng.canon(c)][0] if c & (c - 1) else 1 for c in comps)
-        cert = _checked(g, _compress([heur[v] for v in range(g.vertex_count)]))
+        cert = checked(g, _compress([heur[v] for v in range(g.vertex_count)]))
         return RankResult(lb_total, max(heur_vals), "exact", cert,
                           time.monotonic() - start, budget_exhausted=True)
-    cert = _checked(g, [labels[v] for v in range(g.vertex_count)])
-    if cert.label_count != value:
-        raise AssertionError(
-            f"certificate has {cert.label_count} labels but the solved value is {value}"
-        )
+    cert = checked(g, [labels[v] for v in range(g.vertex_count)], value)
     return RankResult(value, value, "exact", cert, time.monotonic() - start)
 
 
@@ -572,10 +555,10 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
             return DecisionOutcome(None, False, time.monotonic() - start)
         labels: dict[int, int] = {}
         for c in comps:
-            eng.extract_decision(c, k, labels)
+            eng.extract(c, labels, k)
     except _BudgetExhausted:
         return DecisionOutcome(None, True, time.monotonic() - start)
-    cert = _checked(g, _compress([labels[v] for v in range(g.vertex_count)]))
+    cert = checked(g, _compress([labels[v] for v in range(g.vertex_count)]))
     if cert.label_count > k:
         raise AssertionError("decision certificate exceeds k labels")
     return DecisionOutcome(cert, False, time.monotonic() - start)
@@ -587,7 +570,8 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
 def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankResult:
     """Smallest k admitting any valid labeling, by direct enumeration.
 
-    Runs backtrack_labels on each component in BFS order for k = 1, 2, ...
+    Runs backtrack_labels on each component, in Graph.component's BFS
+    order, for k = 1, 2, ...
     Exponential, hence the vertex cap.  Raises RuntimeError when the
     budget's seconds run out.
     """
@@ -598,10 +582,11 @@ def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankRes
     start = time.monotonic()
     deadline = (start + budget.seconds) if budget and budget.seconds else None
 
-    eng = _Engine(g)  # reused only for component splitting
     total_labels = [0] * g.vertex_count
-    for comp in eng.components((1 << g.vertex_count) - 1):
-        verts = _bfs_order(g, comp)
+    for src in range(g.vertex_count):
+        if total_labels[src]:
+            continue
+        verts = g.component(src)
         sub, old = g.induced_subgraph(verts)
 
         def valid(labels: list[int]) -> bool:
@@ -614,23 +599,9 @@ def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankRes
                 break
         for v in verts:
             total_labels[v] = found[v]
-    cert = _checked(g, _compress(total_labels))
+    cert = checked(g, _compress(total_labels))
     value = cert.label_count
     return RankResult(value, value, "brute_force", cert, time.monotonic() - start)
-
-
-def _bfs_order(g: Graph, mask: int) -> list[int]:
-    src = (mask & -mask).bit_length() - 1
-    order = [src]
-    seen = {src}
-    i = 0
-    while i < len(order):
-        for w in g.adjacency[order[i]]:
-            if (mask >> w) & 1 and w not in seen:
-                seen.add(w)
-                order.append(w)
-        i += 1
-    return order
 
 
 def backtrack_labels(

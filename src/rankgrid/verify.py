@@ -9,12 +9,14 @@ order with a union-find whose root is always its component's highest
 label, so a second vertex at a component's top label shows at once; a
 root's parent has a strictly higher label, so no find walks more than k
 steps.  The path form is kept in the test suite as an independent oracle,
-and a level-by-level union-find as the reference for witnesses.
+and a level-by-level union-find as the reference for witnesses.  checked
+runs validate on every ranking the package emits, where a failure is a bug.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -120,6 +122,22 @@ def _first_violation(g: Graph, labels: tuple[int, ...], c: int) -> Violation:
                     prev[w] = u
                     q.append(w)
     raise AssertionError(f"no two vertices labelled {c} share a component")
+
+
+def checked(g: Graph, labels: Sequence[int], count: int | None = None) -> Ranking:
+    """labels on g as a Ranking that validate accepts, of exactly count
+    labels when count is given.
+
+    For the package's own rankings, where either failure is a bug: it
+    raises AssertionError naming the violation or the two counts.
+    """
+    r = Ranking(g, tuple(labels))
+    bad = validate(r)
+    if bad is not None:
+        raise AssertionError(f"emitted an invalid ranking: {bad}")
+    if count is not None and r.label_count != count:
+        raise AssertionError(f"ranking has {r.label_count} labels, expected {count}")
+    return r
 
 
 def is_valid(ranking: Ranking) -> bool:

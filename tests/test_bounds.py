@@ -92,17 +92,9 @@ def test_diagonal_upper_needs_room():
             bounds.diagonal_upper(m, n)
 
 
-def test_crossover_threshold():
-    assert bounds.crossover_threshold(4) == pytest.approx(0.1752, abs=1e-4)
-    assert bounds.crossover_threshold(100) == pytest.approx(90.81, abs=0.01)
-    # grows roughly like m^1.5, so it eventually passes any fixed n
-    assert bounds.crossover_threshold(10) < bounds.crossover_threshold(40)
-
-
 def test_compare_upper_reports():
     rep = bounds.compare_upper(4, 20)
     assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (14, 18, "alpert")
-    assert rep.threshold == pytest.approx(bounds.crossover_threshold(4))
     rep = bounds.compare_upper(5, 20)
     assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (20, 23, "alpert")
     rep = bounds.compare_upper(4, 6)

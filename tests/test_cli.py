@@ -110,7 +110,7 @@ def test_bounds_grid(capsys):
     assert doc["lower"]["thm2"] == 7
     assert doc["lower"]["cor1"] == "35/9"
     assert doc["upper"] == {"alpert": 14, "diagonal": 18}
-    assert doc["comparator"]["tighter"] == "alpert"
+    assert doc["comparator"] == {"m": 4, "n": 20, "alpert": 14, "diagonal": 18, "tighter": "alpert"}
 
 
 def test_bounds_triangle(capsys):
@@ -124,7 +124,7 @@ def test_compare(capsys):
     code, out, _ = run(capsys, "compare", "--m", "5", "--n", "20")
     assert code == 0
     doc = json.loads(out)
-    assert (doc["alpert"], doc["diagonal"], doc["tighter"]) == (20, 23, "alpert")
+    assert doc == {"m": 5, "n": 20, "alpert": 20, "diagonal": 23, "tighter": "alpert"}
     doc = json.loads(run(capsys, "compare", "--m", "4", "--n", "6")[1])
     assert (doc["alpert"], doc["diagonal"], doc["tighter"]) == (10, 9, "diagonal")
 
@@ -403,6 +403,31 @@ EXACT_SHA256 = {
 def test_exact_certificate_bytes_are_pinned(capsys, name):
     digest, *flags = EXACT_SHA256[name]
     code, out, _ = run(capsys, "exact", *flags, "--deterministic")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `decide ... --deterministic` stdout, taken while rank_decision
+# still had its own certificate walk; the walk may change, its labels may not
+DECIDE_SHA256 = {
+    "4x6-k8": ("732fd966d3e70b9f6a1b1e074a86e7c0e16dba104b75923fdad038188faa9b4c",
+               "--grid", "4x6", "--k", "8"),
+    "4x7-k9": ("f38a30f052a84457e5840b758f0c8d55bbeea58caf72201a07220659b0dced57",
+               "--grid", "4x7", "--k", "9"),
+    # k above the rank: the walk caps the top label at the memo's ub
+    "4x5-k10": ("8573550415f9c60b7807cd7072aa19abf940dced39832abfe9b436c99af8828f",
+                "--grid", "4x5", "--k", "10"),
+    "triangle-5-k9": ("3d98c9b209264843b41586031687eda90814eb05c72c2c364b542b03e1ae50a3",
+                      "--triangle", "5", "--k", "9"),
+    "3x6-sticky-right-k7": ("d92891264050fc3703b24353fd5b9412971406677b13af62c24a3b76116a016a",
+                            "--grid", "3x6", "--sticky", "right", "--k", "7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECIDE_SHA256))
+def test_decide_certificate_bytes_are_pinned(capsys, name):
+    digest, *flags = DECIDE_SHA256[name]
+    code, out, _ = run(capsys, "decide", *flags, "--no-cache", "--deterministic")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

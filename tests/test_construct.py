@@ -34,6 +34,19 @@ def test_base_rankings_hit_their_budgets():
         assert r.label_count == lam
 
 
+@pytest.mark.parametrize("shape, k, digest", [
+    (construct.one_sticky_shape(5), 8,
+     "f7512f2d7453ba9ee84118ee4cff79baf6d01b086533b287301f1be97e546b6e"),
+    (construct.two_sticky_shape(3, anti=False), 7,
+     "48e45d670e41c1791aeeb63bf2c262965d03be63747ca4d99d4311cbbfc36d82"),
+])
+def test_base_ranking_labels_are_pinned(shape, k, digest):
+    # taken while rank_decision had its own certificate walk: the staircase
+    # bases seed every doubling chain, so their labels must not move
+    labels = construct.base_ranking(shape, k).labels
+    assert hashlib.sha256(",".join(map(str, labels)).encode()).hexdigest() == digest
+
+
 def test_two_staircase_bases_alternate_classes():
     # exact class values for 4-row double-staircase grids: the cheaper
     # alignment flips with parity of the width

@@ -235,3 +235,15 @@ def test_disconnected_custom_rejected():
     island = GraphShape.grid(2, 2, (Custom(((5, 5),), ()),))
     with pytest.raises(ShapeError):
         build(island)
+
+
+def test_component_is_the_bfs_flood_of_src():
+    g = Graph.from_json_dict({
+        "vertex_count": 7,
+        "edges": [[0, 5], [1, 3], [1, 6], [3, 4], [4, 6], [2, 6]],
+        "coords": [[0, c] for c in range(7)],
+    })
+    assert not g.is_connected()
+    assert g.component(4) == [4, 3, 6, 1, 2]
+    assert g.component(6) == [6, 1, 2, 4, 3]
+    assert g.component(5) == [5, 0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -146,6 +147,29 @@ def test_disconnected_graph_takes_component_max(rng):
     res = rank_exact(g)
     assert res.value == 2
     assert validate(res.certificate) is None
+
+
+def test_brute_force_shares_no_code_with_the_engine(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle built a search engine")
+
+    monkeypatch.setattr(solve, "_Engine", forbidden)
+    g = Graph(5, ((0, 1), (1, 2), (3, 4)), tuple((0, i) for i in range(5)))
+    assert brute_force(g).certificate.labels == (1, 2, 1, 1, 2)
+
+
+def test_brute_force_labels_are_pinned():
+    # random graphs, disconnected ones among them; the digest was taken
+    # while brute_force still split components with the engine
+    rng = random.Random(20)
+    lines = []
+    for _ in range(20):
+        n = rng.randint(2, 8)
+        edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4)
+        g = Graph(n, edges, tuple((0, i) for i in range(n)))
+        lines.append(",".join(map(str, brute_force(g).certificate.labels)))
+    digest = hashlib.sha256(";".join(lines).encode()).hexdigest()
+    assert digest == "cd475c84a470293d144348d49d0742b014c67a181d76e00170cd320a6a982b46"
 
 
 def test_deletion_never_raises_rank(rng):

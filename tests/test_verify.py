@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_connected_graph
 from rankgrid.graphs import GraphShape, build
-from rankgrid.verify import Ranking, alpha, is_minimal, is_valid, validate
+from rankgrid.verify import Ranking, alpha, checked, is_minimal, is_valid, validate
 
 
 def oracle_valid(g, labels) -> bool:
@@ -151,3 +151,22 @@ def test_ranking_json_and_relabel():
     r2 = r.relabel(2, 3)
     assert r2.labels == (1, 2, 3)
     assert r.labels == (1, 2, 1)
+
+
+def test_checked_returns_a_valid_ranking():
+    g = build(GraphShape.path(3))
+    r = checked(g, [1, 2, 1])
+    assert r == Ranking(g, (1, 2, 1))
+    assert checked(g, (1, 2, 1), 2) == r
+
+
+def test_checked_names_the_violation():
+    g = build(GraphShape.path(3))
+    with pytest.raises(AssertionError, match="level=1"):
+        checked(g, [1, 1, 2])
+
+
+def test_checked_rejects_a_wrong_count():
+    g = build(GraphShape.path(3))
+    with pytest.raises(AssertionError, match="3 labels, expected 2"):
+        checked(g, [1, 3, 2], 2)
