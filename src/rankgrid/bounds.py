@@ -197,14 +197,6 @@ class SubgridFamily:
         """True when k sits in the range the lower-bound argument needs."""
         return 2 <= self.k <= (self.m + 2) // 3
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "members": [list(d) for d in self.members],
-            "in_regime": self.in_regime,
-        }
-
 
 def subgrid_family(m: int, k: int) -> SubgridFamily:
     """List the base subgrid and its extensions for the given m and k.
@@ -238,15 +230,6 @@ class SquareFitWitness:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "dims": list(self.dims),
-            "target": self.target,
-            "ok": self.ok,
-        }
 
 
 def check_app_h(m: int) -> SquareFitWitness:

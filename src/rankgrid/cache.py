@@ -4,8 +4,10 @@ Plain JSONL, append-only: a version header line followed by one record
 per result.  Records are keyed by the graph hash, so any way of arriving
 at the same canonical graph shares entries.  Unreadable lines are
 skipped with a warning, and a hit whose labels fail validate is a miss;
-the cache is an accelerator, never an authority.  An interval record (a
-solve that ran out of budget) settles nothing and is a quiet miss.
+the cache is an accelerator, never an authority.  A hit is handed out as
+the result it settles, built on the ranking validate checked, so what is
+printed is what was checked.  An interval record (a solve that ran out of
+budget) settles nothing and is a quiet miss.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 from pathlib import Path
 
 from .graphs import Graph
+from .solve import DecisionOutcome, RankResult
 from .verify import Ranking, validate
 
 log = logging.getLogger(__name__)
@@ -109,29 +112,32 @@ class SolutionCache:
         finally:
             os.close(fd)
 
-    def _checked(self, g: Graph, rec: dict, fits) -> dict | None:
-        """rec if its integer labels rank g within fits(label_count), else None (a miss)."""
+    def _checked(self, g: Graph, rec: dict, fits) -> Ranking | None:
+        """The ranking of g by rec's integer labels if it is valid and
+        fits(label_count), else None (a miss)."""
         try:
             r = Ranking(g, tuple(operator.index(l) for l in rec["labels"]))
         except (KeyError, TypeError, ValueError):
             r = None
         if r is not None and validate(r) is None and fits(r.label_count):
-            return rec
+            return r
         log.warning("cache %s: %s record %s fails its check; miss", self.path, rec["kind"], rec["key"])
         return None
 
     # -- exact results -----------------------------------------------------
 
-    def get_exact(self, g: Graph) -> dict | None:
-        """The settled record for g, or None.  A record that fails its
-        check leaves the view but is kept aside: it is still in the file."""
+    def get_exact(self, g: Graph) -> RankResult | None:
+        """g's settled value with its checked ranking, or None.  A record
+        that fails its check leaves the view but is kept aside: it is still
+        in the file."""
         rec = self._exact.get(g.graph_hash)
         if rec is None or rec["lb"] != rec["ub"]:
             return None
-        if self._checked(g, rec, lambda count: count == rec["lb"]) is None:
+        r = self._checked(g, rec, lambda count: count == rec["lb"])
+        if r is None:
             self._failed[g.graph_hash] = self._exact.pop(g.graph_hash)
             return None
-        return rec
+        return RankResult(r.label_count, r.label_count, "cache", r, 0.0)
 
     def put_exact(self, g: Graph, lb: int, ub: int, labels: list[int] | None,
                   elapsed: float) -> None:
@@ -157,11 +163,16 @@ class SolutionCache:
 
     # -- decision results --------------------------------------------------
 
-    def get_decision(self, g: Graph, k: int) -> dict | None:
+    def get_decision(self, g: Graph, k: int) -> DecisionOutcome | None:
+        """The settled answer for (g, k), a "yes" with its checked ranking,
+        or None."""
         rec = self._decision.get((g.graph_hash, k))
-        if rec is None or rec.get("feasible") is False:  # a proven "no" carries no labels
-            return rec
-        return self._checked(g, rec, lambda count: rec.get("feasible") is True and count <= k)
+        if rec is None:
+            return None
+        if rec.get("feasible") is False:  # a proven "no" carries no labels
+            return DecisionOutcome(None, False, 0.0)
+        r = self._checked(g, rec, lambda count: rec.get("feasible") is True and count <= k)
+        return None if r is None else DecisionOutcome(r, False, 0.0)
 
     def put_decision(self, g: Graph, k: int, feasible: bool,
                      labels: list[int] | None, elapsed: float) -> None:

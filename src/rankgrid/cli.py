@@ -142,16 +142,12 @@ def _open_cache(args: argparse.Namespace) -> SolutionCache | None:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = build(_shape_from_args(args))
     store = _open_cache(args)
-    if store is not None:
-        hit = store.get_exact(g)
-        if hit is not None:
-            _emit({"method": "cache", "elapsed": 0.0, "budget_exhausted": False,
-                   "value": hit["lb"], "labels": hit["labels"]})
-            return 0
-    res = rank_exact(g, budget=_budget_from_args(args))
-    if store is not None:
-        labels = list(res.certificate.labels) if res.certificate else None
-        store.put_exact(g, res.lb, res.ub, labels, res.elapsed)
+    res = store.get_exact(g) if store is not None else None
+    if res is None:
+        res = rank_exact(g, budget=_budget_from_args(args))
+        if store is not None:
+            labels = list(res.certificate.labels) if res.certificate else None
+            store.put_exact(g, res.lb, res.ub, labels, res.elapsed)
     payload = res.to_json_dict()
     if args.deterministic:
         payload["elapsed"] = 0.0
@@ -162,25 +158,21 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_decide(args: argparse.Namespace) -> int:
     g = build(_shape_from_args(args))
     store = _open_cache(args)
-    if store is not None:
-        hit = store.get_decision(g, args.k)
-        if hit is not None:
-            _emit({"k": args.k, "feasible": hit["feasible"], "proven": True,
-                   "elapsed": 0.0, "labels": hit.get("labels"), "method": "cache"})
-            return 0
-    out = rank_decision(g, args.k, budget=_budget_from_args(args))
-    if store is not None and out.feasible is not None:
-        labels = list(out.ranking.labels) if out.ranking else None
-        store.put_decision(g, args.k, out.feasible, labels, out.elapsed)
-    payload = {
+    out = store.get_decision(g, args.k) if store is not None else None
+    hit = out is not None
+    if not hit:
+        out = rank_decision(g, args.k, budget=_budget_from_args(args))
+        if store is not None and out.feasible is not None:
+            labels = list(out.ranking.labels) if out.ranking else None
+            store.put_decision(g, args.k, out.feasible, labels, out.elapsed)
+    _emit({
         "k": args.k,
         "feasible": out.feasible,
         "proven": out.feasible is not None,
         "elapsed": 0.0 if args.deterministic else round(out.elapsed, 6),
         "labels": list(out.ranking.labels) if out.ranking else None,
-        "method": "search",
-    }
-    _emit(payload)
+        "method": "cache" if hit else "search",
+    })
     return 2 if out.feasible is None else 0
 
 

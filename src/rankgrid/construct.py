@@ -618,8 +618,9 @@ def four_row_certificate(n: int) -> CertificateChain:
     """Certificate chain for G_{4,n}: endpoint construction, restricted if needed.
 
     Run endpoints get a chain whose label count equals the closed form
-    exactly; interior widths reuse the next endpoint's chain with a final
-    restriction step, which can overshoot the formula by the run's step.
+    exactly; interior widths reuse their run's endpoint chain with a final
+    restriction step.  The endpoint has the same rank_4xn as n, and a
+    restriction adds no labels, so it uses at most that many.
     """
     if n < 1:
         raise ValueError("width must be positive")

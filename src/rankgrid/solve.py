@@ -139,12 +139,13 @@ class _BudgetExhausted(Exception):
 class _Engine:
     """Separator-recursion search over connected bitmask subproblems."""
 
-    def __init__(self, graph: Graph, budget: Budget | None = None,
-                 blocks: Sequence[tuple[int, tuple[int, ...]]] = ()) -> None:
+    def __init__(self, graph: Graph, budget: Budget | None = None) -> None:
         self.g = graph
         self.n = graph.vertex_count
         self.adj = list(graph.adjacency_masks)
-        self.blocks = blocks  # (rank, placement masks), from _blocks
+        # (rank, placement masks); built before the clock starts, so no
+        # budget pays for the solves behind the ranks
+        self.blocks = _blocks(graph)
         self.memo: dict[int, tuple[int, int]] = {}
         self.nodes = 0
         self._node_limit = budget.nodes if budget else None
@@ -205,29 +206,10 @@ class _Engine:
         if self._deadline is not None and self.nodes % 256 == 0 and time.monotonic() > self._deadline:
             raise _BudgetExhausted()
 
-    def components(self, mask: int) -> list[int]:
-        comps = []
-        rem = mask
-        while rem:
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= self.adj[b.bit_length() - 1]
-                frontier = nxt & mask & ~comp
-                comp |= frontier
-            comps.append(comp)
-            rem &= ~comp
-        return comps
-
     def split(self, mask: int, v: int) -> list[int]:
-        """components(mask & ~(1 << v)), in its order, for a connected mask:
-        each component holds a neighbour of v, so a flood that holds every
-        neighbour not yet placed leaves the rest of the mask as one component."""
+        """The components of mask & ~(1 << v) for a connected mask, ordered
+        by lowest vertex: each holds a neighbour of v, so a flood that holds
+        every neighbour not yet placed leaves the rest of the mask as one."""
         adj = self.adj
         rest = mask & ~(1 << v)
         nbrs = adj[v] & rest
@@ -333,8 +315,6 @@ class _Engine:
     def feasible(self, mask: int, k: int) -> bool:
         """Is the connected subproblem rankable within k labels?  Stops at
         the first workable separator instead of minimizing."""
-        if k < 1:
-            return False
         if mask & (mask - 1) == 0:
             return True
         self.tick()
@@ -510,13 +490,25 @@ def _blocks(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
     return [(k, tuple(placements)) for k, placements in table.items()]
 
 
+def _components(g: Graph) -> list[int]:
+    """g's components as bitmasks, flooded by Graph.component, ordered by
+    lowest vertex."""
+    comps = []
+    rest = (1 << g.vertex_count) - 1
+    while rest:
+        comp = sum(1 << v for v in g.component((rest & -rest).bit_length() - 1))
+        comps.append(comp)
+        rest ^= comp
+    return comps
+
+
 def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
     """Exact rank number with certificate, or a proven interval on budget."""
     if g.vertex_count == 0:
         raise ValueError("rank_exact needs a nonempty graph")
     start = time.monotonic()
-    eng = _Engine(g, budget, _blocks(g))
-    comps = eng.components((1 << g.vertex_count) - 1)
+    eng = _Engine(g, budget)
+    comps = _components(g)
 
     heur: dict[int, int] = {}
     heur_vals = [eng.greedy(c, heur) for c in comps]
@@ -548,8 +540,8 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     start = time.monotonic()
-    eng = _Engine(g, budget, _blocks(g))
-    comps = eng.components((1 << g.vertex_count) - 1)
+    eng = _Engine(g, budget)
+    comps = _components(g)
     try:
         if not all(eng.feasible(c, k) for c in comps):
             return DecisionOutcome(None, False, time.monotonic() - start)
@@ -573,7 +565,8 @@ def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankRes
     Runs backtrack_labels on each component, in Graph.component's BFS
     order, for k = 1, 2, ...
     Exponential, hence the vertex cap.  Raises RuntimeError when the
-    budget's seconds run out.
+    budget runs out: its nodes count every backtracking node, across all
+    components and every k tried.
     """
     if g.vertex_count == 0:
         raise ValueError("brute_force needs a nonempty graph")
@@ -581,6 +574,15 @@ def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankRes
         raise ValueError(f"brute_force capped at {cap} vertices, got {g.vertex_count}")
     start = time.monotonic()
     deadline = (start + budget.seconds) if budget and budget.seconds else None
+    limit = budget.nodes if budget else None
+    nodes = 0
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if (limit is not None and nodes > limit
+                or deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline):
+            raise RuntimeError(f"budget exhausted after {nodes} search nodes")
 
     total_labels = [0] * g.vertex_count
     for src in range(g.vertex_count):
@@ -594,7 +596,7 @@ def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankRes
 
         # k = |comp| always succeeds: distinct labels rank anything
         for k in range(1, len(verts) + 1):
-            found = backtrack_labels(g, verts, k, valid, deadline)
+            found = backtrack_labels(g, verts, k, valid, tick)
             if found is not None:
                 break
         for v in verts:
@@ -609,7 +611,7 @@ def backtrack_labels(
     order: Sequence[int],
     k: int,
     accept: Callable[[list[int]], bool],
-    deadline: float | None = None,
+    tick: Callable[[], None] | None = None,
 ) -> list[int] | None:
     """Depth-first search over labels 1..k for the vertices in order.
 
@@ -621,12 +623,11 @@ def backtrack_labels(
     every vertex outside order.  Returns the first accepted labels, or
     None when no labelling is accepted.
 
-    Raises RuntimeError once time.monotonic() passes deadline; the clock
-    is read every 4096 search nodes.
+    tick, if given, is called once per search node; an exception it raises
+    ends the search.
     """
     adj = g.adjacency
     labels = [0] * g.vertex_count
-    nodes = 0
 
     def fits(v: int, label: int) -> bool:
         seen = {v}
@@ -643,12 +644,10 @@ def backtrack_labels(
         return True
 
     def rec(i: int) -> bool:
-        nonlocal nodes
         if i == len(order):
             return accept(labels)
-        nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise RuntimeError(f"budget exhausted after {nodes} search nodes")
+        if tick is not None:
+            tick()
         v = order[i]
         for label in range(1, k + 1):
             if fits(v, label):

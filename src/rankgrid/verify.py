@@ -66,9 +66,6 @@ class Violation:
     witnesses: tuple[int, int]
     path: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"level": self.level, "witnesses": list(self.witnesses), "path": list(self.path)}
-
 
 def validate(ranking: Ranking) -> Violation | None:
     """Return None for a valid ranking, or a Violation with a witness path.

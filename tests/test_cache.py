@@ -34,11 +34,11 @@ def test_round_trip(tmp_path, g):
     c.put_decision(g, 3, False, None, 0.002)
 
     again = SolutionCache(path)
-    rec = again.get_exact(g)
-    assert rec is not None and (rec["lb"], rec["ub"]) == (4, 4)
-    assert rec["labels"] == LABELS
+    res = again.get_exact(g)
+    assert (res.lb, res.ub, res.method, res.elapsed) == (4, 4, "cache", 0.0)
+    assert res.certificate.labels == tuple(LABELS)
     dec = again.get_decision(g, 3)
-    assert dec is not None and dec["feasible"] is False
+    assert (dec.feasible, dec.ranking, dec.elapsed) == (False, None, 0.0)
     assert again.get_decision(g, 4) is None
     assert len(again) == 2
 
@@ -143,8 +143,8 @@ def test_keeps_tightest_interval(tmp_path, g):
     c.put_exact(g, 2, 6, None, 0.0)
     c.put_exact(g, 4, 4, LABELS, 0.0)
     c.put_exact(g, 2, 6, None, 0.0)
-    rec = SolutionCache(path).get_exact(g)
-    assert (rec["lb"], rec["ub"]) == (4, 4)
+    res = SolutionCache(path).get_exact(g)
+    assert (res.lb, res.ub) == (4, 4)
 
 
 def test_entries_sorted_and_counted(tmp_path, g):
@@ -188,7 +188,7 @@ def test_exact_hit_needs_a_valid_ranking_of_lb_labels(tmp_path, g, caplog):
         path.unlink()
         c = SolutionCache(path)
     c.put_exact(g, 4, 4, LABELS, 0.0)
-    assert SolutionCache(path).get_exact(g)["labels"] == LABELS
+    assert SolutionCache(path).get_exact(g).certificate.labels == tuple(LABELS)
 
 
 def test_interval_record_is_a_quiet_miss(tmp_path):
@@ -246,7 +246,7 @@ def test_only_tightening_intervals_are_appended(tmp_path, g):
         before = path.stat().st_size if path.exists() else 0
         c.put_exact(g, lb, ub, LABELS if lb == ub else None, 0.0)
         assert (path.stat().st_size > before) is written, (lb, ub)
-    assert SolutionCache(path).get_exact(g)["labels"] == LABELS
+    assert SolutionCache(path).get_exact(g).certificate.labels == tuple(LABELS)
 
 
 def test_feasible_decision_hit_needs_a_ranking_within_k(tmp_path, g, caplog):
@@ -259,6 +259,23 @@ def test_feasible_decision_hit_needs_a_ranking_within_k(tmp_path, g, caplog):
     with caplog.at_level("WARNING", logger="rankgrid.cache"):
         assert [c.get_decision(g, k) for k in (2, 3, 6)] == [None, None, None]
     assert caplog.text.count("fails its check") == 3
-    assert c.get_decision(g, 5)["labels"] == LABELS
+    assert c.get_decision(g, 5).ranking.labels == tuple(LABELS)
     # a proven "no" carries no labels and is kept as it is
-    assert c.get_decision(g, 1)["feasible"] is False
+    assert c.get_decision(g, 1).feasible is False
+
+
+def test_hits_print_the_labels_they_checked(tmp_path, g, capsys):
+    # JSON true passes the check as the integer 1; a hit must print that 1
+    path = tmp_path / "c.jsonl"
+    bools = [True, 4, True, 2, 3, 2]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in (
+        {"rankgrid_cache": CACHE_VERSION},
+        {"kind": "exact", "key": g.graph_hash, "lb": 4, "ub": 4, "labels": bools,
+         "elapsed": 0.0, "provenance": "exact"},
+        {"kind": "decision", "key": g.graph_hash, "k": 5, "feasible": True, "labels": bools,
+         "elapsed": 0.0})))
+    for argv in (["exact"], ["decide", "--k", "5"]):
+        assert cli.main([*argv, "--grid", "2x3", "--cache", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["method"] == "cache" and doc["labels"] == LABELS
+        assert [type(label) for label in doc["labels"]] == [int] * 6, argv

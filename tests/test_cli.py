@@ -56,6 +56,14 @@ def test_exact_uses_cache_on_second_call(capsys, tmp_path):
     assert json.loads(first[1])["value"] == json.loads(second[1])["value"] == 5
 
 
+def test_exact_path(capsys):
+    for n in (1, 2, 7, 8):
+        code, out, _ = run(capsys, "exact", "--path", str(n), "--no-cache")
+        doc = json.loads(out)
+        assert code == 0 and doc["value"] == n.bit_length()
+        assert validate(Ranking(build(GraphShape.path(n)), tuple(doc["labels"]))) is None
+
+
 def test_decide_both_ways(capsys):
     code, out, _ = run(capsys, "decide", "--grid", "2x2", "--k", "3")
     assert code == 0
@@ -515,6 +523,18 @@ def test_decide_ignores_edited_feasible_record(capsys, tmp_path):
     assert code == 0 and doc["feasible"] is False and doc["method"] == "search"
 
 
+def test_decide_hit_repeats_the_search_reply(capsys, tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    for k, feasible in (("6", True), ("5", False)):
+        (code, miss, _), (code2, hit, _) = [
+            run(capsys, "decide", "--grid", "3x4", "--k", k, "--cache", path) for _ in range(2)]
+        miss, hit = json.loads(miss), json.loads(hit)
+        assert code == code2 == 0 and miss["feasible"] is feasible
+        assert (miss.pop("method"), hit.pop("method")) == ("search", "cache")
+        miss.pop("elapsed")
+        assert hit.pop("elapsed") == 0.0 and hit == miss
+
+
 def path3_file(tmp_path, labels=(1, 2, 1), **graph):
     doc = {"graph": {"shape": None, "vertex_count": 3, "edges": [[0, 1], [1, 2]],
                      "coords": [[0, 0], [0, 1], [0, 2]], **graph}, "labels": list(labels)}
@@ -558,6 +578,20 @@ def test_render_rejects_non_object_fields(capsys, tmp_path, field):
     code, out, err = run(capsys, "render", str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "is not a JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_render_rejects_a_ranking_of_another_graph(capsys, tmp_path):
+    with open(path3_file(tmp_path), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    labels = doc.pop("labels")
+    for graph_hash, want in ((Graph.from_json_dict(doc["graph"]).graph_hash, 0), ("0" * 64, 1)):
+        doc["ranking"] = {"graph_hash": graph_hash, "labels": labels}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "render", str(path))
+        assert code == want, err
+    assert out == "" and "the ranking's graph_hash does not match its graph" in err
     assert "Traceback" not in err
 
 

@@ -59,6 +59,18 @@ def test_brute_force_certificate_and_cap(rng):
         brute_force(big, cap=12, budget=Budget(seconds=1e-6))
 
 
+def test_brute_force_honours_a_node_budget():
+    big = build(GraphShape.grid(3, 4))
+    with pytest.raises(RuntimeError, match="budget exhausted after 2 search nodes"):
+        brute_force(big, cap=12, budget=Budget(nodes=1))
+    # one count across components and every k: the paths on 3 and 2
+    # vertices take 5 and 4 nodes, the two together 9
+    g = Graph(5, ((0, 1), (1, 2), (3, 4)), tuple((0, i) for i in range(5)))
+    with pytest.raises(RuntimeError):
+        brute_force(g, budget=Budget(nodes=8))
+    assert brute_force(g, budget=Budget(nodes=9)).value == 2
+
+
 def test_decision_feasible_produces_certificate():
     g = build(GraphShape.grid(4, 2, (StickyEnd("left"), StickyEnd("right"))))
     out = rank_decision(g, 6)
@@ -111,6 +123,13 @@ def test_budget_running_out_in_certificate_extraction(shape, budgets):
         assert res.lb <= value <= res.ub, nodes
         assert validate(res.certificate) is None
         assert res.certificate.label_count == res.ub
+
+
+def test_budget_seconds_running_out_still_holds_the_value():
+    # the engine reads its clock every 256 nodes, and exact 4x8 needs ~30k
+    res = rank_exact(build(GraphShape.grid(4, 8)), budget=Budget(seconds=1e-9))
+    assert res.budget_exhausted and res.lb <= formulas.rank_4xn(8) <= res.ub
+    assert validate(res.certificate) is None and res.certificate.label_count == res.ub
 
 
 def test_decision_budget_running_out_in_certificate_extraction():
@@ -247,7 +266,7 @@ def _check_block_detection(g, masks):
     table = solve._blocks(g)
     ref = _reference(g)
     assert ref and {(rank, p) for rank, ps in table for p in ps} <= set(ref)
-    eng = solve._Engine(g, blocks=table)
+    eng = solve._Engine(g)
     for mask in [*masks, *(p for _, p in ref)]:
         want = max((rank for rank, p in ref if mask & p == p), default=0)
         assert eng.block_lb(mask, 0) == want, (g.shape, bin(mask))
@@ -308,6 +327,25 @@ def _random_connected_mask(rng, g):
     return mask
 
 
+def _mask_components(g, mask):
+    """The components of mask, each flooded from the lowest vertex left: the
+    reference for the engine's split, sharing no code with it."""
+    adj = g.adjacency_masks
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            grown = comp
+            for v in range(g.vertex_count):
+                if frontier >> v & 1:
+                    grown |= adj[v] & mask
+            frontier = grown & ~comp
+            comp = grown
+        comps.append(comp)
+        mask &= ~comp
+    return comps
+
+
 def _induced(g, mask):
     return g.induced_subgraph([v for v in range(g.vertex_count) if mask >> v & 1])[0]
 
@@ -316,7 +354,7 @@ def test_block_bound_is_below_the_subgraph_rank():
     rng = random.Random(11)
     raised = []
     for g in (*_grids((4, 4), (3, 5)), *_grids((4, 4), (3, 6), decorations=RIGHT), *MORE_GRAPHS):
-        eng = solve._Engine(g, blocks=solve._blocks(g))
+        eng = solve._Engine(g)
         raised.append(0)
         for _ in range(200):
             mask = _random_connected_mask(rng, g)
@@ -330,7 +368,7 @@ def test_block_bound_is_below_the_subgraph_rank():
 
 
 def _check_block_core(g, masks):
-    eng = solve._Engine(g, blocks=solve._blocks(g))
+    eng = solve._Engine(g)
     ref = _reference(g)
     for mask in masks:
         inside = [(rank, p) for rank, p in ref if mask & p == p]
@@ -356,7 +394,7 @@ def test_block_core_holds_every_top_separator():
     empty = checked = outside = 0
     for g in (*_grids((4, 4), (3, 5), (4, 5)), *_grids((4, 4), (3, 6), decorations=RIGHT),
               *MORE_GRAPHS):
-        eng = solve._Engine(g, blocks=solve._blocks(g))
+        eng = solve._Engine(g)
         for _ in range(40):
             mask = _random_connected_mask(rng, g)
             if mask & (mask - 1) == 0:
@@ -375,7 +413,7 @@ def test_block_core_holds_every_top_separator():
                 v = rest & -rest
                 rest ^= v
                 outside += 1
-                comps = sorted(eng.components(mask & ~v), key=int.bit_count, reverse=True)
+                comps = sorted(_mask_components(g, mask & ~v), key=int.bit_count, reverse=True)
                 assert any(rank_decision(_induced(g, c), r - 1).feasible is False
                            for c in comps), (g.shape, bin(mask), v)
     assert empty >= 50 and checked >= 60 and outside >= 200, (empty, checked, outside)
@@ -443,7 +481,7 @@ def test_search_trajectory_is_pinned(shape, want):
     # a faster kernel must run the same search: same value, same number of
     # nodes, same memo entries
     g = build(shape)
-    eng = solve._Engine(g, None, solve._blocks(g))
+    eng = solve._Engine(g)
     value = eng.rank_of((1 << g.vertex_count) - 1)
     assert (value, eng.nodes, len(eng.memo)) == want
 
@@ -473,14 +511,14 @@ def test_split_matches_components(g):
     eng = solve._Engine(g)
     checked = 0
     for mask in range(1, 1 << g.vertex_count):
-        if len(eng.components(mask)) != 1:
+        if len(_mask_components(g, mask)) != 1:
             continue
         rest = mask
         while rest:
             b = rest & -rest
             rest ^= b
             v = b.bit_length() - 1
-            assert eng.split(mask, v) == eng.components(mask & ~b), (bin(mask), v)
+            assert eng.split(mask, v) == _mask_components(g, mask & ~b), (bin(mask), v)
             checked += 1
     assert checked > 1000
 
