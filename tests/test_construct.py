@@ -300,6 +300,52 @@ def test_diagonal_cut_without_inner_grid(m):
         construct.diagonal_cut(m, m + 3, None, corner(m))
 
 
+def _labels_sha256(rankings) -> str:
+    text = ";".join(",".join(map(str, r.labels)) for r in rankings)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _inner(m: int, q: int) -> Ranking | None:
+    # the inner grid diagonal_upper prices: solved up to width 4, a
+    # vertical cut of the solved half above
+    if q > 4:
+        return construct.vertical_cut(m, q, solve.solved(GraphShape.grid(m, q // 2)))
+    return solve.solved(GraphShape.grid(m, q)) if q else None
+
+
+# SHA-256 of the labels of diagonal_cut(m, n) for n = m+2..m+15, taken when
+# the cut kept its own mirror: q = 0 and both parities of n - m are covered
+DIAGONAL_CUT_SHA256 = {
+    2: "2997f2d682849d7d21b3377c93c10862b4d3e2fb2fc7dfab2e90106d4bfcc582",
+    3: "f2fb2eb34922cbdb6c981fac6a451530c7811efce34603f4ed71551ef9071937",
+    4: "5cdcb6d47d379eb4948ae1e4875d54538dc7305bd38d23e57d1b6c1771fc1bdf",
+    5: "0823a418eb928457b31778cb5fab220bb6c20a58986223215af3a2f057c37e45",
+}
+
+
+@pytest.mark.parametrize("m", sorted(DIAGONAL_CUT_SHA256))
+def test_diagonal_cut_labels_are_pinned(m):
+    cuts = [construct.diagonal_cut(m, n, _inner(m, (n - m + 1) // 2 - 1), corner(m))
+            for n in range(m + 2, m + 16)]
+    assert _labels_sha256(cuts) == DIAGONAL_CUT_SHA256[m]
+
+
+# SHA-256 of the labels of vertical_cut(m, n) for n = 2..13 on the solved
+# half, taken when the cut wrote its labels straight into one dict
+VERTICAL_CUT_SHA256 = {
+    1: "889a41399f94f2f0336112b84e5ea426122f9c150495120c90a2ceaedf4601e2",
+    2: "11bd670fc9f135756649c4cf23fd6d5850fbd97ae5e774958ed47137f41ceb91",
+    3: "288000e1dcaf462da734b298e34deff6d80414534bf03287a1093a0f8e82867e",
+    4: "0310b05b00c03981f0dd4d53587a0d139f7a124f3247a5b6a1d0d53e17b9f967",
+}
+
+
+@pytest.mark.parametrize("m", sorted(VERTICAL_CUT_SHA256))
+def test_vertical_cut_labels_are_pinned(m):
+    cuts = [construct.vertical_cut(m, n, solve.solved(GraphShape.grid(m, n // 2))) for n in range(2, 14)]
+    assert _labels_sha256(cuts) == VERTICAL_CUT_SHA256[m]
+
+
 def test_ruler_ranking_family():
     for k, (width, lam) in {3: (7, 9), 4: (17, 13), 5: (37, 17)}.items():
         r = construct.ruler_ranking(k)
