@@ -165,12 +165,15 @@ class SolutionCache:
 
     def get_decision(self, g: Graph, k: int) -> DecisionOutcome | None:
         """The settled answer for (g, k), a "yes" with its checked ranking,
-        or None."""
+        or None.  A "no" carries no labels, so a checked exact ranking of at
+        most k labels overrules it: the answer is "yes" with that ranking."""
         rec = self._decision.get((g.graph_hash, k))
         if rec is None:
             return None
-        if rec.get("feasible") is False:  # a proven "no" carries no labels
-            return DecisionOutcome(None, False, 0.0)
+        if rec.get("feasible") is False:
+            exact = self.get_exact(g)
+            fits = exact is not None and exact.value <= k
+            return DecisionOutcome(exact.certificate if fits else None, False, 0.0)
         r = self._checked(g, rec, lambda count: rec.get("feasible") is True and count <= k)
         return None if r is None else DecisionOutcome(r, False, 0.0)
 

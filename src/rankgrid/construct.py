@@ -1,11 +1,13 @@
 """Constructive certificates: explicit rankings realizing upper bounds.
 
-The four-row constructions share one move: place two labelled pieces so
-that a diagonal of four fresh labels separates them, letting the pieces
-reuse each other's label block.  Each application doubles the width and
-spends four labels.  Staircase ends are what make pieces dovetail around
-the diagonal, so the builders here track which rows a staircase keeps
-(bottom or top) and flip copies as needed.
+The staircase constructions share one move: place two labelled pieces of
+m rows so that a diagonal of m fresh labels separates them, letting the
+pieces reuse each other's label block.  Each application doubles the
+width and spends m labels.  Staircase ends are what make pieces dovetail
+around the diagonal, so the builders here track which rows a staircase
+keeps (bottom or top) and flip copies as needed; they read m from their
+inputs.  The four-row chains and diagonal_cut, whose piece is an inner
+grid with a glued corner, are both built from them.
 
 Every builder returns a validated Ranking or raises; nothing here trusts
 arithmetic alone.  run_endpoint_certificates drives the whole inventory:
@@ -63,13 +65,13 @@ CoordLabels = dict[Coord, int]
 # -- shape vocabulary ------------------------------------------------------
 
 
-def one_sticky_shape(n: int) -> GraphShape:
-    """Four-row grid of core width n with one bottom staircase on the right."""
-    return GraphShape.grid(4, n, (StickyEnd("right", "bottom"),))
+def one_sticky_shape(n: int, m: int = 4) -> GraphShape:
+    """m-row grid of core width n with one bottom staircase on the right."""
+    return GraphShape.grid(m, n, (StickyEnd("right", "bottom"),))
 
 
-def two_sticky_shape(n: int, *, anti: bool) -> GraphShape:
-    """Four-row grid with staircases on both ends.
+def two_sticky_shape(n: int, *, anti: bool, m: int = 4) -> GraphShape:
+    """m-row grid with staircases on both ends.
 
     anti=True keeps the top rows on the left and the bottom rows on the
     right (the shape a descending diagonal cut produces); anti=False
@@ -77,7 +79,7 @@ def two_sticky_shape(n: int, *, anti: bool) -> GraphShape:
     graphs with different rank numbers.
     """
     left = StickyEnd("left", "top" if anti else "bottom")
-    return GraphShape.grid(4, n, (left, StickyEnd("right", "bottom")))
+    return GraphShape.grid(m, n, (left, StickyEnd("right", "bottom")))
 
 
 @cache
@@ -99,9 +101,9 @@ def _coord_labels(r: Ranking) -> CoordLabels:
     return {rc: r.labels[i] for i, rc in enumerate(r.graph.coords)}
 
 
-def _vflip(cl: CoordLabels) -> CoordLabels:
-    # reflect the four rows top to bottom
-    return {(3 - r, c): v for (r, c), v in cl.items()}
+def _vflip(cl: CoordLabels, m: int) -> CoordLabels:
+    # reflect the m rows top to bottom
+    return {(m - 1 - r, c): v for (r, c), v in cl.items()}
 
 
 def _hflip(cl: CoordLabels, width: int) -> CoordLabels:
@@ -138,27 +140,23 @@ def _to_ranking(shape: GraphShape, cl: CoordLabels, expect: int) -> Ranking:
     return checked(g, tuple(cl[rc] for rc in g.coords), expect)
 
 
-def _grid4_shape(g: Graph) -> GraphShape:
-    shape = g.shape
-    if shape is None or shape.family != GRID or shape.m != 4:
-        raise ShapeError("expected a four-row grid shape")
-    return shape
-
-
-def _sticky_ends(shape: GraphShape) -> dict[str, str]:
+def _staircases(r: Ranking) -> tuple[GraphShape, dict[str, str]]:
+    """r's grid shape and, for each side with a staircase, the rows it keeps."""
+    shape = r.graph.shape
+    if shape is None or shape.family != GRID:
+        raise ShapeError("expected a grid shape")
     ends = {}
     for dec in shape.decorations:
         if not isinstance(dec, StickyEnd):
             raise ShapeError("only sticky-end decorations are supported here")
         ends[dec.side] = dec.align
-    return ends
+    return shape, ends
 
 
-def _one_staircase(r: Ranking) -> tuple[int, int, CoordLabels]:
-    """Width, label count and coord labels of a one-staircase ranking,
-    turned so the staircase is on the right keeping the bottom rows."""
-    shape = _grid4_shape(r.graph)
-    ends = _sticky_ends(shape)
+def _one_staircase(r: Ranking) -> tuple[int, int, int, CoordLabels]:
+    """Row count, width, label count and coord labels of a one-staircase
+    ranking, turned so the staircase is on the right keeping the bottom rows."""
+    shape, ends = _staircases(r)
     if len(ends) != 1:
         raise ShapeError("input must have exactly one staircase")
     cl = _coord_labels(r)
@@ -166,22 +164,21 @@ def _one_staircase(r: Ranking) -> tuple[int, int, CoordLabels]:
     if side == "left":
         cl = _hflip(cl, shape.n)
     if align == "top":
-        cl = _vflip(cl)
-    return shape.n, r.label_count, cl
+        cl = _vflip(cl, shape.m)
+    return shape.m, shape.n, r.label_count, cl
 
 
-def _two_staircase(r: Ranking) -> tuple[int, int, CoordLabels, bool]:
-    """Width, label count and coord labels of a two-staircase ranking,
-    flipped so the left staircase keeps the top rows, and whether both
-    staircases keep the same rows (aligned)."""
-    shape = _grid4_shape(r.graph)
-    ends = _sticky_ends(shape)
+def _two_staircase(r: Ranking) -> tuple[int, int, int, CoordLabels, bool]:
+    """Row count, width, label count and coord labels of a two-staircase
+    ranking, flipped so the left staircase keeps the top rows, and whether
+    both staircases keep the same rows (aligned)."""
+    shape, ends = _staircases(r)
     if set(ends) != {"left", "right"}:
         raise ShapeError("input must have staircases on both ends")
     cl = _coord_labels(r)
     if ends["left"] == "bottom":
-        cl = _vflip(cl)
-    return shape.n, r.label_count, cl, ends["left"] == ends["right"]
+        cl = _vflip(cl, shape.m)
+    return shape.m, shape.n, r.label_count, cl, ends["left"] == ends["right"]
 
 
 # -- staircase merges ------------------------------------------------------
@@ -190,50 +187,53 @@ def _two_staircase(r: Ranking) -> tuple[int, int, CoordLabels, bool]:
 def merge_two_sticky(r: Ranking) -> Ranking:
     """Join two copies of a two-staircase ranking across a fresh diagonal.
 
-    Core width n at lambda labels becomes core width 2n+4 at lambda+4;
-    the output always keeps top rows on the left and bottom rows on the
-    right, whatever the input's orientation.  Row i of the cut gets
-    label lambda+4-i, so the cut tops out at the far output labels.
+    m rows of core width n at lambda labels become core width 2n+m at
+    lambda+m; the output always keeps top rows on the left and bottom rows
+    on the right, whatever the input's orientation.  Row i of the cut gets
+    label lambda+m-i, so the cut tops out at the far output labels.
     """
-    n, lam, cl, aligned = _two_staircase(r)
+    m, n, lam, cl, aligned = _two_staircase(r)
     if aligned:
         # the second copy is flipped so the staircases interlock
-        second = _vflip(cl)
-        cut = {(i, n + 3 - i): lam + 4 - i for i in range(4)}
+        second = _vflip(cl, m)
+        cut = {(i, n + m - 1 - i): lam + m - i for i in range(m)}
     else:
         second = cl
-        cut = {(i, n + i): lam + 4 - i for i in range(4)}
-    out = _union(cl, _shift(second, n + 4), cut)
-    return _to_ranking(two_sticky_shape(2 * n + 4, anti=True), out, lam + 4)
+        cut = {(i, n + i): lam + m - i for i in range(m)}
+    out = _union(cl, _shift(second, n + m), cut)
+    return _to_ranking(two_sticky_shape(2 * n + m, anti=True, m=m), out, lam + m)
 
 
 def _ml_out1(a: Ranking, b: Ranking) -> Ranking:
-    """One-staircase a (width n) + two-staircase b (width n-1) -> width 2n+3."""
-    n, lam, cl_a = _one_staircase(a)
-    nb, lam_b, cl_b, aligned = _two_staircase(b)
+    """One-staircase a (width n) + two-staircase b (width n-1), both of m
+    rows -> one-staircase width 2n+m-1."""
+    m, n, lam, cl_a = _one_staircase(a)
+    mb, nb, lam_b, cl_b, aligned = _two_staircase(b)
+    if mb != m:
+        raise ShapeError(f"row counts differ: {m} vs {mb}")
     if nb != n - 1:
         raise ShapeError(f"widths must be n and n-1, got {n} and {nb}")
     if lam != lam_b:
         raise ValueError(f"label counts differ: {lam} vs {lam_b}")
-    cut = {(i, n + i): lam + 4 - i for i in range(4)}
-    out = _union(cl_a, _shift(cl_b, n + 4), cut)
+    cut = {(i, n + i): lam + m - i for i in range(m)}
+    out = _union(cl_a, _shift(cl_b, n + m), cut)
     if aligned:
-        out = _vflip(out)
-    return _to_ranking(one_sticky_shape(2 * n + 3), out, lam + 4)
+        out = _vflip(out, m)
+    return _to_ranking(one_sticky_shape(2 * n + m - 1, m), out, lam + m)
 
 
 def _close_one_sticky(r: Ranking) -> Ranking:
-    """Fold a one-staircase ranking onto a rotated copy of itself.
+    """Fold a one-staircase ranking onto a copy of itself spun 180 degrees.
 
-    Width w at lambda labels gives the plain grid of width 2w+4 at
-    lambda+4; the staircases of the two copies and the cut tile the seam
-    exactly.
+    m rows of width w at lambda labels give the plain m x (2w+m) grid at
+    lambda+m; the staircases of the two copies and the descending cut of
+    m fresh labels tile the seam exactly.
     """
-    w, lam, cl = _one_staircase(r)
-    spun = {(3 - r, 2 * w + 3 - c): v for (r, c), v in cl.items()}
-    cut = {(i, w + i): lam + 4 - i for i in range(4)}
+    m, w, lam, cl = _one_staircase(r)
+    spun = _hflip(_vflip(cl, m), 2 * w + m)
+    cut = {(i, w + i): lam + m - i for i in range(m)}
     out = _union(cl, spun, cut)
-    return _to_ranking(GraphShape.grid(4, 2 * w + 4), out, lam + 4)
+    return _to_ranking(GraphShape.grid(m, 2 * w + m), out, lam + m)
 
 
 def merging_lemma(a: Ranking, b: Ranking) -> tuple[Ranking, Ranking]:
@@ -265,14 +265,9 @@ def vertical_cut(m: int, n: int, sub: Ranking) -> Ranking:
         raise ShapeError(f"sub must be a plain {m}x{q} grid for n={n}")
     lam = sub.label_count
     cl = _coord_labels(sub)
-    out = dict(cl)
-    for r in range(m):
-        out[(r, q)] = lam + m - r
-    for (r, c), v in cl.items():
-        tgt = n - 1 - c
-        if tgt > q:
-            out[(r, tgt)] = v
-    return _to_ranking(GraphShape.grid(m, n), out, lam + m)
+    middle = {(r, q): lam + m - r for r in range(m)}
+    mirror = {(r, c): v for (r, c), v in _hflip(cl, n).items() if c > q}
+    return _to_ranking(GraphShape.grid(m, n), _union(cl, middle, mirror), lam + m)
 
 
 def corner_shape(m: int) -> GraphShape:
@@ -286,12 +281,16 @@ def corner_shape(m: int) -> GraphShape:
 def diagonal_cut(m: int, n: int, inner: Ranking | None, corner: Ranking) -> Ranking:
     """Two glued corners and a mirrored inner grid around one diagonal.
 
-    Layout, left to right: inner grid G_{m,q} with q = ceil((n-m)/2)-1 on
-    labels 1..li, a corner carrying corner's labels shifted by li (its
-    cell (r, c) at grid cell (r, q + c)), the m-vertex descending cut on
-    the top m labels, then the corner and inner again, spun 180 degrees.
-    The corners sit on opposite sides of the cut, so they can share one
-    label block; both inner copies sit below everything else.  At
+    The piece is the inner grid G_{m,q} with q = ceil((n-m)/2)-1 on labels
+    1..li, and right of it a corner carrying corner's labels shifted by li
+    (its cell (r, c) at grid cell (r, q + c)): a one-staircase ranking of
+    width q+1.  The fold (_close_one_sticky) puts the m-vertex descending
+    cut on the top m labels and the piece again, spun 180 degrees, beyond
+    it; the corners sit on opposite sides of the cut, so they share one
+    label block, and both inner copies sit below everything else.  The
+    fold is m x (2q+m+2); when n - m is odd that is one column too wide,
+    and restrict_columns drops the last one, a column of the spun inner
+    grid, whose labels the other inner copy still holds.  At
     n = m+2, q = 0: inner is None and the corners and cut alone tile the
     grid.
 
@@ -323,18 +322,10 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, corner: Ranking) -> Rank
         raise ValueError(f"corner is not a ranking: {bad}")
 
     li = inner.label_count if inner is not None else 0
-    top = li + corner.label_count + m
-    left = _coord_labels(inner) if inner is not None else {}
-    left.update(((r, q + c), li + v) for (r, c), v in _coord_labels(corner).items())
-    cut = {(r, q + 1 + r): top - r for r in range(m)}
-    # (n-m) even reflects about column (n-1)/2 exactly; odd shifts the
-    # mirror one column right and clips one inner column off the far side
-    axis = n - 1 if (n - m) % 2 == 0 else n
-    right = {
-        (m - 1 - r, axis - c): v for (r, c), v in left.items() if axis - c < n
-    }
-    out = _union(left, cut, right)
-    return _to_ranking(GraphShape.grid(m, n), out, top)
+    glued = {(r, q + c): li + v for (r, c), v in _coord_labels(corner).items()}
+    piece = _union(_coord_labels(inner) if inner is not None else {}, glued)
+    folded = _close_one_sticky(_to_ranking(one_sticky_shape(q + 1, m), piece, li + corner.label_count))
+    return restrict_columns(folded, n) if (n - m) % 2 else folded
 
 
 # -- triangle rankings -----------------------------------------------------

@@ -279,3 +279,22 @@ def test_hits_print_the_labels_they_checked(tmp_path, g, capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "cache" and doc["labels"] == LABELS
         assert [type(label) for label in doc["labels"]] == [int] * 6, argv
+
+
+def test_checked_exact_ranking_refutes_a_cached_no(tmp_path, capsys):
+    # the 3x4 grid has a checked 6-label ranking in the file, so an appended
+    # "no" at k = 7 is wrong: the hit is a "yes" carrying that ranking; the
+    # "no" at k = 5 is not contradicted and stands
+    path = tmp_path / "c.jsonl"
+    assert cli.main(["exact", "--grid", "3x4", "--cache", str(path)]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert exact["value"] == 6
+    key = build(GraphShape.grid(3, 4)).graph_hash
+    with open(path, "a") as fh:
+        for k in (7, 5):
+            fh.write(json.dumps({"kind": "decision", "key": key, "k": k, "feasible": False}) + "\n")
+    for k, feasible, labels in [(7, True, exact["labels"]), (5, False, None)]:
+        assert cli.main(["decide", "--grid", "3x4", "--k", str(k), "--cache", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["feasible"], doc["proven"], doc["method"]) == (feasible, True, "cache"), k
+        assert doc["labels"] == labels

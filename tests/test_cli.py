@@ -654,6 +654,18 @@ def test_sweep_json_is_indent_2_sorted(capsys):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_out_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
+    argv = ("sweep", "--m", "3", "--n-range", "2:9", "--methods", "formula,exact,bounds",
+            "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    path = tmp_path / f"sweep.{fmt}"
+    code, again, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and again == ""
+    assert path.read_bytes() == out.encode()
+
+
 @pytest.mark.parametrize("graph,message", [
     ({"shape": {"family": "grid", "m": 1, "n": 3, "decorations": [1]}},
      "'int' object is not subscriptable"),

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import run_endpoint
 from rankgrid import bounds, construct, formulas, solve
-from rankgrid.graphs import Graph, GraphShape, ShapeError, StickyEnd, build
+from rankgrid.graphs import Graph, GraphShape, RemoveCorner, ShapeError, StickyEnd, build
 from rankgrid.solve import rank_exact
 from rankgrid.verify import Ranking, validate
 
@@ -140,6 +140,77 @@ def test_merges_are_pinned_in_every_orientation(merge, w):
     for out in outs:
         text = json.dumps(out.graph.shape.to_json_dict(), sort_keys=True) + "|" + ",".join(map(str, out.labels))
         assert hashlib.sha256(text.encode()).hexdigest() == ORIENTATION_SHA256[merge, w]
+
+
+def _solved_one(w: int, m: int) -> Ranking:
+    return solve.solved(construct.one_sticky_shape(w, m))
+
+
+def _solved_two(w: int, m: int, anti: bool = True) -> Ranking:
+    return solve.solved(construct.two_sticky_shape(w, anti=anti, m=m))
+
+
+@pytest.mark.parametrize("m, w, labels", [(3, 2, 7), (3, 3, 8), (3, 4, 9), (5, 2, 12), (5, 3, 13)])
+def test_fold_reads_the_row_count(m, w, labels):
+    # an m-row one-staircase of width w at lambda labels folds to the plain
+    # m x (2w+m) grid at lambda+m
+    base = _solved_one(w, m)
+    out = construct._close_one_sticky(base)
+    assert out.graph.shape == GraphShape.grid(m, 2 * w + m)
+    assert out.label_count == labels == base.label_count + m
+
+
+@pytest.mark.parametrize("m, w, anti, labels", [
+    (3, 2, False, 7), (3, 3, True, 8), (3, 4, True, 9), (5, 2, True, 12), (5, 3, True, 13),
+])
+def test_staircase_merge_reads_the_row_count(m, w, anti, labels):
+    # one-staircase w and two-staircase w-1 on one label count give the
+    # one-staircase 2w+m-1 at m more labels
+    a, b = _solved_one(w, m), _solved_two(w - 1, m, anti)
+    assert a.label_count == b.label_count
+    out = construct._ml_out1(a, b)
+    assert out.graph.shape == construct.one_sticky_shape(2 * w + m - 1, m)
+    assert out.label_count == labels == a.label_count + m
+
+
+@pytest.mark.parametrize("m, w, anti, labels", [
+    (3, 2, True, 8), (3, 3, False, 8), (3, 4, True, 9), (5, 2, True, 13), (5, 3, True, 13),
+])
+def test_double_merge_reads_the_row_count(m, w, anti, labels):
+    base = _solved_two(w, m, anti)
+    out = construct.merge_two_sticky(base)
+    assert out.graph.shape == construct.two_sticky_shape(2 * w + m, anti=True, m=m)
+    assert out.label_count == labels == base.label_count + m
+
+
+def _distinct(shape: GraphShape) -> Ranking:
+    # all labels distinct: a valid ranking of any graph
+    g = build(shape)
+    return Ranking(g, tuple(range(1, g.vertex_count + 1)))
+
+
+def test_staircase_algebra_refuses_bad_inputs():
+    # bad inputs are refused before assembly, never by an assertion
+    two = _solved_two(2, 4)
+    for wrong in (two, _distinct(GraphShape.grid(4, 3)), construct.triangle_ranking(4),
+                  _distinct(GraphShape.grid(4, 3, (StickyEnd("right"), RemoveCorner("NW"))))):
+        with pytest.raises(ShapeError):
+            construct._close_one_sticky(wrong)
+    with pytest.raises(ShapeError, match="both ends"):
+        construct.merge_two_sticky(_solved_one(3, 4))
+    one = _solved_one(3, 4)
+    assert one.label_count == two.label_count == 6
+    with pytest.raises(ShapeError, match="widths"):
+        construct._ml_out1(_solved_one(4, 4), two)
+    raised = Ranking(two.graph, tuple(v + 1 for v in two.labels))
+    with pytest.raises(ValueError, match="label counts"):
+        construct._ml_out1(one, raised)
+    # widths 3 and 2 on 6 labels, but three rows against four
+    three = _solved_two(2, 3)
+    three = Ranking(three.graph, tuple(v + 1 for v in three.labels))
+    assert three.label_count == 6
+    with pytest.raises(ShapeError, match="row counts"):
+        construct._ml_out1(one, three)
 
 
 def test_vertical_cut_even_and_odd():
