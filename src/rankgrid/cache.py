@@ -48,6 +48,7 @@ class SolutionCache:
         self.path = Path(path)
         self.writable = True
         self._exact: dict[str, dict] = {}
+        self._least: dict[str, dict] = {}  # the labelled exact record of least ub
         self._failed: dict[str, dict] = {}  # records get_exact dropped
         self._decision: dict[tuple[str, int], dict] = {}
         self._load()
@@ -94,6 +95,9 @@ class SolutionCache:
             # later wins, so a fresh solve replaces a record that failed
             if old is None or (lb, -ub) >= (old["lb"], -old["ub"]):
                 self._exact[key] = rec
+            least = self._least.get(key)
+            if rec.get("labels") is not None and (least is None or ub <= least["ub"]):
+                self._least[key] = rec
         elif kind == "decision":
             self._decision[(rec["key"], operator.index(rec["k"]))] = rec
         else:
@@ -112,42 +116,59 @@ class SolutionCache:
         finally:
             os.close(fd)
 
-    def _checked(self, g: Graph, rec: dict, fits) -> Ranking | None:
+    @staticmethod
+    def _ranking(g: Graph, rec: dict, fits) -> Ranking | None:
         """The ranking of g by rec's integer labels if it is valid and
-        fits(label_count), else None (a miss)."""
+        fits(label_count), else None."""
         try:
             r = Ranking(g, tuple(operator.index(l) for l in rec["labels"]))
         except (KeyError, TypeError, ValueError):
-            r = None
-        if r is not None and validate(r) is None and fits(r.label_count):
-            return r
-        log.warning("cache %s: %s record %s fails its check; miss", self.path, rec["kind"], rec["key"])
-        return None
+            return None
+        return r if validate(r) is None and fits(r.label_count) else None
+
+    def _checked(self, g: Graph, rec: dict, fits) -> Ranking | None:
+        """_ranking, with a warning when rec fails (a miss)."""
+        r = self._ranking(g, rec, fits)
+        if r is None:
+            log.warning("cache %s: %s record %s fails its check; miss", self.path, rec["kind"], rec["key"])
+        return r
 
     # -- exact results -----------------------------------------------------
 
     def get_exact(self, g: Graph) -> RankResult | None:
         """g's settled value with its checked ranking, or None.  A record
         that fails its check leaves the view but is kept aside: it is still
-        in the file."""
-        rec = self._exact.get(g.graph_hash)
+        in the file.  So is a record whose lb exceeds the label count of a
+        checked ranking in the file: the reply then comes from that ranking's
+        record if it settles the value, and is a miss if not.  A lower record
+        that fails its check refutes nothing and is passed over quietly."""
+        key = g.graph_hash
+        rec, least = self._exact.get(key), self._least.get(key)
+        if (rec is not None and least is not None and rec["lb"] > least["ub"]
+                and self._ranking(g, least, lambda count: count == least["ub"]) is not None):
+            log.warning("cache %s: exact record %s claims lb %d, but a checked ranking has %d labels;"
+                        " record dropped", self.path, key, rec["lb"], least["ub"])
+            self._failed[key] = rec
+            rec = self._exact[key] = least
         if rec is None or rec["lb"] != rec["ub"]:
             return None
         r = self._checked(g, rec, lambda count: count == rec["lb"])
         if r is None:
-            self._failed[g.graph_hash] = self._exact.pop(g.graph_hash)
+            self._failed[key] = self._exact.pop(key)
             return None
         return RankResult(r.label_count, r.label_count, "cache", r, 0.0)
 
     def put_exact(self, g: Graph, lb: int, ub: int, labels: list[int] | None,
                   elapsed: float) -> None:
         """Record [lb, ub] for g unless the view holds one at least as tight or
-        a failed record would still win on reload: reruns do not grow the file."""
+        a failed record would still win on reload: reruns do not grow the file.
+        A ranking of fewer labels than a failed record's lb refutes it on reload."""
         old = self._exact.get(g.graph_hash)
         if old is not None and old["lb"] >= lb and old["ub"] <= ub:
             return
         bad = self._failed.get(g.graph_hash)
-        if bad is not None and (lb, -ub) < (bad["lb"], -bad["ub"]):
+        if (bad is not None and (lb, -ub) < (bad["lb"], -bad["ub"])
+                and (labels is None or ub >= bad["lb"])):
             return
         rec = {
             "kind": "exact",

@@ -40,6 +40,10 @@ def _json_text(x: object, pad: str = "") -> str:
         return encode_basestring_ascii(x)
     if t is int:
         return str(x)
+    if t is float or t is bool or x is None:
+        # indent changes no scalar, and json.dumps without it reuses the
+        # shared C encoder, where indent=2 builds closures that form cycles
+        return json.dumps(x)
     inner = pad + "  "
     sep = ",\n" + inner
     if t is dict and x and all(type(k) is str for k in x):
@@ -110,24 +114,23 @@ def _budget_from_args(args: argparse.Namespace) -> Budget | None:
     return Budget(seconds=args.budget, nodes=args.budget_nodes)
 
 
-def _add_shape_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", metavar="MxN", help="grid with M rows and N columns")
-    p.add_argument("--path", type=int, metavar="N", help="path on N vertices")
-    p.add_argument("--triangle", type=int, metavar="S", help="triangle grid with S rows")
-    p.add_argument("--sticky", action="append", metavar="SIDE[:ALIGN]",
-                   help="staircase attachment (left|right, align bottom|top); repeatable")
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=float, metavar="SECONDS",
-                   help="wall-clock cap; exceeded solves report an interval")
-    p.add_argument("--budget-nodes", type=int, metavar="N",
-                   help="search-node cap")
-    p.add_argument("--deterministic", action="store_true",
-                   help="no cache traffic, zeroed timings")
-    p.add_argument("--cache", metavar="PATH",
-                   help="cache file (default: RANKGRID_CACHE or the user data dir)")
-    p.add_argument("--no-cache", action="store_true", help="skip the cache entirely")
+# flags as (name, add_argument keywords), shared by exact and decide
+_SHAPE_FLAGS = (
+    ("--grid", dict(metavar="MxN", help="grid with M rows and N columns")),
+    ("--path", dict(type=int, metavar="N", help="path on N vertices")),
+    ("--triangle", dict(type=int, metavar="S", help="triangle grid with S rows")),
+    ("--sticky", dict(action="append", metavar="SIDE[:ALIGN]",
+                      help="staircase attachment (left|right, align bottom|top); repeatable")),
+)
+_SOLVER_FLAGS = (
+    ("--budget", dict(type=float, metavar="SECONDS",
+                      help="wall-clock cap; exceeded solves report an interval")),
+    ("--budget-nodes", dict(type=int, metavar="N", help="search-node cap")),
+    ("--deterministic", dict(action="store_true", help="no cache traffic, zeroed timings")),
+    ("--cache", dict(metavar="PATH",
+                     help="cache file (default: RANKGRID_CACHE or the user data dir)")),
+    ("--no-cache", dict(action="store_true", help="skip the cache entirely")),
+)
 
 
 def _open_cache(args: argparse.Namespace) -> SolutionCache | None:
@@ -326,6 +329,8 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.m < 1:
+        raise ShapeError(f"sweep needs --m >= 1, got {args.m}")
     span = _parse_range(args.n_range)
     methods = set(args.methods.split(","))
     unknown = methods.difference(_SWEEP_METHODS)
@@ -425,72 +430,77 @@ class _Parser(argparse.ArgumentParser):
         raise ShapeError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# every subcommand in the order the full parser lists them:
+# name -> (one-line help, handler, flags as (name, add_argument keywords))
+_COMMANDS = {
+    "exact": ("exact rank number with certificate", _cmd_exact, _SHAPE_FLAGS + _SOLVER_FLAGS),
+    "decide": ("is there a ranking with at most k labels", _cmd_decide, _SHAPE_FLAGS + _SOLVER_FLAGS + (
+        ("--k", dict(type=int, required=True, help="label budget")),
+    )),
+    "formula": ("closed-form values for 1..4 rows", _cmd_formula, (
+        ("--m", dict(type=int, required=True, choices=(1, 2, 3, 4))),
+        ("--n", dict(type=int, required=True)),
+        ("--recursive", dict(action="store_true",
+                             help="use the interval recursion instead of the closed form (m=4)")),
+    )),
+    "bounds": ("lower and upper bounds", _cmd_bounds, (
+        ("--m", dict(type=int)),
+        ("--n", dict(type=int)),
+        ("--triangle", dict(type=int, metavar="S")),
+    )),
+    "construct": ("build verified ranking certificates", _cmd_construct, (
+        ("--four-rows", dict(type=int, metavar="N", help="certificate chain for the 4xN grid")),
+        ("--triangle", dict(type=int, metavar="S", help="row-stacked triangle ranking")),
+        ("--endpoints", dict(type=int, metavar="KMAX",
+                             help="summary of all run-endpoint chains up to 2^(KMAX+1)-3")),
+        ("--out", dict(metavar="FILE", help="write JSON here instead of stdout")),
+    )),
+    "sweep": ("tabulate methods over a width range", _cmd_sweep, (
+        ("--m", dict(type=int, required=True)),
+        ("--n-range", dict(required=True, metavar="LO:HI")),
+        ("--methods", dict(default="formula,bucket",
+                           help=f"comma list from {','.join(_SWEEP_METHODS)}")),
+        ("--format", dict(choices=("csv", "json"), default="csv")),
+        ("--out", dict(metavar="FILE")),
+        ("--budget", dict(type=float, metavar="SECONDS")),
+        ("--budget-nodes", dict(type=int, metavar="N")),
+    )),
+    "compare": ("halving vs diagonal upper bound", _cmd_compare, (
+        ("--m", dict(type=int, required=True)),
+        ("--n", dict(type=int, required=True)),
+    )),
+    "render": ("draw a ranking file as ascii or svg", _cmd_render, (
+        ("file", dict(help="JSON with 'graph' plus 'ranking' or 'labels'")),
+        ("--format", dict(choices=("ascii", "svg"), default="ascii")),
+        ("--out", dict(metavar="FILE")),
+    )),
+    "cache-inspect": ("show cache location and contents", _cmd_cache_inspect, (
+        ("--cache", dict(metavar="PATH")),
+        ("--verbose", dict(action="store_true", help="list every record")),
+    )),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for command alone if it names a subcommand, else for all.
+
+    A one-command parser still names every command in its usage line,
+    which argparse prints with errors such as unrecognized arguments."""
     parser = _Parser(prog="rankgrid",
                      description="Vertex-ranking toolkit for grid graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exact", help="exact rank number with certificate")
-    _add_shape_flags(p)
-    _add_solver_flags(p)
-    p.set_defaults(func=_cmd_exact)
-
-    p = sub.add_parser("decide", help="is there a ranking with at most k labels")
-    _add_shape_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--k", type=int, required=True, help="label budget")
-    p.set_defaults(func=_cmd_decide)
-
-    p = sub.add_parser("formula", help="closed-form values for 1..4 rows")
-    p.add_argument("--m", type=int, required=True, choices=(1, 2, 3, 4))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--recursive", action="store_true",
-                   help="use the interval recursion instead of the closed form (m=4)")
-    p.set_defaults(func=_cmd_formula)
-
-    p = sub.add_parser("bounds", help="lower and upper bounds")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--triangle", type=int, metavar="S")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("construct", help="build verified ranking certificates")
-    p.add_argument("--four-rows", type=int, metavar="N",
-                   help="certificate chain for the 4xN grid")
-    p.add_argument("--triangle", type=int, metavar="S",
-                   help="row-stacked triangle ranking")
-    p.add_argument("--endpoints", type=int, metavar="KMAX",
-                   help="summary of all run-endpoint chains up to 2^(KMAX+1)-3")
-    p.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("sweep", help="tabulate methods over a width range")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n-range", required=True, metavar="LO:HI")
-    p.add_argument("--methods", default="formula,bucket",
-                   help=f"comma list from {','.join(_SWEEP_METHODS)}")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--budget", type=float, metavar="SECONDS")
-    p.add_argument("--budget-nodes", type=int, metavar="N")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("compare", help="halving vs diagonal upper bound")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("render", help="draw a ranking file as ascii or svg")
-    p.add_argument("file", help="JSON with 'graph' plus 'ranking' or 'labels'")
-    p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("cache-inspect", help="show cache location and contents")
-    p.add_argument("--cache", metavar="PATH")
-    p.add_argument("--verbose", action="store_true", help="list every record")
-    p.set_defaults(func=_cmd_cache_inspect)
-
+    if command in _COMMANDS:
+        names = [command]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        names = list(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, func, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -498,15 +508,18 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic collector paused.
 
     rankgrid's data are acyclic (int-keyed dicts, tuples, frozen
-    dataclasses), so reference counting frees them without the collector;
-    a command leaves only a fixed few hundred cyclic objects, mostly the
-    parser, whatever its size.  The caller's collector state is restored on
-    every exit path, --help's SystemExit included.
+    dataclasses), so reference counting frees them without the collector.
+    Only the named subcommand's parser is built, and a command leaves 64 to
+    266 cyclic objects, mostly that parser, whatever its size.  The caller's
+    collector state is restored on every exit path, --help's SystemExit
+    included.
     """
+    if argv is None:
+        argv = sys.argv[1:]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:  # ShapeError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)

@@ -214,10 +214,11 @@ def test_repeated_budgeted_runs_append_once(tmp_path, capsys):
     assert len(lines) == 2
 
 
-def test_budgeted_runs_do_not_append_behind_a_failed_record(tmp_path, capsys):
+def test_budgeted_runs_do_not_append_behind_a_failed_record(tmp_path, capsys, caplog):
     # the forged record fails its check, but on reload its tighter interval
     # still wins over a budget-exhausted one, so appending those grew the
-    # file by a line a run; an unbudgeted solve still heals the key
+    # file by a line a run; an unbudgeted solve still heals the key, and the
+    # hit passes over the forged record quietly
     path = tmp_path / "c.jsonl"
     g = build(GraphShape.grid(4, 8))
     path.write_text(json.dumps({"rankgrid_cache": CACHE_VERSION}) + "\n" + json.dumps(
@@ -230,10 +231,12 @@ def test_budgeted_runs_do_not_append_behind_a_failed_record(tmp_path, capsys):
     assert len(path.read_text().splitlines()) == 2
     methods = []
     for _ in range(2):
-        assert cli.main(argv) == 0
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="rankgrid.cache"):
+            assert cli.main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
-        methods.append((doc["method"], doc["value"]))
-    assert methods == [("exact", 10), ("cache", 10)]
+        methods.append((doc["method"], doc["value"], len(caplog.records)))
+    assert methods == [("exact", 10, 1), ("cache", 10, 0)]
     assert len(path.read_text().splitlines()) == 3
 
 
@@ -298,3 +301,36 @@ def test_checked_exact_ranking_refutes_a_cached_no(tmp_path, capsys):
         doc = json.loads(capsys.readouterr().out)
         assert (doc["feasible"], doc["proven"], doc["method"]) == (feasible, True, "cache"), k
         assert doc["labels"] == labels
+
+
+@pytest.mark.parametrize("forged_last", [True, False])
+def test_checked_ranking_refutes_a_higher_cached_lb(tmp_path, capsys, caplog, forged_last):
+    # [1,4,1,2,5,2,1,6,1] is a valid but not minimal ranking of the 3x3 grid:
+    # recorded as lb = ub = 6 it is the tighter record, in either line order;
+    # the genuine record's checked 5-label ranking refutes its lb
+    path = tmp_path / "c.jsonl"
+    assert cli.main(["exact", "--grid", "3x3", "--cache", str(path)]) == 0
+    genuine = json.loads(capsys.readouterr().out)
+    header, record = path.read_text().splitlines()
+    forged = json.dumps({**json.loads(record), "lb": 6, "ub": 6, "labels": [1, 4, 1, 2, 5, 2, 1, 6, 1]})
+    path.write_text("\n".join([header, *([record, forged] if forged_last else [forged, record])]) + "\n")
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        assert cli.main(["exact", "--grid", "3x3", "--cache", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["value"], doc["method"], doc["labels"]) == (5, "cache", genuine["labels"])
+    assert "claims lb 6, but a checked ranking has 5 labels" in caplog.text
+
+
+def test_a_refuting_interval_record_is_a_miss_until_a_solve_settles_it(tmp_path, g):
+    # the refuted lb = ub = 5 record loses to the checked 4-label ranking of
+    # the interval [2, 4], which settles nothing; the fresh value 4 is
+    # written, as on reload it too refutes the record of 5
+    path = tmp_path / "c.jsonl"
+    c = SolutionCache(path)
+    c.put_exact(g, 2, 4, LABELS, 0.0)
+    c.put_exact(g, 5, 5, [1, 2, 1, 3, 5, 4], 0.0)
+    c = SolutionCache(path)
+    assert c.get_exact(g) is None
+    c.put_exact(g, 4, 4, LABELS, 0.0)
+    res = SolutionCache(path).get_exact(g)
+    assert (res.lb, res.ub, res.method) == (4, 4, "cache")

@@ -8,13 +8,14 @@ import hashlib
 import io
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import run_endpoint
 from rankgrid import bounds, cli, construct, formulas
 from rankgrid.cache import CACHE_VERSION, ENV_VAR
-from rankgrid.graphs import Graph, GraphShape, build
+from rankgrid.graphs import Graph, GraphShape, ShapeError, build
 from rankgrid.verify import Ranking, validate
 
 
@@ -254,6 +255,92 @@ def test_exit_code_usage_error(capsys):
     assert err.startswith("usage:") and "--jobs" in err and "Traceback" not in err
 
 
+# each command's -h, a valid argv, and three usage errors: a missing
+# required flag or flag value, an unknown flag, an extra positional
+PARSER_CASES = [
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["exact", "--grid", "3x3", "--sticky", "right:top", "--budget", "1.5", "--no-cache"],
+    ["exact", "--grid"], ["exact", "--grid", "3x3", "--jobs", "2"], ["exact", "--grid", "3x3", "decide"],
+    ["decide", "--path", "7", "--k", "3", "--budget-nodes", "9", "--deterministic"],
+    ["decide", "--grid", "3x3"], ["decide", "--k", "3", "--bogus"], ["decide", "--k", "3", "x"],
+    ["formula", "--m", "4", "--n", "9", "--recursive"],
+    ["formula", "--m", "4"], ["formula", "--m", "9", "--n", "3"], ["formula", "--m", "4", "--n", "9", "--x"],
+    ["formula", "--m", "4", "--n", "9", "x"],
+    ["bounds", "--m", "5", "--n", "9"], ["bounds", "--m"], ["bounds", "--k", "1"], ["bounds", "5"],
+    ["construct", "--four-rows", "9", "--out", "c.json"],
+    ["construct", "--four-rows"], ["construct", "--rows", "4"], ["construct", "--triangle", "5", "x"],
+    ["sweep", "--m", "4", "--n-range", "3:6", "--methods", "exact", "--format", "json",
+     "--out", "s.json", "--budget", "2", "--budget-nodes", "9"],
+    ["sweep", "--m", "4"], ["sweep", "--m", "4", "--n-range", "1:2", "--jobs", "2"],
+    ["sweep", "--m", "4", "--n-range", "1:2", "x"],
+    ["compare", "--m", "4", "--n", "6"],
+    ["compare", "--n", "6"], ["compare", "--m", "4", "--n", "6", "--x"], ["compare", "--m", "4", "--n", "6", "x"],
+    ["render", "f.json", "--format", "svg", "--out", "f.svg"],
+    ["render"], ["render", "f.json", "--svg"], ["render", "f.json", "g.json"],
+    ["cache-inspect", "--cache", "c.jsonl", "--verbose"],
+    ["cache-inspect", "--cache"], ["cache-inspect", "--all"], ["cache-inspect", "x"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    except ShapeError as exc:
+        result = ("error", str(exc))
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_command_parser_agrees_with_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(cli._build_parser(argv[0]), argv, capsys) == _parse(cli._build_parser(), argv, capsys)
+
+
+USAGE = """usage: rankgrid [-h]
+                {exact,decide,formula,bounds,construct,sweep,compare,render,cache-inspect}
+                ...
+"""
+TOP_HELP = USAGE + """
+Vertex-ranking toolkit for grid graphs.
+
+positional arguments:
+  {exact,decide,formula,bounds,construct,sweep,compare,render,cache-inspect}
+    exact               exact rank number with certificate
+    decide              is there a ranking with at most k labels
+    formula             closed-form values for 1..4 rows
+    bounds              lower and upper bounds
+    construct           build verified ranking certificates
+    sweep               tabulate methods over a width range
+    compare             halving vs diagonal upper bound
+    render              draw a ranking file as ascii or svg
+    cache-inspect       show cache location and contents
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_top_level_help_and_invalid_choice_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert (exc.value.code, capsys.readouterr()) == (0, (TOP_HELP, ""))
+    assert run(capsys, "bogus") == (1, "", USAGE + (
+        "error: argument command: invalid choice: 'bogus' (choose from 'exact', 'decide', 'formula',"
+        " 'bounds', 'construct', 'sweep', 'compare', 'render', 'cache-inspect')\n"))
+    # a one-command parser names every command in the usage it prints
+    assert run(capsys, "compare", "--m", "4", "--n", "6", "x") == (
+        1, "", USAGE + "error: unrecognized arguments: x\n")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["rankgrid", "formula", "--m", "4", "--n", "9"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["value"] == formulas.rank_formula(4, 9)
+
+
 def test_exit_code_budget_exhausted(capsys):
     code, out, _ = run(capsys, "exact", "--grid", "4x6", "--no-cache",
                        "--budget-nodes", "50")
@@ -296,11 +383,18 @@ def test_main_restores_the_collector_state(capsys, monkeypatch):
 
 def test_command_cyclic_garbage_does_not_grow_with_its_work(capsys, tmp_path):
     # main pauses the collector because a command's cyclic garbage is a
-    # fixed few hundred objects (mostly the parser), not a share of its work
-    out = str(tmp_path / "c.json")
+    # fixed 64 to 266 objects (mostly its one subcommand's parser), not a
+    # share of its work
+    small, big = str(tmp_path / "small.json"), str(tmp_path / "big.json")
+    cache = tmp_path / "many.jsonl"
+    write_cache(cache, *({"kind": "exact", "key": f"k{i}", "lb": 1, "ub": 1, "labels": [1],
+                          "elapsed": 0.5, "provenance": "exact"} for i in range(2000)))
     pairs = [
-        (["construct", "--four-rows", "64", "--out", out], ["construct", "--four-rows", "2000", "--out", out]),
+        (["construct", "--four-rows", "64", "--out", small], ["construct", "--four-rows", "2000", "--out", big]),
         (["exact", "--grid", "3x4"], ["exact", "--grid", "4x6"]),
+        (["render", small], ["render", big, "--format", "svg"]),
+        (["cache-inspect", "--cache", str(tmp_path / "none.jsonl")],
+         ["cache-inspect", "--cache", str(cache), "--verbose"]),
     ]
     was_enabled = gc.isenabled()
     gc.disable()
@@ -311,7 +405,7 @@ def test_command_cyclic_garbage_does_not_grow_with_its_work(capsys, tmp_path):
                 gc.collect()
                 assert cli.main(argv) == 0
                 counts.append(gc.collect())
-            assert max(counts) < 1000, (pair, counts)
+            assert max(counts) < 400, (pair, counts)
             assert abs(counts[0] - counts[1]) <= 100, (pair, counts)
     finally:
         if was_enabled:
@@ -328,6 +422,15 @@ def test_budget_out_during_certificate_extraction_exits_2(capsys):
                          "--no-cache")
     assert (code, err) == (2, "")
     assert json.loads(out)["proven"] is False
+
+
+def test_sweep_rejects_m_below_one_before_it_writes(capsys, tmp_path):
+    out = tmp_path / "s.csv"
+    for argv in (["--m", "0"], ["--m", "-1", "--methods", "bounds"], ["--m", "0", "--format", "json"]):
+        argv = ["sweep", *argv, "--n-range", "1:3"]
+        assert run(capsys, *argv) == (1, "", f"error: sweep needs --m >= 1, got {argv[2]}\n")
+        assert run(capsys, *argv, "--out", str(out))[0] == 1
+        assert not out.exists()
 
 
 def test_nan_budget_is_rejected(capsys):
