@@ -2,12 +2,17 @@
 
 Plain JSONL, append-only: a version header line followed by one record
 per result.  Records are keyed by the graph hash, so any way of arriving
-at the same canonical graph shares entries.  Unreadable lines are
-skipped with a warning, and a hit whose labels fail validate is a miss;
-the cache is an accelerator, never an authority.  A hit is handed out as
-the result it settles, built on the ranking validate checked, so what is
-printed is what was checked.  An interval record (a solve that ran out of
-budget) settles nothing and is a quiet miss.
+at the same canonical graph shares entries.  Opening a cache reads the
+file and checks its header; a record line is parsed only when a lookup or
+write asks for a key the line names, or when `entries` lists them all.
+Each key is decided from its own records in file order, so a lookup sees
+what a read of the whole file would.  Unreadable lines (bad JSON, bytes
+that are not UTF-8, a key that is not a graph hash) are skipped with a
+warning when they are read, and a hit whose labels fail validate is a
+miss; the cache is an accelerator, never an authority.  A hit is handed
+out as the result it settles, built on the ranking validate checked, so
+what is printed is what was checked.  An interval record (a solve that
+ran out of budget) settles nothing and is a quiet miss.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import logging
 import operator
 import os
+import re
 from pathlib import Path
 
 from .graphs import Graph
@@ -26,6 +32,10 @@ log = logging.getLogger(__name__)
 
 CACHE_VERSION = 1
 ENV_VAR = "RANKGRID_CACHE"
+# what graph_hash produces: no such key contains another, so a search for
+# one key's text finds every line that names it and never matches inside
+# another key
+_KEY = re.compile("[0-9a-f]{64}")
 
 __all__ = ["SolutionCache", "resolve_cache_path", "CACHE_VERSION", "ENV_VAR"]
 
@@ -51,42 +61,84 @@ class SolutionCache:
         self._least: dict[str, dict] = {}  # the labelled exact record of least ub
         self._failed: dict[str, dict] = {}  # records get_exact dropped
         self._decision: dict[tuple[str, int], dict] = {}
+        self._header = b""
+        self._buf = b""  # the record lines as read, all after the header
+        self._done: set[int] = set()  # offsets of the lines already read
         self._load()
 
     def _load(self) -> None:
-        if not self.path.exists():
+        try:
+            buf = self.path.read_bytes()
+        except FileNotFoundError:
             return
-        with open(self.path, encoding="utf-8") as fh:
-            first = fh.readline()
-            if not first.strip():
-                return
+        end = buf.find(b"\n")
+        first = buf if end < 0 else buf[:end]
+        if not first.strip():
+            return
+        try:
+            version = json.loads(first.decode("utf-8"))["rankgrid_cache"]
+        except (ValueError, TypeError, KeyError):
+            log.warning("cache %s has no valid header; ignoring file", self.path)
+            self.writable = False
+            return
+        if version != CACHE_VERSION:
+            log.warning(
+                "cache %s is version %s, expected %s; ignoring file",
+                self.path, version, CACHE_VERSION,
+            )
+            self.writable = False
+            return
+        self._header, self._buf = first, buf[end + 1:] if end >= 0 else b""
+
+    def _take(self, key: str | None) -> None:
+        """Read, in file order, each unread line that contains key, or every
+        unread line if key is None."""
+        buf, done = self._buf, self._done
+        if key is None:
+            start = 0
+            while start < len(buf):
+                end = buf.find(b"\n", start)
+                end = len(buf) if end < 0 else end
+                if start not in done:
+                    self._read(start, end, None)
+                start = end + 1
+            self._buf = b""
+            done.clear()
+            return
+        needle = key.encode()
+        at = buf.find(needle)
+        while at >= 0:
+            start = buf.rfind(b"\n", 0, at) + 1
+            end = buf.find(b"\n", at)
+            end = len(buf) if end < 0 else end
+            if start not in done:
+                self._read(start, end, key)
+            at = buf.find(needle, end)
+
+    def _read(self, start: int, end: int, key: str | None) -> None:
+        """Absorb the line buf[start:end], or warn that it is corrupt.  A
+        record of another key than key (one that names key in some other
+        field) is left unread: it is absorbed with its own key's records."""
+        line = self._buf[start:end]
+        if line.strip() and line != self._header:  # else blank, or a racing writer's header
             try:
-                header = json.loads(first)
-                version = header["rankgrid_cache"]
-            except (json.JSONDecodeError, TypeError, KeyError):
-                log.warning("cache %s has no valid header; ignoring file", self.path)
-                self.writable = False
-                return
-            if version != CACHE_VERSION:
-                log.warning(
-                    "cache %s is version %s, expected %s; ignoring file",
-                    self.path, version, CACHE_VERSION,
-                )
-                self.writable = False
-                return
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip() or line == first:  # a racing writer's header
-                    continue
-                try:
-                    rec = json.loads(line)
-                    self._absorb(rec)
-                except (json.JSONDecodeError, TypeError, KeyError, ValueError):
-                    log.warning("cache %s line %d is corrupt; skipped", self.path, lineno)
+                text = line.decode("utf-8")
+                rec = json.loads(text)
+                if key is not None and rec["key"] != key:
+                    return
+                if rec["key"] not in text:  # spelled with escapes: a lookup would not find it
+                    raise ValueError("key not written out")
+                self._absorb(rec)
+            except (ValueError, TypeError, KeyError):
+                lineno = self._buf.count(b"\n", 0, start) + 2  # the header is line 1
+                log.warning("cache %s line %d is corrupt; skipped", self.path, lineno)
+        self._done.add(start)
 
     def _absorb(self, rec: dict) -> None:
-        kind = rec["kind"]
+        kind, key = rec["kind"], rec["key"]
+        if not (isinstance(key, str) and _KEY.fullmatch(key)):
+            raise ValueError(f"key {key!r} is not a graph hash")
         if kind == "exact":
-            key = rec["key"]
             lb, ub = operator.index(rec["lb"]), operator.index(rec["ub"])
             if lb > ub:
                 raise ValueError("inverted interval")
@@ -99,7 +151,7 @@ class SolutionCache:
             if rec.get("labels") is not None and (least is None or ub <= least["ub"]):
                 self._least[key] = rec
         elif kind == "decision":
-            self._decision[(rec["key"], operator.index(rec["k"]))] = rec
+            self._decision[(key, operator.index(rec["k"]))] = rec
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 
@@ -143,6 +195,7 @@ class SolutionCache:
         record if it settles the value, and is a miss if not.  A lower record
         that fails its check refutes nothing and is passed over quietly."""
         key = g.graph_hash
+        self._take(key)
         rec, least = self._exact.get(key), self._least.get(key)
         if (rec is not None and least is not None and rec["lb"] > least["ub"]
                 and self._ranking(g, least, lambda count: count == least["ub"]) is not None):
@@ -163,6 +216,7 @@ class SolutionCache:
         """Record [lb, ub] for g unless the view holds one at least as tight or
         a failed record would still win on reload: reruns do not grow the file.
         A ranking of fewer labels than a failed record's lb refutes it on reload."""
+        self._take(g.graph_hash)
         old = self._exact.get(g.graph_hash)
         if old is not None and old["lb"] >= lb and old["ub"] <= ub:
             return
@@ -188,6 +242,7 @@ class SolutionCache:
         """The settled answer for (g, k), a "yes" with its checked ranking,
         or None.  A "no" carries no labels, so a checked exact ranking of at
         most k labels overrules it: the answer is "yes" with that ranking."""
+        self._take(g.graph_hash)
         rec = self._decision.get((g.graph_hash, k))
         if rec is None:
             return None
@@ -200,6 +255,7 @@ class SolutionCache:
 
     def put_decision(self, g: Graph, k: int, feasible: bool,
                      labels: list[int] | None, elapsed: float) -> None:
+        self._take(g.graph_hash)
         rec = {
             "kind": "decision",
             "key": g.graph_hash,
@@ -214,9 +270,11 @@ class SolutionCache:
     # -- introspection -----------------------------------------------------
 
     def entries(self) -> list[dict]:
+        self._take(None)
         out = list(self._exact.values())
         out.extend(self._decision.values())
         return sorted(out, key=lambda r: (r["kind"], r["key"], r.get("k", 0)))
 
     def __len__(self) -> int:
+        self._take(None)
         return len(self._exact) + len(self._decision)

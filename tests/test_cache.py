@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import rankgrid
 from rankgrid import cli
 from rankgrid.cache import CACHE_VERSION, ENV_VAR, SolutionCache, resolve_cache_path
 from rankgrid.graphs import GraphShape, build
+from rankgrid.solve import rank_exact
 
 # a valid 4-label ranking of the 2x3 grid, row-major
 LABELS = [1, 4, 1, 2, 3, 2]
@@ -334,3 +336,165 @@ def test_a_refuting_interval_record_is_a_miss_until_a_solve_settles_it(tmp_path,
     c.put_exact(g, 4, 4, LABELS, 0.0)
     res = SolutionCache(path).get_exact(g)
     assert (res.lb, res.ub, res.method) == (4, 4, "cache")
+
+
+HEADER = json.dumps({"rankgrid_cache": CACHE_VERSION}) + "\n"
+
+
+def test_non_utf8_bytes_are_a_corrupt_line(tmp_path, g, capsys, caplog):
+    # a line of stray bytes names no key, so only cache-inspect reads it; a
+    # record of the key with a non-UTF-8 byte is read, and skipped, by exact
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(HEADER.encode() + b"\xff\xfe\n" + b'{"kind": "exact", "key": "%s", "x": "\xff"}\n'
+                     % g.graph_hash.encode())
+    runs = {}
+    for argv in (["exact", "--grid", "2x3"], ["decide", "--grid", "2x3", "--k", "4"], ["cache-inspect"]):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="rankgrid.cache"):
+            assert cli.main([*argv, "--cache", str(path)]) == 0, argv
+        runs[argv[0]] = (json.loads(capsys.readouterr().out), caplog.text)
+    assert runs["exact"][0]["value"] == 4
+    assert runs["exact"][1].count("is corrupt") == 1 and "line 3 is corrupt" in runs["exact"][1]
+    assert runs["decide"][0]["feasible"] is True
+    doc, text = runs["cache-inspect"]
+    assert (doc["exact"], doc["decisions"]) == (1, 1)
+    assert "line 2 is corrupt" in text and "line 3 is corrupt" in text
+
+
+def test_non_utf8_header_ignores_the_file(tmp_path, g, caplog):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\xff\xfe\n" + json.dumps({"kind": "exact", "key": g.graph_hash, "lb": 4, "ub": 4,
+                                                  "labels": LABELS}).encode() + b"\n")
+    before = path.read_bytes()
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        c = SolutionCache(path)
+        assert c.get_exact(g) is None and len(c) == 0
+    assert "has no valid header; ignoring file" in caplog.text
+    assert not c.writable
+    c.put_exact(g, 4, 4, LABELS, 0.0)
+    assert path.read_bytes() == before
+
+
+_H = build(GraphShape.grid(2, 3)).graph_hash
+
+
+@pytest.mark.parametrize("key", [
+    "5", "null", '["%s"]' % _H, json.dumps(_H.upper()), json.dumps(_H[:-1]), json.dumps(_H + "0"),
+    # the graph hash spelled with JSON escapes: a lookup would not find it
+    '"%s"' % "".join("\\u%04x" % ord(c) for c in _H)])
+def test_a_key_that_is_not_a_graph_hash_is_a_corrupt_line(tmp_path, capsys, caplog, key):
+    path = tmp_path / "c.jsonl"
+    assert cli.main(["exact", "--grid", "2x3", "--cache", str(path)]) == 0
+    capsys.readouterr()
+    with open(path, "a") as fh:
+        fh.write('{"kind": "exact", "key": %s, "lb": 1, "ub": 1}\n' % key)
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        assert cli.main(["cache-inspect", "--cache", str(path), "--verbose"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["exact"], doc["entries"]) == (1, 1)
+    assert doc["records"][0]["lb"] == 4
+    assert "line 3 is corrupt" in caplog.text
+
+
+def _session_file(rng, shapes):
+    """A shuffled cache file for each of shapes: equal intervals, records
+    that fail their check, a forged higher lb beside a lower checked ranking,
+    interval records, decision lines overriding earlier ones, corrupt lines
+    that name the key, and another key's record naming the key elsewhere."""
+    lines = []
+    for shape in shapes:
+        g = build(shape)
+        key, good = g.graph_hash, list(rank_exact(g).certificate.labels)
+        r = max(good)
+        forged = [r + 1 if label == r else label for label in good]  # valid, one label too many
+        exact = lambda lb, ub, labels: {"kind": "exact", "key": key, "lb": lb, "ub": ub,
+                                         "labels": labels, "elapsed": 0.0, "provenance": "exact"}
+        recs = [exact(r, r, good), exact(r, r, [1] * len(good)), exact(r, r, good[::-1]),
+                exact(r + 1, r + 1, forged), exact(r + 2, r + 2, None), exact(r - 1, r + 1, None),
+                exact(1, r, good), exact(r - 2, r + 3, forged)]
+        for k in (r - 1, r, r + 1):
+            recs += [{"kind": "decision", "key": key, "k": k, "feasible": rng.random() < 0.5,
+                      "labels": rng.choice([None, good, forged, [1] * len(good)])} for _ in range(2)]
+        lines += [json.dumps(rec) for rec in rng.sample(recs, rng.randint(3, len(recs)))]
+        lines += ['{"kind": "exact", "key": "%s", "lb": 5, "ub": 3}' % key,
+                  '{"kind": "exact", "key": "%s", "lb": 2' % key,
+                  '{"kind": "nope", "key": "%s"}' % key]
+    keys = [build(s).graph_hash for s in shapes]
+    lines += [json.dumps({"kind": "decision", "key": keys[i], "k": 2, "feasible": True,
+                          "labels": None, "note": keys[i - 1]}) for i in range(len(keys))]
+    rng.shuffle(lines)
+    return HEADER + "\n".join(lines) + "\n"
+
+
+def _ask(c, g):
+    """What c replies for g: writes, a lookup of each k, and a write."""
+    good = list(rank_exact(g).certificate.labels)
+    r = max(good)
+    c.put_decision(g, r, True, good, 0.0)
+    c.put_exact(g, r - 1, r + 1, None, 0.0)
+    res = c.get_exact(g)
+    decisions = [c.get_decision(g, k) for k in range(1, r + 3)]
+    c.put_exact(g, r, r, good, 0.0)
+    return (None if res is None else (res.lb, res.ub, res.method, res.certificate.labels),
+            [None if d is None else (d.feasible, d.ranking and d.ranking.labels) for d in decisions])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_lookup_reads_what_a_full_read_would(tmp_path, caplog, seed):
+    # a fresh cache asked only about one key, one asked about the other keys
+    # first, and one that read every line first must reply, write and warn
+    # alike for that key; the full read's warnings are those about lines
+    # that name the key
+    rng = random.Random(seed)
+    shapes = [GraphShape.grid(2, 3), GraphShape.grid(3, 3), GraphShape.path(5), GraphShape.grid(2, 4)]
+    text = _session_file(rng, shapes)
+    lines = text.splitlines()
+    for shape in shapes:
+        g = build(shape)
+        others = [build(s) for s in rng.sample(shapes, len(shapes)) if s != shape]
+        got = []
+        for mode in ("only", "others first", "entries first"):
+            path = tmp_path / f"{mode}.jsonl"
+            path.write_text(text)
+            c = SolutionCache(path)
+            with caplog.at_level("WARNING", logger="rankgrid.cache"):
+                caplog.clear()
+                if mode == "others first":
+                    for h in others:
+                        _ask(c, h)
+                elif mode == "entries first":
+                    c.entries()
+                warned = [m for m in caplog.messages if mode == "entries first" and (
+                    "is corrupt" not in m or g.graph_hash in lines[int(m.split(" line ")[1].split()[0]) - 1])]
+                caplog.clear()
+                replies = _ask(c, g)
+            appended = [line for line in path.read_text()[len(text):].splitlines() if g.graph_hash in line]
+            got.append((replies, [m.replace(str(path), "F") for m in warned + caplog.messages], appended))
+        assert got[0] == got[1] == got[2], (seed, shape)
+
+
+def test_a_lookup_parses_only_its_own_keys_lines(tmp_path, g, capsys, caplog, monkeypatch):
+    rng = random.Random(7)
+    other = ["%064x" % rng.getrandbits(256) for _ in range(2000)]
+    mine = [{"kind": "exact", "key": g.graph_hash, "lb": 2, "ub": 6, "labels": None},
+            {"kind": "exact", "key": g.graph_hash, "lb": 4, "ub": 4, "labels": LABELS},
+            {"kind": "decision", "key": g.graph_hash, "k": 4, "feasible": True, "labels": LABELS}]
+    recs = [{"kind": "decision", "key": key, "k": 3, "feasible": False} for key in other]
+    for i, rec in enumerate(mine):
+        recs.insert(700 * i + 5, rec)
+    path = tmp_path / "c.jsonl"
+    path.write_text(HEADER + "".join(json.dumps(rec) + "\n" for rec in recs)
+                    + '{"kind": "exact", "key": "%s", "lb": 5, "ub": 3}\n' % other[0])
+    loads, calls = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s, *a, **kw: calls.append(s) or loads(s, *a, **kw))
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        assert cli.main(["exact", "--grid", "2x3", "--cache", str(path)]) == 0
+    parsed = calls[:]
+    assert json.loads(capsys.readouterr().out)["method"] == "cache"
+    assert caplog.records == []
+    assert len(parsed) == 1 + len(mine)  # the header and the key's own lines
+    assert all(g.graph_hash in line for line in parsed[1:])
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        assert cli.main(["cache-inspect", "--cache", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == 2002
+    assert caplog.messages == [f"cache {path} line {len(recs) + 2} is corrupt; skipped"]
