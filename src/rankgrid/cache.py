@@ -169,18 +169,22 @@ class SolutionCache:
             os.close(fd)
 
     @staticmethod
-    def _ranking(g: Graph, rec: dict, fits) -> Ranking | None:
+    def _ranking(g: Graph, rec: dict, fits, seen: dict[int, Ranking | None]) -> Ranking | None:
         """The ranking of g by rec's integer labels if it is valid and
-        fits(label_count), else None."""
-        try:
-            r = Ranking(g, tuple(operator.index(l) for l in rec["labels"]))
-        except (KeyError, TypeError, ValueError):
-            return None
-        return r if validate(r) is None and fits(r.label_count) else None
+        fits(label_count), else None.  seen holds the rankings this reply
+        has checked, by record, so no reply validates a record twice."""
+        if id(rec) not in seen:
+            try:
+                r = Ranking(g, tuple(operator.index(l) for l in rec["labels"]))
+            except (KeyError, TypeError, ValueError):
+                r = None
+            seen[id(rec)] = r if r is not None and validate(r) is None else None
+        r = seen[id(rec)]
+        return r if r is not None and fits(r.label_count) else None
 
-    def _checked(self, g: Graph, rec: dict, fits) -> Ranking | None:
+    def _checked(self, g: Graph, rec: dict, fits, seen: dict[int, Ranking | None]) -> Ranking | None:
         """_ranking, with a warning when rec fails (a miss)."""
-        r = self._ranking(g, rec, fits)
+        r = self._ranking(g, rec, fits, seen)
         if r is None:
             log.warning("cache %s: %s record %s fails its check; miss", self.path, rec["kind"], rec["key"])
         return r
@@ -194,18 +198,22 @@ class SolutionCache:
         checked ranking in the file: the reply then comes from that ranking's
         record if it settles the value, and is a miss if not.  A lower record
         that fails its check refutes nothing and is passed over quietly."""
+        self._take(g.graph_hash)
+        return self._settled(g, {})
+
+    def _settled(self, g: Graph, seen: dict[int, Ranking | None]) -> RankResult | None:
+        """get_exact's reply, once g's lines are read."""
         key = g.graph_hash
-        self._take(key)
         rec, least = self._exact.get(key), self._least.get(key)
         if (rec is not None and least is not None and rec["lb"] > least["ub"]
-                and self._ranking(g, least, lambda count: count == least["ub"]) is not None):
+                and self._ranking(g, least, lambda count: count == least["ub"], seen) is not None):
             log.warning("cache %s: exact record %s claims lb %d, but a checked ranking has %d labels;"
                         " record dropped", self.path, key, rec["lb"], least["ub"])
             self._failed[key] = rec
             rec = self._exact[key] = least
         if rec is None or rec["lb"] != rec["ub"]:
             return None
-        r = self._checked(g, rec, lambda count: count == rec["lb"])
+        r = self._checked(g, rec, lambda count: count == rec["lb"], seen)
         if r is None:
             self._failed[key] = self._exact.pop(key)
             return None
@@ -240,17 +248,24 @@ class SolutionCache:
 
     def get_decision(self, g: Graph, k: int) -> DecisionOutcome | None:
         """The settled answer for (g, k), a "yes" with its checked ranking,
-        or None.  A "no" carries no labels, so a checked exact ranking of at
-        most k labels overrules it: the answer is "yes" with that ranking."""
-        self._take(g.graph_hash)
-        rec = self._decision.get((g.graph_hash, k))
+        or None.  A "no" carries no labels, so a checked ranking of at most
+        k labels in an exact record overrules it: the settled one, else the
+        one of least ub, an interval record's included.  The answer is then
+        "yes" with that ranking."""
+        key = g.graph_hash
+        self._take(key)
+        rec = self._decision.get((key, k))
         if rec is None:
             return None
+        seen: dict[int, Ranking | None] = {}
         if rec.get("feasible") is False:
-            exact = self.get_exact(g)
-            fits = exact is not None and exact.value <= k
-            return DecisionOutcome(exact.certificate if fits else None, False, 0.0)
-        r = self._checked(g, rec, lambda count: rec.get("feasible") is True and count <= k)
+            exact = self._settled(g, seen)
+            if exact is not None and exact.value <= k:
+                return DecisionOutcome(exact.certificate, False, 0.0)
+            least = self._least.get(key)
+            r = None if least is None else self._ranking(g, least, lambda count: count <= k, seen)
+            return DecisionOutcome(r, False, 0.0)
+        r = self._checked(g, rec, lambda count: rec.get("feasible") is True and count <= k, seen)
         return None if r is None else DecisionOutcome(r, False, 0.0)
 
     def put_decision(self, g: Graph, k: int, feasible: bool,

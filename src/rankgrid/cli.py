@@ -114,7 +114,7 @@ def _budget_from_args(args: argparse.Namespace) -> Budget | None:
     return Budget(seconds=args.budget, nodes=args.budget_nodes)
 
 
-# flags as (name, add_argument keywords), shared by exact and decide
+# flags as (name, add_argument keywords): exact and decide share them, sweep the budget pair
 _SHAPE_FLAGS = (
     ("--grid", dict(metavar="MxN", help="grid with M rows and N columns")),
     ("--path", dict(type=int, metavar="N", help="path on N vertices")),
@@ -240,9 +240,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         _emit(construct.four_row_certificate(args.four_rows).to_json_dict(), args.out)
         return 0
     if args.triangle is not None:
-        r = construct.triangle_ranking(args.triangle)
-        step = construct.ChainStep("triangle-rows", (), r.graph.shape, r.label_count)
-        _emit(construct.CertificateChain((step,), r).to_json_dict(), args.out)
+        _emit(construct.triangle_certificate(args.triangle).to_json_dict(), args.out)
         return 0
     chains = construct.run_endpoint_certificates(args.endpoints)
     _emit({
@@ -452,7 +450,7 @@ _COMMANDS = {
         ("--four-rows", dict(type=int, metavar="N", help="certificate chain for the 4xN grid")),
         ("--triangle", dict(type=int, metavar="S", help="row-stacked triangle ranking")),
         ("--endpoints", dict(type=int, metavar="KMAX",
-                             help="summary of all run-endpoint chains up to 2^(KMAX+1)-3")),
+                             help="summary of the run-endpoint chains of widths 1..7*2^(KMAX-2)-2")),
         ("--out", dict(metavar="FILE", help="write JSON here instead of stdout")),
     )),
     "sweep": ("tabulate methods over a width range", _cmd_sweep, (
@@ -462,9 +460,7 @@ _COMMANDS = {
                            help=f"comma list from {','.join(_SWEEP_METHODS)}")),
         ("--format", dict(choices=("csv", "json"), default="csv")),
         ("--out", dict(metavar="FILE")),
-        ("--budget", dict(type=float, metavar="SECONDS")),
-        ("--budget-nodes", dict(type=int, metavar="N")),
-    )),
+    ) + _SOLVER_FLAGS[:2]),
     "compare": ("halving vs diagonal upper bound", _cmd_compare, (
         ("--m", dict(type=int, required=True)),
         ("--n", dict(type=int, required=True)),

@@ -48,6 +48,7 @@ __all__ = [
     "corner_shape",
     "diagonal_cut",
     "triangle_ranking",
+    "triangle_certificate",
     "claimed_triangle_labels",
     "TriangleRow",
     "triangle_report",
@@ -239,9 +240,9 @@ def _close_one_sticky(r: Ranking) -> Ranking:
 def merging_lemma(a: Ranking, b: Ranking) -> tuple[Ranking, Ranking]:
     """Merge a one-staircase width-n and a two-staircase width-(n-1) input.
 
-    Both must use the same label count lambda.  Returns the one-staircase
-    width 2n+3 result at lambda+4 and its closure, the plain grid of
-    width 4n+10 at lambda+8.
+    Both must have m rows and use the same label count lambda.  Returns
+    the one-staircase width 2n+m-1 result at lambda+m and its closure, the
+    plain m x (4n+3m-2) grid at lambda+2m.
     """
     out1 = _ml_out1(a, b)
     return out1, _close_one_sticky(out1)
@@ -405,6 +406,12 @@ def triangle_ranking(s: int) -> Ranking:
     return _to_ranking(shape, _tri_fill(s), labels)
 
 
+def triangle_certificate(s: int) -> CertificateChain:
+    """triangle_ranking(s) as a one-step chain: "solve" for s <= 6, "triangle-rows" above."""
+    r = triangle_ranking(s)
+    return CertificateChain((_step("solve" if s <= 6 else "triangle-rows", (), r),), r)
+
+
 @dataclass(frozen=True)
 class TriangleRow:
     s: int
@@ -548,12 +555,18 @@ def _solver_chain(n: int) -> CertificateChain:
     return CertificateChain((_step("solve", (), cert),), cert)
 
 
-def _doubling_chain(k: int, base_k: int, a0_width: int, b0_anti: bool, lam0: int) -> CertificateChain:
-    """Close after k - base_k merge rounds from solver-ranked staircase bases."""
-    a = base_ranking(one_sticky_shape(a0_width), lam0)
-    b = base_ranking(two_sticky_shape(a0_width - 1, anti=b0_anti), lam0)
+# the doubling chains' bases (w, anti, labels): one- and two-staircases of
+# widths w and w-1, solver-ranked on labels; r merge rounds and the fold
+# give the 4 x ((w+3)*2^(r+1) - 2) grid at labels + 4r + 4
+_BASES = ((5, True, 8), (3, True, 6), (4, False, 7))
+
+
+def _doubling_chain(rounds: int, w: int, anti: bool, labels: int) -> CertificateChain:
+    """Close after the given merge rounds from the staircase bases of one _BASES row."""
+    a = base_ranking(one_sticky_shape(w), labels)
+    b = base_ranking(two_sticky_shape(w - 1, anti=anti), labels)
     steps = [_step("solve-decision", (), a), _step("solve-decision", (), b)]
-    for _ in range(k - base_k):
+    for _ in range(rounds):
         na = _ml_out1(a, b)
         steps.append(_step("staircase-merge", (a, b), na))
         nb = merge_two_sticky(b)
@@ -567,17 +580,13 @@ def _doubling_chain(k: int, base_k: int, a0_width: int, b0_anti: bool, lam0: int
 def _endpoint_chain(n: int) -> CertificateChain:
     if n <= 8:
         return _solver_chain(n)
-    k2 = (n + 2).bit_length() - 1
-    if n + 2 == 1 << k2:
-        # widths 2^k - 2: staircase bases of width 5 and 4 on 8 labels
-        return _doubling_chain(k2, 4, 5, True, 8)
-    if n + 2 == 3 << (k2 - 1):
-        return _doubling_chain(k2, 3, 3, True, 6)
-    if n + 2 == 7 << (k2 - 2):
-        return _doubling_chain(k2, 3, 4, False, 7)
-    k3 = (n + 3).bit_length() - 1
-    if n + 3 == 5 << (k3 - 2):
-        cert = ruler_ranking(k3)
+    for w, anti, labels in _BASES:
+        q, rest = divmod(n + 2, w + 3)
+        if not rest and not q & (q - 1):  # q = 2^(rounds+1)
+            return _doubling_chain(q.bit_length() - 2, w, anti, labels)
+    k = (n + 3).bit_length() - 1
+    if n + 3 == 5 << (k - 2):
+        cert = ruler_ranking(k)
         return CertificateChain((_step("ruler", (), cert),), cert)
     raise AssertionError(f"width {n} is not a run endpoint the families cover")
 
@@ -615,28 +624,29 @@ def four_row_certificate(n: int) -> CertificateChain:
     """
     if n < 1:
         raise ValueError("width must be positive")
-    e = n
-    while formulas.rank_4xn(e + 1) == formulas.rank_4xn(e):
-        e += 1
-    return _endpoint_certificate(e, n)
+    return _endpoint_certificate(_run_end(n), n)
+
+
+def _run_end(n: int) -> int:
+    """The right endpoint of the four-row formula's run that holds width n."""
+    while formulas.rank_4xn(n + 1) == formulas.rank_4xn(n):
+        n += 1
+    return n
 
 
 def run_endpoint_certificates(k_max: int) -> list[CertificateChain]:
-    """Verified certificates for every value run of the four-row formula.
-
-    Covers widths up to 2^(k_max+1) - 3.  Each run whose right endpoint
-    fits gets an endpoint certificate with exactly the formula's label
-    count, and every interior width of that run gets the endpoint
-    certificate restricted to its first columns.
+    """Verified certificates for every value run of the four-row formula
+    that ends by 2^(k_max+1) - 3: widths 1..7*2^(k_max-2) - 2, as the next
+    run ends at 2^(k_max+1) - 2.  Each run's endpoint certificate has
+    exactly the formula's label count, and every interior width of the run
+    gets it restricted to its first columns.
     """
     if k_max < 3:
         raise ValueError("need k_max >= 3")
     limit = (1 << (k_max + 1)) - 3
     chains: list[CertificateChain] = []
-    run_started = 1
-    for n in range(1, limit + 1):
-        if formulas.rank_4xn(n + 1) == formulas.rank_4xn(n):
-            continue
-        chains.extend(_endpoint_certificate(n, inner_n) for inner_n in range(run_started, n + 1))
-        run_started = n + 1
+    start = 1
+    while (e := _run_end(start)) <= limit:
+        chains.extend(_endpoint_certificate(e, n) for n in range(start, e + 1))
+        start = e + 1
     return chains

@@ -269,53 +269,39 @@ class Graph:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     @cached_property
+    def extent(self) -> tuple[int, int, int, int]:
+        """(top, left, bottom, right): the least and greatest row and
+        column of the coords."""
+        rows, cols = zip(*self.coords)
+        return min(rows), min(cols), max(rows), max(cols)
+
+    @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Coordinate symmetries of this graph, as vertex permutations.
 
-        Only geometric candidates are tried (rectangle flips and, for equal
-        extents, transposes; the row mirror for triangles).  Each candidate
-        is verified to map the coord set onto itself and preserve edges, so
-        the result is sound for any decorated shape.
+        Only geometric candidates are tried: the row mirror for triangles,
+        else the four flips of the coords' bounding box, then the same four
+        after a transpose.  Each candidate is verified to map the coord set
+        onto itself and preserve edges, so the result is sound for any
+        decorated shape.
         """
-        rows = [r for r, _ in self.coords]
-        cols = [c for _, c in self.coords]
-        if not rows:
+        if not self.coords:
             return ((),)
-        rsum = min(rows) + max(rows)
-        csum = min(cols) + max(cols)
-        candidates = [
-            lambda r, c: (r, c),
-            lambda r, c: (r, csum - c),
-            lambda r, c: (rsum - r, c),
-            lambda r, c: (rsum - r, csum - c),
-        ]
         if self.shape is not None and self.shape.family == TRIANGLE:
-            candidates = [lambda r, c: (r, c), lambda r, c: (r, r - c)]
-        elif max(rows) - min(rows) == max(cols) - min(cols):
-            off = min(rows) - min(cols)
-            candidates += [
-                lambda r, c: (c + off, r - off),
-                lambda r, c: (c + off, csum - (r - off)),
-                lambda r, c: (rsum - (c + off), r - off),
-                lambda r, c: (rsum - (c + off), csum - (r - off)),
-            ]
+            maps = [lambda r, c: (r, c), lambda r, c: (r, r - c)]
+        else:
+            top, left, bottom, right = self.extent
+            rsum, csum, off = top + bottom, left + right, top - left
+            maps = [lambda r, c: (r, c), lambda r, c: (r, csum - c),
+                    lambda r, c: (rsum - r, c), lambda r, c: (rsum - r, csum - c)]
+            maps += [lambda r, c, f=f: f(c + off, r - off) for f in maps]
+        index, edge_set = self.index_by_coord.get, self.edge_set
         found: list[tuple[int, ...]] = []
-        for f in candidates:
-            perm = []
-            ok = True
-            for rc in self.coords:
-                img = f(*rc)
-                j = self.index_by_coord.get(img)
-                if j is None:
-                    ok = False
-                    break
-                perm.append(j)
-            if not ok:
-                continue
-            if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in self.edge_set for u, v in self.edges):
-                p = tuple(perm)
-                if p not in found:
-                    found.append(p)
+        for f in maps:
+            p = tuple(index(f(r, c)) for r, c in self.coords)
+            if (None not in p and p not in found
+                    and all((min(p[u], p[v]), max(p[u], p[v])) in edge_set for u, v in self.edges)):
+                found.append(p)
         return tuple(found)
 
     def induced_subgraph(self, vertices: list[int]) -> tuple["Graph", list[int]]:

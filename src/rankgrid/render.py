@@ -32,11 +32,8 @@ def render_ascii(ranking: Ranking) -> str:
     g = ranking.graph
     if g.shape is not None and g.shape.family == PATH:
         return "-".join(str(l) for l in ranking.labels)
-    rows = [rc[0] for rc in g.coords]
-    cols = [rc[1] for rc in g.coords]
-    r0, c0 = min(rows), min(cols)
-    height = max(rows) - r0 + 1
-    width = max(cols) - c0 + 1
+    r0, c0, r1, c1 = g.extent
+    height, width = r1 - r0 + 1, c1 - c0 + 1
     cell = max(len(str(l)) for l in ranking.labels)
     canvas = [["." * cell] * width for _ in range(height)]
     for i, (r, c) in enumerate(g.coords):
@@ -59,11 +56,9 @@ def render_svg(ranking: Ranking) -> str:
     """
     _checked(ranking)
     g = ranking.graph
-    rows = [rc[0] for rc in g.coords]
-    cols = [rc[1] for rc in g.coords]
-    r0, c0 = min(rows), min(cols)
-    width = (max(cols) - c0) * _CELL + 2 * _MARGIN
-    height = (max(rows) - r0) * _CELL + 2 * _MARGIN + 30
+    r0, c0, r1, c1 = g.extent
+    width = (c1 - c0) * _CELL + 2 * _MARGIN
+    height = (r1 - r0) * _CELL + 2 * _MARGIN + 30
     top = ranking.label_count
     counts = {l: ranking.labels.count(l) for l in ranking.distinct_labels()}
     parts = [

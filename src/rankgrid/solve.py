@@ -151,10 +151,8 @@ class _Engine:
         self._node_limit = budget.nodes if budget else None
         self._deadline = (time.monotonic() + budget.seconds) if budget and budget.seconds else None
         # static tie-break: central vertices first (good separators early)
-        rows = [r for r, _ in graph.coords]
-        cols = [c for _, c in graph.coords]
-        cr = (min(rows) + max(rows)) / 2
-        cc = (min(cols) + max(cols)) / 2
+        top, left, bottom, right = graph.extent
+        cr, cc = (top + bottom) / 2, (left + right) / 2
         cent = [abs(r - cr) + abs(c - cc) for r, c in graph.coords]
         self.static_pos = [0] * self.n
         for i, v in enumerate(sorted(range(self.n), key=lambda v: (cent[v], v))):
@@ -430,10 +428,8 @@ def _blocks(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
         top = left = 0
         m, n = g.shape.m, g.shape.n
     else:
-        rows = [r for r, _ in g.coords]
-        cols = [c for _, c in g.coords]
-        top, left = min(rows), min(cols)
-        m, n = max(rows) - top + 1, max(cols) - left + 1
+        top, left, bottom, right = g.extent
+        m, n = bottom - top + 1, right - left + 1
     dims = [(a, b) for a in range(1, min(m, 24) + 1) for b in range(1, min(n, 24 // a) + 1)
             if 4 <= a * b < g.vertex_count]
     rank = {d: grid_rank(*d) for d in dims}

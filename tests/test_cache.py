@@ -305,6 +305,50 @@ def test_checked_exact_ranking_refutes_a_cached_no(tmp_path, capsys):
         assert doc["labels"] == labels
 
 
+def test_interval_records_ranking_refutes_a_cached_no(tmp_path, g, capsys):
+    # [2, 4] settles nothing, but its labels are a checked 4-label ranking,
+    # so a "no" at k = 5 is wrong: the hit is a "yes" with that ranking; the
+    # "no" at k = 3 stands, and neither reply writes to the file
+    path = tmp_path / "c.jsonl"
+    c = SolutionCache(path)
+    c.put_exact(g, 2, 4, LABELS, 0.0)
+    c.put_decision(g, 5, False, None, 0.0)
+    c.put_decision(g, 3, False, None, 0.0)
+    text = path.read_text()
+    for k, feasible, labels in [(5, True, LABELS), (3, False, None)]:
+        assert cli.main(["decide", "--grid", "2x3", "--k", str(k), "--cache", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["feasible"], doc["proven"], doc["method"]) == (feasible, True, "cache"), k
+        assert doc["labels"] == labels
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("records, k, labels", [
+    # a settled record that fits, one that does not, and one that fails
+    ([(4, 4, LABELS)], 5, LABELS),
+    ([(4, 4, LABELS)], 3, None),
+    ([(4, 4, [1] * 6)], 5, None),
+    # a forged higher lb refuted by the interval record's ranking
+    ([(2, 4, LABELS), (5, 5, [1, 2, 1, 3, 5, 4])], 5, LABELS),
+    ([(2, 4, LABELS), (5, 5, [1, 2, 1, 3, 5, 4])], 4, LABELS),
+    ([(2, 4, LABELS), (5, 5, [1, 2, 1, 3, 5, 4])], 3, None),
+    # ... and by a settled record's ranking, which the reply then hands out
+    ([(4, 4, LABELS), (5, 5, [1, 2, 1, 3, 5, 4])], 5, LABELS),
+])
+def test_a_cached_no_validates_each_record_once(tmp_path, g, monkeypatch, records, k, labels):
+    path = tmp_path / "c.jsonl"
+    c = SolutionCache(path)
+    for lb, ub, recorded in records:
+        c.put_exact(g, lb, ub, recorded, 0.0)
+    c.put_decision(g, k, False, None, 0.0)
+    checked = []
+    validate = rankgrid.cache.validate
+    monkeypatch.setattr(rankgrid.cache, "validate", lambda r: checked.append(r.labels) or validate(r))
+    dec = SolutionCache(path).get_decision(g, k)
+    assert (dec.ranking and list(dec.ranking.labels)) == labels
+    assert len(checked) == len(set(checked)) >= 1
+
+
 @pytest.mark.parametrize("forged_last", [True, False])
 def test_checked_ranking_refutes_a_higher_cached_lb(tmp_path, capsys, caplog, forged_last):
     # [1,4,1,2,5,2,1,6,1] is a valid but not minimal ranking of the 3x3 grid:

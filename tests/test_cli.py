@@ -559,6 +559,22 @@ def test_construct_triangle_bytes_are_pinned(capsys, tmp_path):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("s, step", [(1, "solve"), (5, "solve"), (6, "solve"), (7, "triangle-rows")])
+def test_construct_triangle_names_the_step_that_made_it(capsys, s, step):
+    # up to s = 6 the ranking is the solver's optimum, above it the row cuts
+    code, out, _ = run(capsys, "construct", "--triangle", str(s))
+    doc = json.loads(out)
+    assert code == 0 and [st["name"] for st in doc["steps"]] == [step]
+    assert doc["ranking"]["labels"] == list(construct.triangle_ranking(s).labels)
+
+
+def test_sweep_help_documents_the_budget_flags(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    out = capsys.readouterr().out
+    assert "wall-clock cap" in out and "search-node cap" in out
+
+
 def write_cache(path, *records):
     lines = [{"rankgrid_cache": CACHE_VERSION}, *records]
     path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))

@@ -183,6 +183,18 @@ def test_double_merge_reads_the_row_count(m, w, anti, labels):
     assert out.label_count == labels == base.label_count + m
 
 
+@pytest.mark.parametrize("m, w, anti", [(3, 2, False), (3, 3, True), (3, 4, True), (5, 2, True), (5, 3, True)])
+def test_merging_lemma_reads_the_row_count(m, w, anti):
+    # one-staircase 2w+m-1 at lambda+m, and its closure the plain
+    # m x (4w+3m-2) grid at lambda+2m
+    a, b = _solved_one(w, m), _solved_two(w - 1, m, anti)
+    out1, closed = construct.merging_lemma(a, b)
+    assert out1.graph.shape == construct.one_sticky_shape(2 * w + m - 1, m)
+    assert out1.label_count == a.label_count + m
+    assert closed.graph.shape == GraphShape.grid(m, 4 * w + 3 * m - 2)
+    assert closed.label_count == a.label_count + 2 * m
+
+
 def _distinct(shape: GraphShape) -> Ranking:
     # all labels distinct: a valid ranking of any graph
     g = build(shape)
@@ -491,6 +503,14 @@ def test_run_endpoint_certificates_small():
         # interior widths share their run's value, so restriction is tight
         assert c.labels == formulas.rank_4xn(c.width)
         assert validate(c.final) is None
+
+
+@pytest.mark.parametrize("k_max, last", [(3, 12), (4, 26), (5, 54), (6, 110)])
+def test_run_endpoint_certificates_cover_to_the_last_whole_run(k_max, last):
+    # 2^(k_max+1) - 3 lies inside the run that ends at 2^(k_max+1) - 2, so
+    # the widths covered are 1..7*2^(k_max-2) - 2
+    assert last == (7 << (k_max - 2)) - 2
+    assert [c.width for c in construct.run_endpoint_certificates(k_max)] == list(range(1, last + 1))
 
 
 def _holds_no_graph(x) -> bool:

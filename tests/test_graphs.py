@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from rankgrid import construct
 from rankgrid.graphs import (
     Custom,
     Graph,
@@ -229,6 +231,38 @@ def test_automorphisms_preserve_edges():
     for perm in g.automorphisms:
         mapped = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
         assert mapped == set(g.edges)
+
+
+def _symmetry_graphs():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            yield build(GraphShape.grid(m, n))
+    for m, n in ((3, 1), (3, 4), (4, 2)):  # 3x1 with its staircase is a square
+        for side in ("left", "right"):
+            for align in ("bottom", "top"):
+                yield build(GraphShape.grid(m, n, (StickyEnd(side, align),)))
+    for m, n in ((2, 1), (3, 2), (4, 3)):
+        for left in ("bottom", "top"):
+            for right in ("bottom", "top"):
+                yield build(GraphShape.grid(m, n, (StickyEnd("left", left), StickyEnd("right", right))))
+    for s in range(1, 9):
+        yield build(GraphShape.triangle(s))
+    for m in range(2, 7):
+        yield build(construct.corner_shape(m))
+    # a diagonal custom edge keeps the transpose
+    yield build(GraphShape.grid(4, 4, (RemoveCorner("NW"), Custom((), (((1, 1), (2, 2)),)))))
+    # shapeless, rows 1..4 and cols 0..3: the transpose needs its offset
+    g = build(GraphShape.grid(5, 5))
+    yield g.induced_subgraph([i for i, (r, c) in enumerate(g.coords) if r >= 1 and c <= 3])[0]
+
+
+def test_automorphisms_are_pinned():
+    # the permutations and their order feed canon, so node counts and
+    # certificates move if either changes
+    perms = [g.automorphisms for g in _symmetry_graphs()]
+    assert len(perms) == 75
+    assert (hashlib.sha256(repr(perms).encode()).hexdigest()
+            == "b4649e15451034a11523a5347bcb586e90b4413348bca160e670e69d3172b507")
 
 
 def test_disconnected_custom_rejected():
