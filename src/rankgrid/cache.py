@@ -22,6 +22,7 @@ import logging
 import operator
 import os
 import re
+from bisect import bisect_left
 from pathlib import Path
 
 from .graphs import Graph
@@ -36,6 +37,7 @@ ENV_VAR = "RANKGRID_CACHE"
 # one key's text finds every line that names it and never matches inside
 # another key
 _KEY = re.compile("[0-9a-f]{64}")
+_UB = operator.itemgetter("ub")
 
 __all__ = ["SolutionCache", "resolve_cache_path", "CACHE_VERSION", "ENV_VAR"]
 
@@ -58,7 +60,8 @@ class SolutionCache:
         self.path = Path(path)
         self.writable = True
         self._exact: dict[str, dict] = {}
-        self._least: dict[str, dict] = {}  # the labelled exact record of least ub
+        # each key's labelled exact records by ub, the later first of equal ones
+        self._labelled: dict[str, list[dict]] = {}
         self._failed: dict[str, dict] = {}  # records get_exact dropped
         self._decision: dict[tuple[str, int], dict] = {}
         self._header = b""
@@ -147,9 +150,9 @@ class SolutionCache:
             # later wins, so a fresh solve replaces a record that failed
             if old is None or (lb, -ub) >= (old["lb"], -old["ub"]):
                 self._exact[key] = rec
-            least = self._least.get(key)
-            if rec.get("labels") is not None and (least is None or ub <= least["ub"]):
-                self._least[key] = rec
+            if rec.get("labels") is not None:
+                labelled = self._labelled.setdefault(key, [])
+                labelled.insert(bisect_left(labelled, ub, key=_UB), rec)
         elif kind == "decision":
             self._decision[(key, operator.index(rec["k"]))] = rec
         else:
@@ -204,13 +207,18 @@ class SolutionCache:
     def _settled(self, g: Graph, seen: dict[int, Ranking | None]) -> RankResult | None:
         """get_exact's reply, once g's lines are read."""
         key = g.graph_hash
-        rec, least = self._exact.get(key), self._least.get(key)
-        if (rec is not None and least is not None and rec["lb"] > least["ub"]
-                and self._ranking(g, least, lambda count: count == least["ub"], seen) is not None):
-            log.warning("cache %s: exact record %s claims lb %d, but a checked ranking has %d labels;"
-                        " record dropped", self.path, key, rec["lb"], least["ub"])
-            self._failed[key] = rec
-            rec = self._exact[key] = least
+        rec, labelled = self._exact.get(key), self._labelled.get(key)
+        if rec is not None and labelled and rec["lb"] > labelled[0]["ub"]:
+            # a record of least ub whose labels pass refutes the lb, if any does
+            for least in labelled:
+                if least["ub"] >= rec["lb"]:
+                    break
+                if self._ranking(g, least, lambda count: count == least["ub"], seen) is not None:
+                    log.warning("cache %s: exact record %s claims lb %d, but a checked ranking has %d"
+                                " labels; record dropped", self.path, key, rec["lb"], least["ub"])
+                    self._failed[key] = rec
+                    rec = self._exact[key] = least
+                    break
         if rec is None or rec["lb"] != rec["ub"]:
             return None
         r = self._checked(g, rec, lambda count: count == rec["lb"], seen)
@@ -249,9 +257,9 @@ class SolutionCache:
     def get_decision(self, g: Graph, k: int) -> DecisionOutcome | None:
         """The settled answer for (g, k), a "yes" with its checked ranking,
         or None.  A "no" carries no labels, so a checked ranking of at most
-        k labels in an exact record overrules it: the settled one, else the
-        one of least ub, an interval record's included.  The answer is then
-        "yes" with that ranking."""
+        k labels in an exact record overrules it: the settled one, else one
+        of least ub whose labels pass, an interval record's included.  The
+        answer is then "yes" with that ranking."""
         key = g.graph_hash
         self._take(key)
         rec = self._decision.get((key, k))
@@ -262,9 +270,12 @@ class SolutionCache:
             exact = self._settled(g, seen)
             if exact is not None and exact.value <= k:
                 return DecisionOutcome(exact.certificate, False, 0.0)
-            least = self._least.get(key)
-            r = None if least is None else self._ranking(g, least, lambda count: count <= k, seen)
-            return DecisionOutcome(r, False, 0.0)
+            for least in self._labelled.get(key, ()):
+                if least["ub"] > k:
+                    break
+                if (r := self._ranking(g, least, lambda count: count <= k, seen)) is not None:
+                    return DecisionOutcome(r, False, 0.0)
+            return DecisionOutcome(None, False, 0.0)
         r = self._checked(g, rec, lambda count: rec.get("feasible") is True and count <= k, seen)
         return None if r is None else DecisionOutcome(r, False, 0.0)
 

@@ -448,7 +448,9 @@ _COMMANDS = {
     )),
     "construct": ("build verified ranking certificates", _cmd_construct, (
         ("--four-rows", dict(type=int, metavar="N", help="certificate chain for the 4xN grid")),
-        ("--triangle", dict(type=int, metavar="S", help="row-stacked triangle ranking")),
+        ("--triangle", dict(type=int, metavar="S",
+                            help="triangle ranking: the solver's optimum (step \"solve\") for S <= 6,"
+                                 " row cuts (step \"triangle-rows\") above")),
         ("--endpoints", dict(type=int, metavar="KMAX",
                              help="summary of the run-endpoint chains of widths 1..7*2^(KMAX-2)-2")),
         ("--out", dict(metavar="FILE", help="write JSON here instead of stdout")),

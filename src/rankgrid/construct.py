@@ -9,6 +9,15 @@ keeps (bottom or top) and flip copies as needed; they read m from their
 inputs.  The four-row chains and diagonal_cut, whose piece is an inner
 grid with a glued corner, are both built from them.
 
+Assembly works on rows.  Each row of every shape
+built here is one run of consecutive cells, so a labelling is a list of
+rows, each held as its first column and its labels.  A flip reverses the
+row list or each row, a shift moves first columns, and pieces laid side by
+side join row by row, where a gap or an overlap asserts.  _to_ranking
+checks each row's extent against the one the shape's staircases give that
+row, then gathers the rows' slices in the shape's vertex order: the core
+row-major, then the staircase cells by (col, row).
+
 Every builder returns a validated Ranking or raises; nothing here trusts
 arithmetic alone.  run_endpoint_certificates drives the whole inventory:
 one certificate per constant-value run of the four-row formula, plus
@@ -20,6 +29,7 @@ validated on each call.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -27,7 +37,7 @@ from . import formulas, solve
 from .graphs import (
     GRID,
     GRID_STEPS,
-    Coord,
+    TRIANGLE,
     Custom,
     Graph,
     GraphShape,
@@ -35,6 +45,7 @@ from .graphs import (
     StickyEnd,
     build,
     _lattice_edges,
+    _sticky_coords,
 )
 from .verify import Ranking, checked, validate
 
@@ -60,7 +71,8 @@ __all__ = [
     "run_endpoint_certificates",
 ]
 
-CoordLabels = dict[Coord, int]
+# a row of a labelling: the column of its first cell, and its cells' labels
+Row = tuple[int, Sequence[int]]
 
 
 # -- shape vocabulary ------------------------------------------------------
@@ -95,50 +107,93 @@ def base_ranking(shape: GraphShape, k: int) -> Ranking:
     return out.ranking
 
 
-# -- coordinate plumbing ---------------------------------------------------
+# -- row assembly ----------------------------------------------------------
 
 
-def _coord_labels(r: Ranking) -> CoordLabels:
-    return {rc: r.labels[i] for i, rc in enumerate(r.graph.coords)}
+def _row_layout(shape: GraphShape) -> list[tuple[int, int, list[int], list[int]]]:
+    """Per row of a grid or triangle shape whose only decorations are
+    staircases (and extra edges): the vertex index of its first core cell,
+    its core width, and the vertex indices of its left and right staircase
+    cells, left to right.  build lays the core out row-major and then each
+    staircase's cells by (col, row), so every row's core is one slice."""
+    m, n = shape.m, shape.n
+    if shape.family == TRIANGLE:
+        return [(r * (r + 1) // 2, r + 1, [], []) for r in range(m)]
+    left: list[list[int]] = [[] for _ in range(m)]
+    right: list[list[int]] = [[] for _ in range(m)]
+    i = m * n
+    for dec in shape.decorations:
+        if isinstance(dec, StickyEnd):
+            side = left if dec.side == "left" else right
+            for r, _ in _sticky_coords(dec.side, dec.align, m, n):
+                side[r].append(i)
+                i += 1
+    return [(r * n, n, left[r], right[r]) for r in range(m)]
 
 
-def _vflip(cl: CoordLabels, m: int) -> CoordLabels:
-    # reflect the m rows top to bottom
-    return {(m - 1 - r, c): v for (r, c), v in cl.items()}
-
-
-def _hflip(cl: CoordLabels, width: int) -> CoordLabels:
-    # reflect about the core columns 0..width-1; stickies swap sides
-    return {(r, width - 1 - c): v for (r, c), v in cl.items()}
-
-
-def _shift(cl: CoordLabels, dc: int) -> CoordLabels:
-    return {(r, c + dc): v for (r, c), v in cl.items()}
-
-
-def _union(*parts: CoordLabels) -> CoordLabels:
-    out: CoordLabels = {}
-    for part in parts:
-        for rc, v in part.items():
-            if rc in out:
-                raise AssertionError(f"assembly places two labels on {rc}")
-            out[rc] = v
+def _rows(r: Ranking) -> list[Row]:
+    """r's labels as rows; r's graph is its shape's canonical build."""
+    labels = r.labels
+    out = []
+    for core, width, left, right in _row_layout(r.graph.shape):
+        row = [labels[i] for i in left]
+        row += labels[core:core + width]
+        row += [labels[i] for i in right]
+        out.append((-len(left), row))
     return out
 
 
-def _to_ranking(shape: GraphShape, cl: CoordLabels, expect: int) -> Ranking:
+def _mirrored(rows: Sequence[Row], width: int) -> list[Row]:
+    # reflect about the core columns 0..width-1; staircases swap sides
+    return [(width - first - len(labels), labels[::-1]) for first, labels in rows]
+
+
+def _shifted(rows: Sequence[Row], dc: int) -> list[Row]:
+    return [(first + dc, labels) for first, labels in rows]
+
+
+def _join(*parts: Sequence[Row]) -> list[Row]:
+    """Pieces laid left to right, joined row by row.  Each piece's row must
+    start on the column after the one where the row so far ends: a gap or an
+    overlap is a construction bug and raises AssertionError."""
+    if len({len(part) for part in parts}) != 1:
+        raise AssertionError(f"assembly joins pieces of {sorted({len(part) for part in parts})} rows")
+    out = []
+    for r, row in enumerate(zip(*parts)):
+        first, labels = row[0]
+        labels = list(labels)
+        for start, more in row[1:]:
+            if start != first + len(labels):
+                raise AssertionError(f"assembly places a piece at column {start} of row {r},"
+                                     f" which ends at column {first + len(labels) - 1}")
+            labels += more
+        out.append((first, labels))
+    return out
+
+
+def _to_ranking(shape: GraphShape, rows: list[Row], expect: int) -> Ranking:
     """Materialize an assembled labelling and insist it is a valid ranking.
 
-    Builders check their inputs before they assemble, so a labelling that
-    does not tile the shape, fails validate or misses the expected label
+    Builders check their inputs before they assemble, so rows that do not
+    tile the shape (a row count or a row's extent that differs from the
+    shape's), a labelling that fails validate or misses the expected label
     count is a construction bug: each raises AssertionError.
     """
-    g = build(shape)
-    if set(g.coords) != cl.keys():
-        missing = sorted(set(g.coords) - cl.keys())[:4]
-        extra = sorted(cl.keys() - set(g.coords))[:4]
-        raise AssertionError(f"assembly does not tile {shape}: missing {missing}, extra {extra}")
-    return checked(g, tuple(cl[rc] for rc in g.coords), expect)
+    layout = _row_layout(shape)
+    if len(rows) != len(layout):
+        raise AssertionError(f"assembly does not tile {shape}: {len(rows)} rows for {len(layout)}")
+    flat = [0] * sum(width + len(left) + len(right) for _, width, left, right in layout)
+    for r, ((first, labels), (core, width, left, right)) in enumerate(zip(rows, layout)):
+        if first != -len(left) or len(labels) != width + len(left) + len(right):
+            raise AssertionError(
+                f"assembly does not tile {shape}: row {r} covers columns {first}..{first + len(labels) - 1},"
+                f" the shape's row {-len(left)}..{width + len(right) - 1}")
+        flat[core:core + width] = labels[len(left):len(left) + width]
+        for j, i in enumerate(left):
+            flat[i] = labels[j]
+        for j, i in enumerate(right, len(left) + width):
+            flat[i] = labels[j]
+    return checked(build(shape), flat, expect)
 
 
 def _staircases(r: Ranking) -> tuple[GraphShape, dict[str, str]]:
@@ -154,32 +209,32 @@ def _staircases(r: Ranking) -> tuple[GraphShape, dict[str, str]]:
     return shape, ends
 
 
-def _one_staircase(r: Ranking) -> tuple[int, int, int, CoordLabels]:
-    """Row count, width, label count and coord labels of a one-staircase
-    ranking, turned so the staircase is on the right keeping the bottom rows."""
+def _one_staircase(r: Ranking) -> tuple[int, int, int, list[Row]]:
+    """Row count, width, label count and rows of a one-staircase ranking,
+    turned so the staircase is on the right keeping the bottom rows."""
     shape, ends = _staircases(r)
     if len(ends) != 1:
         raise ShapeError("input must have exactly one staircase")
-    cl = _coord_labels(r)
+    rows = _rows(r)
     ((side, align),) = ends.items()
     if side == "left":
-        cl = _hflip(cl, shape.n)
+        rows = _mirrored(rows, shape.n)
     if align == "top":
-        cl = _vflip(cl, shape.m)
-    return shape.m, shape.n, r.label_count, cl
+        rows = rows[::-1]
+    return shape.m, shape.n, r.label_count, rows
 
 
-def _two_staircase(r: Ranking) -> tuple[int, int, int, CoordLabels, bool]:
-    """Row count, width, label count and coord labels of a two-staircase
-    ranking, flipped so the left staircase keeps the top rows, and whether
-    both staircases keep the same rows (aligned)."""
+def _two_staircase(r: Ranking) -> tuple[int, int, int, list[Row], bool]:
+    """Row count, width, label count and rows of a two-staircase ranking,
+    flipped so the left staircase keeps the top rows, and whether both
+    staircases keep the same rows (aligned)."""
     shape, ends = _staircases(r)
     if set(ends) != {"left", "right"}:
         raise ShapeError("input must have staircases on both ends")
-    cl = _coord_labels(r)
+    rows = _rows(r)
     if ends["left"] == "bottom":
-        cl = _vflip(cl, shape.m)
-    return shape.m, shape.n, r.label_count, cl, ends["left"] == ends["right"]
+        rows = rows[::-1]
+    return shape.m, shape.n, r.label_count, rows, ends["left"] == ends["right"]
 
 
 # -- staircase merges ------------------------------------------------------
@@ -193,33 +248,33 @@ def merge_two_sticky(r: Ranking) -> Ranking:
     on the right, whatever the input's orientation.  Row i of the cut gets
     label lambda+m-i, so the cut tops out at the far output labels.
     """
-    m, n, lam, cl, aligned = _two_staircase(r)
+    m, n, lam, rows, aligned = _two_staircase(r)
     if aligned:
         # the second copy is flipped so the staircases interlock
-        second = _vflip(cl, m)
-        cut = {(i, n + m - 1 - i): lam + m - i for i in range(m)}
+        second = rows[::-1]
+        cut = [(n + m - 1 - i, [lam + m - i]) for i in range(m)]
     else:
-        second = cl
-        cut = {(i, n + i): lam + m - i for i in range(m)}
-    out = _union(cl, _shift(second, n + m), cut)
+        second = rows
+        cut = [(n + i, [lam + m - i]) for i in range(m)]
+    out = _join(rows, cut, _shifted(second, n + m))
     return _to_ranking(two_sticky_shape(2 * n + m, anti=True, m=m), out, lam + m)
 
 
 def _ml_out1(a: Ranking, b: Ranking) -> Ranking:
     """One-staircase a (width n) + two-staircase b (width n-1), both of m
     rows -> one-staircase width 2n+m-1."""
-    m, n, lam, cl_a = _one_staircase(a)
-    mb, nb, lam_b, cl_b, aligned = _two_staircase(b)
+    m, n, lam, rows_a = _one_staircase(a)
+    mb, nb, lam_b, rows_b, aligned = _two_staircase(b)
     if mb != m:
         raise ShapeError(f"row counts differ: {m} vs {mb}")
     if nb != n - 1:
         raise ShapeError(f"widths must be n and n-1, got {n} and {nb}")
     if lam != lam_b:
         raise ValueError(f"label counts differ: {lam} vs {lam_b}")
-    cut = {(i, n + i): lam + m - i for i in range(m)}
-    out = _union(cl_a, _shift(cl_b, n + m), cut)
+    cut = [(n + i, [lam + m - i]) for i in range(m)]
+    out = _join(rows_a, cut, _shifted(rows_b, n + m))
     if aligned:
-        out = _vflip(out, m)
+        out = out[::-1]
     return _to_ranking(one_sticky_shape(2 * n + m - 1, m), out, lam + m)
 
 
@@ -230,10 +285,10 @@ def _close_one_sticky(r: Ranking) -> Ranking:
     lambda+m; the staircases of the two copies and the descending cut of
     m fresh labels tile the seam exactly.
     """
-    m, w, lam, cl = _one_staircase(r)
-    spun = _hflip(_vflip(cl, m), 2 * w + m)
-    cut = {(i, w + i): lam + m - i for i in range(m)}
-    out = _union(cl, spun, cut)
+    m, w, lam, rows = _one_staircase(r)
+    spun = _mirrored(rows[::-1], 2 * w + m)
+    cut = [(w + i, [lam + m - i]) for i in range(m)]
+    out = _join(rows, cut, spun)
     return _to_ranking(GraphShape.grid(m, 2 * w + m), out, lam + m)
 
 
@@ -265,10 +320,11 @@ def vertical_cut(m: int, n: int, sub: Ranking) -> Ranking:
     if shape is None or shape.decorations or (shape.m, shape.n) != (m, q):
         raise ShapeError(f"sub must be a plain {m}x{q} grid for n={n}")
     lam = sub.label_count
-    cl = _coord_labels(sub)
-    middle = {(r, q): lam + m - r for r in range(m)}
-    mirror = {(r, c): v for (r, c), v in _hflip(cl, n).items() if c > q}
-    return _to_ranking(GraphShape.grid(m, n), _union(cl, middle, mirror), lam + m)
+    rows = _rows(sub)
+    middle = [(q, [lam + m - r]) for r in range(m)]
+    clip = 2 * q + 1 - n  # 1 when n is even: the mirror's first column is the middle one
+    mirror = [(first + clip, labels[clip:]) for first, labels in _mirrored(rows, n)]
+    return _to_ranking(GraphShape.grid(m, n), _join(rows, middle, mirror), lam + m)
 
 
 def corner_shape(m: int) -> GraphShape:
@@ -323,8 +379,8 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, corner: Ranking) -> Rank
         raise ValueError(f"corner is not a ranking: {bad}")
 
     li = inner.label_count if inner is not None else 0
-    glued = {(r, q + c): li + v for (r, c), v in _coord_labels(corner).items()}
-    piece = _union(_coord_labels(inner) if inner is not None else {}, glued)
+    glued = [(q + first, [li + v for v in labels]) for first, labels in _rows(corner)]
+    piece = glued if inner is None else _join(_rows(inner), glued)
     folded = _close_one_sticky(_to_ranking(one_sticky_shape(q + 1, m), piece, li + corner.label_count))
     return restrict_columns(folded, n) if (n - m) % 2 else folded
 
@@ -370,24 +426,22 @@ def _row_cut_labels(s: int) -> int:
     return _row_cut(0, s - 1)[0]
 
 
-def _tri_fill(s: int) -> CoordLabels:
-    lab: CoordLabels = {}
+def _tri_fill(s: int) -> list[Row]:
+    rows: list[Row] = [(0, [])] * s
 
     def fill(a: int, b: int, base: int) -> None:
         if a > b:
             return
         if a == b:
-            for c in range(b + 1):
-                lab[(a, c)] = base + ((c + 1) & -(c + 1)).bit_length()
+            rows[a] = (0, [base + ((c + 1) & -(c + 1)).bit_length() for c in range(b + 1)])
             return
         t, w = _row_cut(a, b)
-        for c in range(w + 1):
-            lab[(w, c)] = base + t - c
+        rows[w] = (0, [base + t - c for c in range(w + 1)])
         fill(a, w - 1, base)
         fill(w + 1, b, base)
 
     fill(0, s - 1, 0)
-    return lab
+    return rows
 
 
 @cache
@@ -431,22 +485,18 @@ def triangle_report(s_max: int) -> list[TriangleRow]:
 
 
 @cache
-def _piece_solution(cells: frozenset[Coord]) -> CoordLabels:
-    """Solver ranking of a segment given with its corner at (0, 0)."""
-    ordered = sorted(cells, key=lambda rc: (rc[1], rc[0]))
+def _segment(spans: tuple[tuple[int, int], ...]) -> tuple[Row, ...]:
+    """Solver ranking, as rows, of a segment whose row r holds the columns
+    from spans[r][0] up to, not including, spans[r][1]."""
+    ordered = sorted(((r, c) for r, (lo, hi) in enumerate(spans) for c in range(lo, hi)),
+                     key=lambda rc: (rc[1], rc[0]))
     g = Graph(len(ordered), tuple(_lattice_edges(ordered, GRID_STEPS)), tuple(ordered))
     res = solve.rank_exact(g)
     assert res.certificate is not None
     if res.value > 5:
         raise AssertionError(f"segment between cuts needs {res.value} labels, expected <= 5")
-    return {rc: res.certificate.labels[i] for i, rc in enumerate(ordered)}
-
-
-def _piece_labels(cells: frozenset[Coord]) -> CoordLabels:
-    r0 = min(r for r, _ in cells)
-    c0 = min(c for _, c in cells)
-    normalized = frozenset((r - r0, c - c0) for r, c in cells)
-    return {(r + r0, c + c0): v for (r, c), v in _piece_solution(normalized).items()}
+    at = dict(zip(ordered, res.certificate.labels))
+    return tuple((lo, tuple(at[r, c] for c in range(lo, hi))) for r, (lo, hi) in enumerate(spans))
 
 
 def ruler_ranking(k: int) -> Ranking:
@@ -465,21 +515,25 @@ def ruler_ranking(k: int) -> Ranking:
     width = 5 * pieces - 3
     # per row, the column of every cut, between sentinels -1 and width
     cols: list[list[int]] = [[-1] for _ in range(4)]
-    out: CoordLabels = {}
+    cuts: list[list[Row]] = []
     for i in range(1, pieces):
         offs = (0, 1, 2, 1) if i % 2 else (1, 0, 1, 2)
         depth = (i & -i).bit_length()
         for r in range(4):
             cols[r].append(5 * i - 3 + offs[r])
-            out[(r, cols[r][-1])] = 4 * depth + 5 - r
+        cuts.append([(row[-1], [4 * depth + 5 - r]) for r, row in enumerate(cols)])
     for row in cols:
         row.append(width)
-    # segment j holds, in each row, the columns strictly between cuts j and j+1
+    # segment j holds, in each row, the columns strictly between cuts j and j+1;
+    # it is solved with its least column at 0, so segments of one shape share a solve
+    parts: list[list[Row]] = []
     for j in range(pieces):
-        out.update(_piece_labels(frozenset(
-            (r, c) for r, row in enumerate(cols) for c in range(row[j] + 1, row[j + 1])
-        )))
-    return _to_ranking(GraphShape.grid(4, width), out, 4 * k - 3)
+        if j:
+            parts.append(cuts[j - 1])
+        spans = [(row[j] + 1, row[j + 1]) for row in cols]
+        c0 = min(lo for lo, _ in spans)
+        parts.append(_shifted(_segment(tuple((lo - c0, hi - c0) for lo, hi in spans)), c0))
+    return _to_ranking(GraphShape.grid(4, width), _join(*parts), 4 * k - 3)
 
 
 # -- run endpoints ---------------------------------------------------------

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 
 Coord = tuple[int, int]
 
@@ -393,25 +394,62 @@ def _lattice_edges(
     return edges
 
 
+def _grid_edges(m: int, n: int, extra: dict[Coord, int]) -> list[tuple[int, int]]:
+    """Sorted (u, v) index pairs, u < v, of an m x n grid core laid out
+    row-major, plus the lattice edges of the extra vertices.
+
+    Core vertex (r, c) is r*n + c, so its edges are (u, u+1) along a row and
+    (u, u+n) down, laid out in order a row at a time.  extra maps each
+    vertex beyond the core (indices m*n and up) to its coord; only those
+    look their neighbours up by coord, and each of their edges is inserted
+    in its sorted place.
+    """
+    size = m * n
+    edges: list[tuple[int, int]] = []
+    for s in range(0, size - n, n):  # rows above the last: right and down edges interleaved
+        t = s + n
+        right, down = zip(range(s, t - 1), range(s + 1, t)), zip(range(s, t), range(t, t + n))
+        edges += chain.from_iterable(zip(right, down))
+        edges.append((t - 1, t - 1 + n))
+    edges += zip(range(size - n, size - 1), range(size - n + 1, size))
+    at = extra.get
+    for (r, c), v in extra.items():
+        for rr, cc in ((r, c - 1), (r, c + 1), (r - 1, c), (r + 1, c)):
+            if 0 <= rr < m and 0 <= cc < n:
+                insort(edges, (rr * n + cc, v))
+            elif (u := at((rr, cc), -1)) > v:
+                insort(edges, (v, u))
+    return edges
+
+
 def build(shape: GraphShape) -> Graph:
     """Materialize a GraphShape into its canonical Graph.
 
+    A grid core with no corner removed and no custom vertex gets its edges
+    from _grid_edges; triangles and the other grids from _lattice_edges.
     Raises ShapeError if the decorations are inconsistent (duplicate
     vertices or edges, dangling custom edges, or a disconnected result).
     """
-    if shape.family == TRIANGLE:
-        core = [(r, c) for r in range(shape.m) for c in range(r + 1)]
+    m, n = shape.m, shape.n
+    removed = {_corner_coord(dec.corner, m, n) for dec in shape.decorations if isinstance(dec, RemoveCorner)}
+    tri = shape.family == TRIANGLE
+    if tri:
+        ordered = [(r, c) for r in range(m) for c in range(r + 1)]
     else:
-        core = [(r, c) for r in range(shape.m) for c in range(shape.n)]
-    removed = {_corner_coord(dec.corner, shape.m, shape.n)
-               for dec in shape.decorations if isinstance(dec, RemoveCorner)}
-    ordered = [rc for rc in core if rc not in removed] if removed else core  # row-major already
-    seen = set(ordered)
+        ordered = list(product(range(m), range(n)))  # row-major
+        if removed:
+            ordered = [rc for rc in ordered if rc not in removed]
+
+    def in_core(rc: Coord) -> bool:
+        r, c = rc
+        return 0 <= r < m and 0 <= c < (r + 1 if tri else n) and rc not in removed
+
+    added_at: dict[Coord, int] = {}  # each decoration vertex's index, by coord
     custom: set[Coord] = set()  # wired only by their explicit edge list
     explicit_edges: list[tuple[Coord, Coord]] = []
     for dec in shape.decorations:
         if isinstance(dec, StickyEnd):
-            kind, added = "sticky end", _sticky_coords(dec.side, dec.align, shape.m, shape.n)
+            kind, added = "sticky end", _sticky_coords(dec.side, dec.align, m, n)
         elif isinstance(dec, Custom):
             kind, added = "custom", sorted(dec.extra_vertices, key=lambda rc: (rc[1], rc[0]))
             custom.update(added)
@@ -419,17 +457,20 @@ def build(shape: GraphShape) -> Graph:
         else:
             continue
         for rc in added:
-            if rc in seen:
+            if rc in added_at or in_core(rc):
                 raise ShapeError(f"{kind} vertex {rc} duplicates an existing vertex")
-            seen.add(rc)
+            added_at[rc] = len(ordered)
             ordered.append(rc)
 
-    edges = _lattice_edges(ordered, TRIANGLE_STEPS if shape.family == TRIANGLE else GRID_STEPS, custom)
+    if tri or removed or custom:
+        edges = _lattice_edges(ordered, TRIANGLE_STEPS if tri else GRID_STEPS, custom)
+    else:
+        edges = _grid_edges(m, n, added_at)
     if explicit_edges:
         index = {rc: i for i, rc in enumerate(ordered)}
         present = set(edges)
         for a, b in explicit_edges:
-            if a not in seen or b not in seen:
+            if a not in index or b not in index:
                 raise ShapeError(f"custom edge {a}-{b} references a missing vertex")
             if a == b:
                 raise ShapeError(f"custom edge {a}-{b} is a self-loop")
@@ -442,4 +483,3 @@ def build(shape: GraphShape) -> Graph:
     if g.vertex_count and not g.is_connected():
         raise ShapeError("decorations leave the graph disconnected")
     return g
-

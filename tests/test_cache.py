@@ -367,6 +367,42 @@ def test_checked_ranking_refutes_a_higher_cached_lb(tmp_path, capsys, caplog, fo
     assert "claims lb 6, but a checked ranking has 5 labels" in caplog.text
 
 
+def _exact_line(key, lb, ub, labels):
+    return json.dumps({"kind": "exact", "key": key, "lb": lb, "ub": ub, "labels": labels,
+                       "elapsed": 0.0, "provenance": "exact"})
+
+
+# [2, 4] with a checked ranking, then [2, 4] with labels that fail validate:
+# the later record of equal ub must not hide the checked one
+MASKED = [(2, 4, LABELS), (2, 4, [1] * 6)]
+
+
+def test_a_failing_record_of_equal_ub_does_not_hide_a_cached_yes(tmp_path, g, capsys):
+    path = tmp_path / "c.jsonl"
+    lines = [_exact_line(g.graph_hash, *rec) for rec in MASKED]
+    lines.append(json.dumps({"kind": "decision", "key": g.graph_hash, "k": 5, "feasible": False}))
+    path.write_text(HEADER + "\n".join(lines) + "\n")
+    assert cli.main(["decide", "--grid", "2x3", "--k", "5", "--cache", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["feasible"], doc["proven"], doc["method"], doc["labels"]) == (True, True, "cache", LABELS)
+
+
+@pytest.mark.parametrize("forged_first", [False, True])
+def test_a_failing_record_of_equal_ub_does_not_hide_a_refutation(tmp_path, g, capsys, caplog, forged_first):
+    # [1,2,1,3,5,4] is a valid 5-label ranking of the 2x3 grid, whose rank is
+    # 4: recorded as lb = ub = 5 it is refuted by the checked 4-label ranking
+    # behind the failing record, so the reply is a fresh solve of 4
+    path = tmp_path / "c.jsonl"
+    forged = _exact_line(g.graph_hash, 5, 5, [1, 2, 1, 3, 5, 4])
+    lines = [_exact_line(g.graph_hash, *rec) for rec in MASKED]
+    path.write_text(HEADER + "\n".join([forged, *lines] if forged_first else [*lines, forged]) + "\n")
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        assert cli.main(["exact", "--grid", "2x3", "--cache", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["value"], doc["method"]) == (4, "exact")
+    assert "claims lb 5, but a checked ranking has 4 labels" in caplog.text
+
+
 def test_a_refuting_interval_record_is_a_miss_until_a_solve_settles_it(tmp_path, g):
     # the refuted lb = ub = 5 record loses to the checked 4-label ranking of
     # the interval [2, 4], which settles nothing; the fresh value 4 is

@@ -457,8 +457,9 @@ def test_cache_inspect(capsys, tmp_path):
 
 
 # SHA-256 of `construct --four-rows N --out F`, taken before graphs were built
-# in index space (26, 50 and 110 before the solver found blocks by coords);
-# the certificate files must not change by a byte
+# in index space (26, 50 and 110 before the solver found blocks by coords,
+# 2046 to 4093 before chains were assembled by rows); the certificate files
+# must not change by a byte
 FOUR_ROW_SHA256 = {
     9: "282169ab4cf616df8e14d4a7834a3c547321fe8f77556639bfd9fc04e6df0366",
     22: "90bf2fc22184c5c555195f9ad924645a2869e42625b14f4e580a18413546018c",
@@ -473,6 +474,12 @@ FOUR_ROW_SHA256 = {
     40: "0c31cdcf03dc43ce968e322cfd6b5823fd3ce13397132a3b6adc7d25e8f73922",
     50: "ef8e1ae18c14ddaed60cab37045b3c4cb4380c29881fc68d49aa9ac996794a79",
     1143: "55787894659943c16a616d0f11b98c883cc83aeb89c6caae4133dee4611d9f95",
+    # the deepest chain of each family up to 4093: the three doubling
+    # families' and the ruler's last endpoints
+    2046: "a6666f0538e1aaeca838f521b255343dc871508cabc9cebd8c0686e95df3698f",
+    3070: "c90f9066fce5a36521421225170b30bb99250c62b2e35144c219ac8a98ce60ea",
+    3582: "de4fc67e639f0364b7b41bf972d7a230aaf16830151f004115b03c532ad672d2",
+    4093: "09d68c2e2d53a866edabc5caf5ee9a2043e6e4c7062491a8f8211638abbbd56d",
 }
 
 
@@ -566,6 +573,18 @@ def test_construct_triangle_names_the_step_that_made_it(capsys, s, step):
     doc = json.loads(out)
     assert code == 0 and [st["name"] for st in doc["steps"]] == [step]
     assert doc["ranking"]["labels"] == list(construct.triangle_ranking(s).labels)
+
+
+def test_construct_help_names_the_triangle_steps(capsys, monkeypatch):
+    # the help names each step triangle_certificate emits, and the last side
+    # the solver ranks
+    monkeypatch.setenv("COLUMNS", "400")  # one help line per flag
+    with pytest.raises(SystemExit):
+        cli.main(["construct", "--help"])
+    help_line = next(line for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("--triangle"))
+    steps = {s: construct.triangle_certificate(s).steps[0].name for s in range(1, 9)}
+    assert all(f'"{name}"' in help_line for name in steps.values())
+    assert f"S <= {max(s for s, name in steps.items() if name == 'solve')}" in help_line
 
 
 def test_sweep_help_documents_the_budget_flags(capsys):

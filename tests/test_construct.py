@@ -201,6 +201,46 @@ def _distinct(shape: GraphShape) -> Ranking:
     return Ranking(g, tuple(range(1, g.vertex_count + 1)))
 
 
+@pytest.mark.parametrize("shape", [
+    GraphShape.grid(3, 4, (StickyEnd(side, align),)) for side in ("left", "right") for align in ("bottom", "top")
+] + [
+    construct.two_sticky_shape(2, anti=True, m=5), construct.two_sticky_shape(3, anti=False),
+    construct.corner_shape(4), GraphShape.grid(1, 5), GraphShape.triangle(5),
+])
+def test_rows_round_trip(shape):
+    # each row is one run of cells; gathering the rows back in the shape's
+    # vertex order gives the labels they came from
+    r = _distinct(shape)
+    rows = construct._rows(r)
+    assert len(rows) == shape.m
+    assert sum(len(labels) for _, labels in rows) == r.graph.vertex_count
+    at = dict(zip(r.graph.coords, r.labels))
+    for row, (first, labels) in enumerate(rows):
+        assert list(labels) == [at[row, c] for c in range(first, first + len(labels))]
+    assert construct._to_ranking(shape, rows, r.label_count).labels == r.labels
+
+
+def test_row_assembly_refuses_gaps_overlaps_and_bad_extents():
+    base = _solved_one(3, 4)
+    shape, rows, count = base.graph.shape, construct._rows(base), base.label_count
+    ends = [first + len(labels) for first, labels in rows]
+    column = [(end, [count + 1]) for end in ends]  # one cell right after each row
+    assert [len(labels) for _, labels in construct._join(rows, column)] == [len(l) + 1 for _, l in rows]
+    for bad in ([(end + 1, labels) for end, (_, labels) in zip(ends, column)],  # a gap
+                [(end - 1, labels) for end, (_, labels) in zip(ends, column)],  # an overlap
+                column[:1] + [(ends[1] + 1, [count + 1])] + column[2:]):  # a gap in one row
+        with pytest.raises(AssertionError, match="assembly places a piece"):
+            construct._join(rows, bad)
+    with pytest.raises(AssertionError, match="pieces of"):
+        construct._join(rows, column[:-1])
+    (first, labels), rest = rows[0], rows[1:]
+    for bad in (rows[:-1], rows + rows[-1:],  # a row too few, a row too many
+                [(first, labels[:-1])] + rest, [(first, [*labels, 1])] + rest,  # a row short, a row long
+                [(first + 1, labels)] + rest):  # a row shifted off its extent
+        with pytest.raises(AssertionError, match="does not tile"):
+            construct._to_ranking(shape, bad, count)
+
+
 def test_staircase_algebra_refuses_bad_inputs():
     # bad inputs are refused before assembly, never by an assertion
     two = _solved_two(2, 4)
