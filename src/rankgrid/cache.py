@@ -1,18 +1,18 @@
 """Persistent cache of solved instances.
 
 Plain JSONL, append-only: a version header line followed by one record
-per result.  Records are keyed by the graph hash, so any way of arriving
-at the same canonical graph shares entries.  Opening a cache reads the
-file and checks its header; a record line is parsed only when a lookup or
-write asks for a key the line names, or when `entries` lists them all.
-Each key is decided from its own records in file order, so a lookup sees
-what a read of the whole file would.  Unreadable lines (bad JSON, bytes
-that are not UTF-8, a key that is not a graph hash) are skipped with a
-warning when they are read, and a hit whose labels fail validate is a
-miss; the cache is an accelerator, never an authority.  A hit is handed
-out as the result it settles, built on the ranking validate checked, so
-what is printed is what was checked.  An interval record (a solve that
-ran out of budget) settles nothing and is a quiet miss.
+per result, keyed by the graph hash.  Opening a cache reads the file and
+checks its header; a record line is parsed only when a lookup or write
+asks for a key the line names, or when `entries` lists them all.
+Unreadable lines are skipped with a warning when they are read.
+
+The cache is an accelerator, never an authority.  The first lookup of a
+key reduces its exact records to one state: the least ranking among their
+labels that validate passes, and the greatest claimed lb not above its
+label count.  When the two meet the key is settled, and a hit is the
+result built on that ranking, so what is printed is what was checked.  A
+cached "no" at k falls to that ranking if it has at most k labels; a
+"yes" checks its own labels.  Each exact record is checked once.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import logging
 import operator
 import os
 import re
-from bisect import bisect_left
 from pathlib import Path
+from typing import NamedTuple
 
 from .graphs import Graph
 from .solve import DecisionOutcome, RankResult
@@ -33,13 +33,28 @@ log = logging.getLogger(__name__)
 
 CACHE_VERSION = 1
 ENV_VAR = "RANKGRID_CACHE"
-# what graph_hash produces: no such key contains another, so a search for
-# one key's text finds every line that names it and never matches inside
-# another key
+# what graph_hash produces: no such key contains another, so a search for one
+# key's text finds every line that names it and never matches inside another
 _KEY = re.compile("[0-9a-f]{64}")
-_UB = operator.itemgetter("ub")
 
 __all__ = ["SolutionCache", "resolve_cache_path", "CACHE_VERSION", "ENV_VAR"]
+
+
+class _State(NamedTuple):
+    """A key's first n exact records reduced: best, the least checked ranking by
+    order (label count, ub, -lb), the later winning ties; [lb, ub], the greatest
+    lb not above its label count and that count, else held's (the tightest)."""
+    best: Ranking | None = None
+    order: tuple = ()
+    lb: int = 0
+    ub: int = 0
+    held: dict | None = None
+    n: int = 0
+
+
+def _tightest(recs: list[dict]) -> dict:
+    """The record of highest lb, then lowest ub; the later of equal ones."""
+    return max(reversed(recs), key=lambda rec: (rec["lb"], -rec["ub"]))
 
 
 def resolve_cache_path(explicit: str | None = None) -> Path:
@@ -59,10 +74,8 @@ class SolutionCache:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.writable = True
-        self._exact: dict[str, dict] = {}
-        # each key's labelled exact records by ub, the later first of equal ones
-        self._labelled: dict[str, list[dict]] = {}
-        self._failed: dict[str, dict] = {}  # records get_exact dropped
+        self._exact: dict[str, list[dict]] = {}  # each key's exact records, in file order
+        self._state: dict[str, _State] = {}
         self._decision: dict[tuple[str, int], dict] = {}
         self._header = b""
         self._buf = b""  # the record lines as read, all after the header
@@ -85,10 +98,8 @@ class SolutionCache:
             self.writable = False
             return
         if version != CACHE_VERSION:
-            log.warning(
-                "cache %s is version %s, expected %s; ignoring file",
-                self.path, version, CACHE_VERSION,
-            )
+            log.warning("cache %s is version %s, expected %s; ignoring file",
+                        self.path, version, CACHE_VERSION)
             self.writable = False
             return
         self._header, self._buf = first, buf[end + 1:] if end >= 0 else b""
@@ -145,14 +156,7 @@ class SolutionCache:
             lb, ub = operator.index(rec["lb"]), operator.index(rec["ub"])
             if lb > ub:
                 raise ValueError("inverted interval")
-            old = self._exact.get(key)
-            # keep the tightest information seen; of equal intervals the
-            # later wins, so a fresh solve replaces a record that failed
-            if old is None or (lb, -ub) >= (old["lb"], -old["ub"]):
-                self._exact[key] = rec
-            if rec.get("labels") is not None:
-                labelled = self._labelled.setdefault(key, [])
-                labelled.insert(bisect_left(labelled, ub, key=_UB), rec)
+            self._exact.setdefault(key, []).append(rec)
         elif kind == "decision":
             self._decision[(key, operator.index(rec["k"]))] = rec
         else:
@@ -172,124 +176,89 @@ class SolutionCache:
             os.close(fd)
 
     @staticmethod
-    def _ranking(g: Graph, rec: dict, fits, seen: dict[int, Ranking | None]) -> Ranking | None:
-        """The ranking of g by rec's integer labels if it is valid and
-        fits(label_count), else None.  seen holds the rankings this reply
-        has checked, by record, so no reply validates a record twice."""
-        if id(rec) not in seen:
-            try:
-                r = Ranking(g, tuple(operator.index(l) for l in rec["labels"]))
-            except (KeyError, TypeError, ValueError):
-                r = None
-            seen[id(rec)] = r if r is not None and validate(r) is None else None
-        r = seen[id(rec)]
-        return r if r is not None and fits(r.label_count) else None
+    def _ranking(g: Graph, rec: dict) -> Ranking | None:
+        """The ranking of g by rec's integer labels if validate passes it."""
+        try:
+            r = Ranking(g, tuple(operator.index(l) for l in rec["labels"]))
+        except (KeyError, TypeError, ValueError):
+            return None
+        return r if validate(r) is None else None
 
-    def _checked(self, g: Graph, rec: dict, fits, seen: dict[int, Ranking | None]) -> Ranking | None:
-        """_ranking, with a warning when rec fails (a miss)."""
-        r = self._ranking(g, rec, fits, seen)
-        if r is None:
-            log.warning("cache %s: %s record %s fails its check; miss", self.path, rec["kind"], rec["key"])
-        return r
+    def _settle(self, g: Graph) -> _State:
+        """g's state, once its lines are read.  Records read or written since
+        the last call are checked and folded in; a new tightest record whose
+        claim the state refutes or leaves unbacked is reported."""
+        key = g.graph_hash
+        recs = self._exact.get(key, [])
+        old = self._state.get(key, _State())
+        if old.n == len(recs):
+            return old
+        best, order = old.best, old.order
+        for rec in recs[old.n:]:
+            r = self._ranking(g, rec)
+            if r is not None and (best is None or (r.label_count, rec["ub"], -rec["lb"]) <= order):
+                best, order = r, (r.label_count, rec["ub"], -rec["lb"])
+        held = _tightest(recs)
+        ub = held["ub"] if best is None else best.label_count
+        lb = max((rec["lb"] for rec in recs if rec["lb"] <= ub), default=0)
+        if held is not old.held:
+            if held["lb"] > ub:
+                log.warning("cache %s: exact record %s claims lb %d, but a checked ranking has %d"
+                            " labels; record dropped", self.path, key, held["lb"], ub)
+            elif held["lb"] == held["ub"] and (best is None or held["ub"] != ub):
+                log.warning("cache %s: exact record %s fails its check; miss", self.path, key)
+        state = self._state[key] = _State(best, order, lb, ub, held, len(recs))
+        return state
 
     # -- exact results -----------------------------------------------------
 
     def get_exact(self, g: Graph) -> RankResult | None:
-        """g's settled value with its checked ranking, or None.  A record
-        that fails its check leaves the view but is kept aside: it is still
-        in the file.  So is a record whose lb exceeds the label count of a
-        checked ranking in the file: the reply then comes from that ranking's
-        record if it settles the value, and is a miss if not.  A lower record
-        that fails its check refutes nothing and is passed over quietly."""
+        """g's settled value with its checked ranking, or None."""
         self._take(g.graph_hash)
-        return self._settled(g, {})
-
-    def _settled(self, g: Graph, seen: dict[int, Ranking | None]) -> RankResult | None:
-        """get_exact's reply, once g's lines are read."""
-        key = g.graph_hash
-        rec, labelled = self._exact.get(key), self._labelled.get(key)
-        if rec is not None and labelled and rec["lb"] > labelled[0]["ub"]:
-            # a record of least ub whose labels pass refutes the lb, if any does
-            for least in labelled:
-                if least["ub"] >= rec["lb"]:
-                    break
-                if self._ranking(g, least, lambda count: count == least["ub"], seen) is not None:
-                    log.warning("cache %s: exact record %s claims lb %d, but a checked ranking has %d"
-                                " labels; record dropped", self.path, key, rec["lb"], least["ub"])
-                    self._failed[key] = rec
-                    rec = self._exact[key] = least
-                    break
-        if rec is None or rec["lb"] != rec["ub"]:
-            return None
-        r = self._checked(g, rec, lambda count: count == rec["lb"], seen)
-        if r is None:
-            self._failed[key] = self._exact.pop(key)
-            return None
-        return RankResult(r.label_count, r.label_count, "cache", r, 0.0)
+        state = self._settle(g)
+        best = state.best if state.lb == state.ub else None
+        return None if best is None else RankResult(best.label_count, best.label_count, "cache", best, 0.0)
 
     def put_exact(self, g: Graph, lb: int, ub: int, labels: list[int] | None,
                   elapsed: float) -> None:
-        """Record [lb, ub] for g unless the view holds one at least as tight or
-        a failed record would still win on reload: reruns do not grow the file.
-        A ranking of fewer labels than a failed record's lb refutes it on reload."""
+        """Record [lb, ub] for g unless its state is at least as tight, so
+        reruns do not grow the file; a settled ranking is still written while
+        the key is not settled, which heals a failed record."""
         self._take(g.graph_hash)
-        old = self._exact.get(g.graph_hash)
-        if old is not None and old["lb"] >= lb and old["ub"] <= ub:
+        state = self._settle(g)
+        heals = lb == ub and labels is not None and not (state.best is not None and state.lb == state.ub)
+        if state.lb >= lb and state.ub <= ub and not heals:
             return
-        bad = self._failed.get(g.graph_hash)
-        if (bad is not None and (lb, -ub) < (bad["lb"], -bad["ub"])
-                and (labels is None or ub >= bad["lb"])):
-            return
-        rec = {
-            "kind": "exact",
-            "key": g.graph_hash,
-            "lb": lb,
-            "ub": ub,
-            "labels": list(labels) if labels is not None else None,
-            "elapsed": round(elapsed, 6),
-            "provenance": "exact",
-        }
+        rec = {"kind": "exact", "key": g.graph_hash, "lb": lb, "ub": ub,
+               "labels": list(labels) if labels is not None else None,
+               "elapsed": round(elapsed, 6), "provenance": "exact"}
         self._absorb(rec)
         self._append(rec)
 
     # -- decision results --------------------------------------------------
 
     def get_decision(self, g: Graph, k: int) -> DecisionOutcome | None:
-        """The settled answer for (g, k), a "yes" with its checked ranking,
-        or None.  A "no" carries no labels, so a checked ranking of at most
-        k labels in an exact record overrules it: the settled one, else one
-        of least ub whose labels pass, an interval record's included.  The
-        answer is then "yes" with that ranking."""
+        """The stored answer for (g, k), or None.  A "yes" needs its own labels
+        to check; a "no" falls to the key's best ranking if it fits k."""
         key = g.graph_hash
         self._take(key)
         rec = self._decision.get((key, k))
         if rec is None:
             return None
-        seen: dict[int, Ranking | None] = {}
         if rec.get("feasible") is False:
-            exact = self._settled(g, seen)
-            if exact is not None and exact.value <= k:
-                return DecisionOutcome(exact.certificate, False, 0.0)
-            for least in self._labelled.get(key, ()):
-                if least["ub"] > k:
-                    break
-                if (r := self._ranking(g, least, lambda count: count <= k, seen)) is not None:
-                    return DecisionOutcome(r, False, 0.0)
-            return DecisionOutcome(None, False, 0.0)
-        r = self._checked(g, rec, lambda count: rec.get("feasible") is True and count <= k, seen)
-        return None if r is None else DecisionOutcome(r, False, 0.0)
+            best = self._settle(g).best
+            return DecisionOutcome(best if best is not None and best.label_count <= k else None, False, 0.0)
+        r = self._ranking(g, rec)
+        if r is not None and rec.get("feasible") is True and r.label_count <= k:
+            return DecisionOutcome(r, False, 0.0)
+        log.warning("cache %s: %s record %s fails its check; miss", self.path, rec["kind"], key)
+        return None
 
     def put_decision(self, g: Graph, k: int, feasible: bool,
                      labels: list[int] | None, elapsed: float) -> None:
         self._take(g.graph_hash)
-        rec = {
-            "kind": "decision",
-            "key": g.graph_hash,
-            "k": k,
-            "feasible": feasible,
-            "labels": list(labels) if labels is not None else None,
-            "elapsed": round(elapsed, 6),
-        }
+        rec = {"kind": "decision", "key": g.graph_hash, "k": k, "feasible": feasible,
+               "labels": list(labels) if labels is not None else None, "elapsed": round(elapsed, 6)}
         self._absorb(rec)
         self._append(rec)
 
@@ -297,7 +266,7 @@ class SolutionCache:
 
     def entries(self) -> list[dict]:
         self._take(None)
-        out = list(self._exact.values())
+        out = [_tightest(recs) for recs in self._exact.values()]
         out.extend(self._decision.values())
         return sorted(out, key=lambda r: (r["kind"], r["key"], r.get("k", 0)))
 

@@ -421,6 +421,60 @@ def test_a_refuting_interval_record_is_a_miss_until_a_solve_settles_it(tmp_path,
 HEADER = json.dumps({"rankgrid_cache": CACHE_VERSION}) + "\n"
 
 
+@pytest.mark.parametrize("records, method, warning", [
+    # a label-less settled value is backed by a checked ranking of as many
+    # labels in another record
+    ([(2, 4, LABELS), (4, 4, None)], "cache", None),
+    # a later record of equal interval that fails hides no checked ranking
+    ([(4, 4, LABELS), (4, 4, [1] * 6)], "cache", None),
+    # a claimed lb above the least checked ranking is dropped
+    ([(2, 4, LABELS), (5, 5, None)], "exact", "claims lb 5, but a checked ranking has 4 labels"),
+    ([(2, 4, LABELS), (5, 6, [1, 2, 1, 3, 5, 4])], "exact", "claims lb 5, but a checked ranking has 4 labels"),
+    # an lb that no checked ranking meets settles nothing
+    ([(3, 3, LABELS)], "exact", "fails its check"),
+    ([(2, 5, [1, 2, 1, 3, 5, 4]), (4, 4, None)], "exact", "fails its check"),
+    ([(2, 4, LABELS), (3, 6, None)], "exact", None),
+])
+def test_one_state_settles_a_key(tmp_path, g, capsys, caplog, records, method, warning):
+    path = tmp_path / "c.jsonl"
+    path.write_text(HEADER + "".join(_exact_line(g.graph_hash, *rec) + "\n" for rec in records))
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        assert cli.main(["exact", "--grid", "2x3", "--cache", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["value"], doc["method"]) == (4, method)
+    if method == "cache":
+        assert doc["labels"] == LABELS
+    assert [warning in m for m in caplog.messages] == ([] if warning is None else [True])
+
+
+def test_a_label_less_value_is_written_once(tmp_path, g):
+    # it settles nothing, so writing it again would heal nothing
+    path = tmp_path / "c.jsonl"
+    c = SolutionCache(path)
+    for _ in range(2):
+        c.put_exact(g, 4, 4, None, 0.0)
+    assert len(path.read_text().splitlines()) == 2
+
+
+def test_one_cache_validates_each_record_once(tmp_path, g, monkeypatch):
+    # a lookup, a cached "no", a write and a lookup after it all read one
+    # state per key, so each labelled record is validated once
+    path = tmp_path / "c.jsonl"
+    c = SolutionCache(path)
+    c.put_exact(g, 2, 5, [1, 2, 1, 3, 5, 4], 0.0)
+    c.put_exact(g, 4, 4, LABELS, 0.0)
+    c.put_decision(g, 4, False, None, 0.0)
+    checked = []
+    validate = rankgrid.cache.validate
+    monkeypatch.setattr(rankgrid.cache, "validate", lambda r: checked.append(r.labels) or validate(r))
+    c = SolutionCache(path)
+    assert c.get_exact(g).certificate.labels == tuple(LABELS)
+    assert c.get_decision(g, 4).ranking.labels == tuple(LABELS)
+    c.put_exact(g, 5, 5, [1, 3, 1, 2, 5, 4], 0.0)
+    assert c.get_exact(g).certificate.labels == tuple(LABELS)
+    assert sorted(checked) == sorted([(1, 2, 1, 3, 5, 4), tuple(LABELS), (1, 3, 1, 2, 5, 4)])
+
+
 def test_non_utf8_bytes_are_a_corrupt_line(tmp_path, g, capsys, caplog):
     # a line of stray bytes names no key, so only cache-inspect reads it; a
     # record of the key with a non-UTF-8 byte is read, and skipped, by exact
