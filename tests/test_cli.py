@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from conftest import run_endpoint
-from rankgrid import bounds, cli, construct, formulas
+from rankgrid import bounds, cli, construct, formulas, graphs
 from rankgrid.cache import CACHE_VERSION, ENV_VAR
 from rankgrid.graphs import Graph, GraphShape, ShapeError, build
 from rankgrid.verify import Ranking, validate
@@ -253,6 +253,21 @@ def test_exit_code_usage_error(capsys):
     code, out, err = run(capsys, "exact", "--grid", "3x3", "--jobs", "2")
     assert code == 1 and out == ""
     assert err.startswith("usage:") and "--jobs" in err and "Traceback" not in err
+    # bad values that parse, each refused by its command with a message
+    for argv, problem in [
+        (["exact", "--grid", "3by3"], "expected MxN, got '3by3'"),
+        (["exact", "--path", "5", "--sticky", "right"], "sticky ends attach only to grids"),
+        (["formula", "--m", "3", "--n", "5", "--recursive"], "--recursive applies only to --m 4"),
+        (["bounds", "--triangle", "5", "--m", "3"], "--triangle excludes --m/--n"),
+        (["construct"], "give exactly one of --four-rows N"),
+        (["construct", "--four-rows", "9", "--triangle", "5"], "give exactly one of --four-rows N"),
+        (["sweep", "--m", "4", "--n-range", "5"], "expected LO:HI, got '5'"),
+        (["sweep", "--m", "4", "--n-range", "6:3"], "empty or invalid range '6:3'"),
+        (["sweep", "--m", "4", "--n-range", "1:3", "--methods", "exact,nope"], "unknown methods: ['nope']"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and problem in err and "Traceback" not in err, (argv, err)
 
 
 # each command's -h, a valid argv, and three usage errors: a missing
@@ -294,8 +309,17 @@ def _parse(parser, argv, capsys):
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_one_command_parser_agrees_with_the_full_parser(capsys, monkeypatch, argv):
+    # the same namespace, exit, message and output, except that an
+    # unrecognized argument prints the command's own usage
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parse(cli._build_parser(argv[0]), argv, capsys) == _parse(cli._build_parser(), argv, capsys)
+    own = cli._build_parser(argv[0])
+    result, (out, err) = _parse(own, argv[1:], capsys)
+    full, (full_out, full_err) = _parse(cli._build_parser(), argv, capsys)
+    if isinstance(full, dict):
+        assert full.pop("command") == argv[0]
+    elif full[0] == "error" and full[1].startswith("unrecognized arguments"):
+        full_err = own.format_usage()
+    assert (result, out, err) == (full, full_out, full_err)
 
 
 USAGE = """usage: rankgrid [-h]
@@ -330,9 +354,9 @@ def test_top_level_help_and_invalid_choice_are_pinned(capsys, monkeypatch):
     assert run(capsys, "bogus") == (1, "", USAGE + (
         "error: argument command: invalid choice: 'bogus' (choose from 'exact', 'decide', 'formula',"
         " 'bounds', 'construct', 'sweep', 'compare', 'render', 'cache-inspect')\n"))
-    # a one-command parser names every command in the usage it prints
+    # a named command prints its own usage with every error
     assert run(capsys, "compare", "--m", "4", "--n", "6", "x") == (
-        1, "", USAGE + "error: unrecognized arguments: x\n")
+        1, "", "usage: rankgrid compare [-h] --m M --n N\nerror: unrecognized arguments: x\n")
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
@@ -383,11 +407,11 @@ def test_main_restores_the_collector_state(capsys, monkeypatch):
 
 def test_command_cyclic_garbage_does_not_grow_with_its_work(capsys, tmp_path):
     # main pauses the collector because a command's cyclic garbage is a
-    # fixed 64 to 266 objects (mostly its one subcommand's parser), not a
-    # share of its work
+    # fixed 27 to 229 objects (its parser's and json.dumps' encoder's), not
+    # a share of its work
     small, big = str(tmp_path / "small.json"), str(tmp_path / "big.json")
     cache = tmp_path / "many.jsonl"
-    write_cache(cache, *({"kind": "exact", "key": f"k{i}", "lb": 1, "ub": 1, "labels": [1],
+    write_cache(cache, *({"kind": "exact", "key": f"{i:064x}", "lb": 1, "ub": 1, "labels": [1],
                           "elapsed": 0.5, "provenance": "exact"} for i in range(2000)))
     pairs = [
         (["construct", "--four-rows", "64", "--out", small], ["construct", "--four-rows", "2000", "--out", big]),
@@ -691,8 +715,17 @@ def path3_file(tmp_path, labels=(1, 2, 1), **graph):
     ({"vertex_count": 3.6}, "needs integer vertex_count, edge endpoints and coords"),
     ({"edges": [[0, 1], [1, 1.5]]}, "needs integer vertex_count, edge endpoints and coords"),
     ({"coords": [[0, 0], [0, 1.7], [0, 2]]}, "needs integer vertex_count, edge endpoints and coords"),
+    # a shape of a million vertices is refused without building it
+    ({"shape": {"family": "grid", "m": 1000, "n": 1000}}, "does not match its embedded shape"),
+    ({"shape": {"family": "grid", "m": 3, "n": 1}}, "does not match its embedded shape"),
 ])
-def test_render_rejects_inconsistent_graph(capsys, tmp_path, graph, message):
+def test_render_rejects_inconsistent_graph(capsys, monkeypatch, tmp_path, graph, message):
+    def small_build(shape):
+        assert shape.m * shape.n <= 100, "built an oversized shape"
+        return real_build(shape)
+
+    real_build = graphs.build
+    monkeypatch.setattr(graphs, "build", small_build)
     assert run(capsys, "render", path3_file(tmp_path))[0] == 0
     code, out, err = run(capsys, "render", path3_file(tmp_path, **graph))
     assert code == 1 and out == ""
