@@ -13,7 +13,6 @@ from .graphs import (
     Custom,
     Graph,
     GraphShape,
-    RemoveCorner,
     ShapeError,
     StickyEnd,
     build,
@@ -68,7 +67,6 @@ __all__ = [
     "GraphShape",
     "RankResult",
     "Ranking",
-    "RemoveCorner",
     "ShapeError",
     "SolutionCache",
     "StickyEnd",

@@ -15,8 +15,8 @@ Decorations extend a grid core:
   other.  Staircase vertices connect vertically inside their column and
   horizontally to the same-row vertex of the neighbouring column (plain
   unit grid edges, no diagonals).
-* remove_corner deletes one corner vertex of the core.
-* custom attaches explicitly listed vertices and edges.
+* custom attaches explicitly listed vertices and edges; a custom vertex
+  gets only its listed edges, never a lattice edge.
 
 Vertex order is canonical: core vertices row-major, then each decoration's
 vertices sorted by (col, row) in declaration order.  Everything downstream
@@ -38,8 +38,6 @@ PATH = "path"
 GRID = "grid"
 TRIANGLE = "triangle"
 
-CORNERS = ("NW", "NE", "SW", "SE")
-
 
 class ShapeError(ValueError):
     """A GraphShape that cannot describe a legal graph."""
@@ -58,29 +56,22 @@ class StickyEnd:
 
 
 @dataclass(frozen=True)
-class RemoveCorner:
-    corner: str  # NW, NE, SW or SE
-
-    def __post_init__(self) -> None:
-        if self.corner not in CORNERS:
-            raise ShapeError(f"corner must be one of {CORNERS}, got {self.corner!r}")
-
-
-@dataclass(frozen=True)
 class Custom:
     extra_vertices: tuple[Coord, ...]
     extra_edges: tuple[tuple[Coord, Coord], ...]
 
     def __init__(self, extra_vertices, extra_edges) -> None:
-        object.__setattr__(self, "extra_vertices", tuple((int(r), int(c)) for r, c in extra_vertices))
-        object.__setattr__(
-            self,
-            "extra_edges",
-            tuple(((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))) for a, b in extra_edges),
-        )
+        index = operator.index
+        try:
+            vertices = tuple((index(r), index(c)) for r, c in extra_vertices)
+            edges = tuple(((index(a[0]), index(a[1])), (index(b[0]), index(b[1]))) for a, b in extra_edges)
+        except TypeError:
+            raise ShapeError("custom vertices and edges need integer coords") from None
+        object.__setattr__(self, "extra_vertices", vertices)
+        object.__setattr__(self, "extra_edges", edges)
 
 
-Decoration = StickyEnd | RemoveCorner | Custom
+Decoration = StickyEnd | Custom
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,6 @@ class GraphShape:
 
     def _check_decorations(self) -> None:
         sticky_sides: set[str] = set()
-        removed: set[str] = set()
         for dec in self.decorations:
             if isinstance(dec, StickyEnd):
                 if self.family != GRID:
@@ -118,14 +108,6 @@ class GraphShape:
                 if dec.side in sticky_sides:
                     raise ShapeError(f"duplicate sticky end on side {dec.side!r}")
                 sticky_sides.add(dec.side)
-            elif isinstance(dec, RemoveCorner):
-                if self.family != GRID:
-                    raise ShapeError("remove_corner applies only to the grid family")
-                if self.m < 2 or self.n < 2:
-                    raise ShapeError("remove_corner needs a grid with m,n >= 2")
-                if dec.corner in removed:
-                    raise ShapeError(f"corner {dec.corner} removed twice")
-                removed.add(dec.corner)
             elif isinstance(dec, Custom):
                 pass  # validated against the assembled coords in build()
             else:
@@ -151,8 +133,6 @@ class GraphShape:
         for dec in self.decorations:
             if isinstance(dec, StickyEnd):
                 count += self.m * (self.m - 1) // 2
-            elif isinstance(dec, RemoveCorner):
-                count -= 1
             else:
                 count += len(dec.extra_vertices)
         return count
@@ -162,8 +142,6 @@ class GraphShape:
         for dec in self.decorations:
             if isinstance(dec, StickyEnd):
                 decs.append({"kind": f"sticky_end_{dec.side}", "align": dec.align})
-            elif isinstance(dec, RemoveCorner):
-                decs.append({"kind": "remove_corner", "which": dec.corner})
             else:
                 decs.append(
                     {
@@ -183,22 +161,11 @@ class GraphShape:
                 decs.append(StickyEnd("left", d.get("align", "bottom")))
             elif kind == "sticky_end_right":
                 decs.append(StickyEnd("right", d.get("align", "bottom")))
-            elif kind == "remove_corner":
-                decs.append(RemoveCorner(d["which"]))
             elif kind == "custom":
                 decs.append(Custom(d["extra_vertices"], d["extra_edges"]))
             else:
                 raise ShapeError(f"unknown decoration kind {kind!r}")
         return GraphShape(data["family"], data["m"], data["n"], tuple(decs))
-
-
-def _corner_coord(corner: str, m: int, n: int) -> Coord:
-    return {
-        "NW": (0, 0),
-        "NE": (0, n - 1),
-        "SW": (m - 1, 0),
-        "SE": (m - 1, n - 1),
-    }[corner]
 
 
 def _sticky_coords(side: str, align: str, m: int, n: int) -> list[Coord]:
@@ -383,23 +350,18 @@ GRID_STEPS: tuple[Coord, ...] = ((0, 1), (1, 0))
 TRIANGLE_STEPS: tuple[Coord, ...] = GRID_STEPS + ((1, 1),)
 
 
-def _lattice_edges(
-    ordered: list[Coord], steps: tuple[Coord, ...], unwired: frozenset[Coord] | set[Coord] = frozenset()
-) -> list[tuple[int, int]]:
+def _lattice_edges(ordered: list[Coord], steps: tuple[Coord, ...]) -> list[tuple[int, int]]:
     """Sorted (u, v) index pairs, u < v, of vertices one lattice step apart.
 
     Vertex i sits at ordered[i]; each step (dr, dc) joins (r, c) to
-    (r+dr, c+dc) when both are present.  Coords in unwired get no lattice
-    edges (custom vertices); each is one of ordered.  (r, c) is
-    keyed as r*w + c - lo, with lo one below the least column and w the
-    column span plus a margin each side, so a one-column step never wraps.
+    (r+dr, c+dc) when both are present.  (r, c) is keyed as r*w + c - lo,
+    with lo one below the least column and w the column span plus a margin
+    each side, so a one-column step never wraps.
     """
     cols = [c for _, c in ordered]
     lo = min(cols, default=0) - 1
     w = max(cols, default=0) - lo + 2
     index = dict(zip([r * w + c - lo for r, c in ordered], range(len(ordered))))
-    for r, c in unwired:
-        del index[r * w + c - lo]
     at = index.get
     deltas = [dr * w + dc for dr, dc in steps]
     edges = [(u, v) if u < v else (v, u)
@@ -413,10 +375,10 @@ def _grid_edges(m: int, n: int, extra: dict[Coord, int]) -> list[tuple[int, int]
     row-major, plus the lattice edges of the extra vertices.
 
     Core vertex (r, c) is r*n + c, so its edges are (u, u+1) along a row and
-    (u, u+n) down, laid out in order a row at a time.  extra maps each
-    vertex beyond the core (indices m*n and up) to its coord; only those
-    look their neighbours up by coord, and each of their edges is inserted
-    in its sorted place.
+    (u, u+n) down, laid out in order a row at a time.  extra maps the
+    coord of each vertex wired beyond the core to its index (m*n and up);
+    only those look their neighbours up by coord, among the core and
+    extra alone, and each of their edges is inserted in its sorted place.
     """
     size = m * n
     edges: list[tuple[int, int]] = []
@@ -439,47 +401,43 @@ def _grid_edges(m: int, n: int, extra: dict[Coord, int]) -> list[tuple[int, int]
 def build(shape: GraphShape) -> Graph:
     """Materialize a GraphShape into its canonical Graph.
 
-    A grid core with no corner removed and no custom vertex gets its edges
-    from _grid_edges; triangles and the other grids from _lattice_edges.
-    Raises ShapeError if the decorations are inconsistent (duplicate
-    vertices or edges, dangling custom edges, or a disconnected result).
+    A grid or path takes its edges from _grid_edges, with each staircase
+    vertex wired by lattice step; a triangle takes _lattice_edges on its
+    core.  Custom vertices follow in declaration order and get only their
+    explicit edges.  Raises ShapeError if the decorations are inconsistent
+    (duplicate vertices or edges, dangling custom edges, or a disconnected
+    result).
     """
     m, n = shape.m, shape.n
-    removed = {_corner_coord(dec.corner, m, n) for dec in shape.decorations if isinstance(dec, RemoveCorner)}
     tri = shape.family == TRIANGLE
     if tri:
         ordered = [(r, c) for r in range(m) for c in range(r + 1)]
     else:
         ordered = list(product(range(m), range(n)))  # row-major
-        if removed:
-            ordered = [rc for rc in ordered if rc not in removed]
+    core = len(ordered)
 
     def in_core(rc: Coord) -> bool:
         r, c = rc
-        return 0 <= r < m and 0 <= c < (r + 1 if tri else n) and rc not in removed
+        return 0 <= r < m and 0 <= c < (r + 1 if tri else n)
 
-    added_at: dict[Coord, int] = {}  # each decoration vertex's index, by coord
-    custom: set[Coord] = set()  # wired only by their explicit edge list
+    seen: set[Coord] = set()  # decoration vertices so far
+    stairs: dict[Coord, int] = {}  # each staircase vertex's index, by coord
     explicit_edges: list[tuple[Coord, Coord]] = []
     for dec in shape.decorations:
         if isinstance(dec, StickyEnd):
             kind, added = "sticky end", _sticky_coords(dec.side, dec.align, m, n)
-        elif isinstance(dec, Custom):
-            kind, added = "custom", sorted(dec.extra_vertices, key=lambda rc: (rc[1], rc[0]))
-            custom.update(added)
-            explicit_edges.extend(dec.extra_edges)
         else:
-            continue
+            kind, added = "custom", sorted(dec.extra_vertices, key=lambda rc: (rc[1], rc[0]))
+            explicit_edges.extend(dec.extra_edges)
         for rc in added:
-            if rc in added_at or in_core(rc):
+            if rc in seen or in_core(rc):
                 raise ShapeError(f"{kind} vertex {rc} duplicates an existing vertex")
-            added_at[rc] = len(ordered)
+            seen.add(rc)
+            if kind == "sticky end":
+                stairs[rc] = len(ordered)
             ordered.append(rc)
 
-    if tri or removed or custom:
-        edges = _lattice_edges(ordered, TRIANGLE_STEPS if tri else GRID_STEPS, custom)
-    else:
-        edges = _grid_edges(m, n, added_at)
+    edges = _lattice_edges(ordered[:core], TRIANGLE_STEPS) if tri else _grid_edges(m, n, stairs)
     if explicit_edges:
         index = {rc: i for i, rc in enumerate(ordered)}
         present = set(edges)

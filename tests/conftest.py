@@ -1,4 +1,4 @@
-"""Shared helpers: seeded random graphs used by the oracle suites."""
+"""Shared helpers: seeded random graphs, corner cuts and endpoint counters."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from rankgrid import construct, formulas
-from rankgrid.graphs import Graph
+from rankgrid.graphs import Graph, GraphShape, build
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -26,6 +26,15 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
             edges.add((min(a, b), max(a, b)))
     # coords only matter for rendering; a single row keeps them unique
     return Graph(n, tuple(sorted(edges)), tuple((0, i) for i in range(n)))
+
+
+def corner_cut(m: int, n: int, *cells: tuple[int, int]) -> Graph:
+    """The m x n grid less the given cells, as a shapeless graph.  Its
+    coords, edges, hash and symmetries are those of the grid's induced
+    subgraph, and its bounding box is still the full m x n frame when only
+    corners are cut."""
+    g = build(GraphShape.grid(m, n))
+    return g.induced_subgraph([v for v, rc in enumerate(g.coords) if rc not in cells])[0]
 
 
 @pytest.fixture

@@ -9,21 +9,16 @@ shape family and decoration.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import pytest
 
 from rankgrid.construct import two_sticky_shape
 from rankgrid.graphs import (
-    CORNERS,
     TRIANGLE,
     Custom,
     Graph,
     GraphShape,
-    RemoveCorner,
     ShapeError,
     StickyEnd,
-    _corner_coord,
     _sticky_coords,
     build,
 )
@@ -46,9 +41,6 @@ def reference_build(shape: GraphShape) -> Graph:
         core = [(r, c) for r in range(shape.m) for c in range(r + 1)]
     else:
         core = [(r, c) for r in range(shape.m) for c in range(shape.n)]
-    removed = {_corner_coord(d.corner, shape.m, shape.n)
-               for d in shape.decorations if isinstance(d, RemoveCorner)}
-    core = [rc for rc in core if rc not in removed]
     ordered = list(core)
     seen = set(core)
     explicit_edges = []
@@ -118,14 +110,6 @@ def sticky_shapes():
                     yield GraphShape.grid(m, n, (left, right))
 
 
-def corner_shapes():
-    for m in range(2, 5):
-        for n in range(2, 7):
-            for count in (1, 2):
-                for picked in combinations(CORNERS, count):
-                    yield GraphShape.grid(m, n, tuple(RemoveCorner(c) for c in picked))
-
-
 CUSTOM_SHAPES = [
     # a pendant vertex, and one wired to two core vertices
     GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)),)),
@@ -135,9 +119,11 @@ CUSTOM_SHAPES = [
     # custom vertices next to each other get no lattice edge between them
     GraphShape.grid(2, 3, (Custom(((0, 3), (1, 3)), (((0, 2), (0, 3)), ((1, 2), (1, 3)))),)),
     GraphShape.grid(2, 3, (Custom(((0, 3), (1, 3)), (((0, 2), (0, 3)), ((0, 3), (1, 3)))),)),
-    # custom beside sticky ends and removed corners, on a path and a triangle
+    # custom beside sticky ends, on a path and a triangle
     GraphShape.grid(3, 2, (StickyEnd("right"), Custom(((0, -1),), (((0, -1), (0, 0)),)))),
-    GraphShape.grid(3, 3, (RemoveCorner("SE"), Custom(((2, 2),), (((2, 2), (1, 2)),)))),
+    # a custom vertex one step from the staircase cells (1, 2) and (2, 3),
+    # wired only to the first
+    GraphShape.grid(3, 2, (StickyEnd("right"), Custom(((1, 3),), (((1, 2), (1, 3)),)))),
     GraphShape.grid(4, 2, (StickyEnd("left", "top"), Custom(((4, 0),), (((3, 0), (4, 0)),)))),
     GraphShape(TRIANGLE, 3, 3, (Custom(((0, 1),), (((0, 0), (0, 1)), ((0, 1), (1, 1)))),)),
     GraphShape("path", 1, 4, (Custom(((1, 0),), (((0, 0), (1, 0)),)),)),
@@ -168,8 +154,6 @@ CUSTOM_ERRORS = [
      "custom vertex (0, 0) duplicates an existing vertex"),
     (GraphShape.grid(3, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)), StickyEnd("right", "top"))),
      "sticky end vertex (0, 2) duplicates an existing vertex"),
-    (GraphShape.grid(2, 2, (RemoveCorner("NW"), RemoveCorner("SE"))),
-     "decorations leave the graph disconnected"),
 ]
 
 
@@ -199,13 +183,6 @@ def test_sticky_ends_match_reference():
 def test_long_four_row_shapes_match_reference():
     # the widest graphs the certificates build, one with negative columns
     for shape in (GraphShape.grid(4, 4093), two_sticky_shape(2044, anti=True)):
-        assert outcome(shape) == reference_outcome(shape), shape
-
-
-def test_corner_removals_match_reference():
-    shapes = list(corner_shapes())
-    assert len(shapes) == 3 * 5 * 10
-    for shape in shapes:
         assert outcome(shape) == reference_outcome(shape), shape
 
 

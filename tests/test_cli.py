@@ -407,8 +407,8 @@ def test_main_restores_the_collector_state(capsys, monkeypatch):
 
 def test_command_cyclic_garbage_does_not_grow_with_its_work(capsys, tmp_path):
     # main pauses the collector because a command's cyclic garbage is a
-    # fixed 27 to 229 objects (its parser's and json.dumps' encoder's), not
-    # a share of its work
+    # fixed 27 to 67 objects (its parser's among them), not a share of its
+    # work
     small, big = str(tmp_path / "small.json"), str(tmp_path / "big.json")
     cache = tmp_path / "many.jsonl"
     write_cache(cache, *({"kind": "exact", "key": f"{i:064x}", "lb": 1, "ub": 1, "labels": [1],
@@ -766,6 +766,22 @@ def test_render_rejects_a_ranking_of_another_graph(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("labels,graph,message", [
+    # a decoration retired from the graph model: the 2x2 grid less its NW corner
+    ((1, 1, 2), {"shape": {"family": "grid", "m": 2, "n": 2,
+                           "decorations": [{"kind": "remove_corner", "which": "NW"}]},
+                 "edges": [[0, 2], [1, 2]], "coords": [[0, 1], [1, 0], [1, 1]]},
+     "unknown decoration kind 'remove_corner'"),
+    # int() would truncate these to the vertex (0, 2) and the edge (0, 2)-(0, 1)
+    ((1, 2, 1), {"shape": {"family": "grid", "m": 1, "n": 2, "decorations": [
+        {"kind": "custom", "extra_vertices": [[0, 2.9]], "extra_edges": [[["0", 2.2], [0, 1]]]}]}},
+     "custom vertices and edges need integer coords"),
+])
+def test_render_rejects_the_shape(capsys, tmp_path, labels, graph, message):
+    code, out, err = run(capsys, "render", path3_file(tmp_path, labels, **graph))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_render_rejects_non_integer_labels(capsys, tmp_path):
     # int() would truncate these to the valid labels 1, 2, 1
     code, out, err = run(capsys, "render", path3_file(tmp_path, labels=[1.9, 2.9, 1.9]))
@@ -806,9 +822,39 @@ def _random_payload(rng, depth=0):
 
 def test_json_writer_matches_json_dumps():
     rng = random.Random(20)
-    for _ in range(2000):
-        payload = _random_payload(rng)
+    empties = [[], {}, (), [[]], [()], [{}], ([], ()), [[], [1]], {"a": []}, {"a": {}, "b": ()},
+               {"a": [[], {}]}, {1: []}]
+    for payload in empties + [_random_payload(rng) for _ in range(2000)]:
         assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True), payload
+
+
+def test_commands_never_ask_json_dumps_for_an_indent(capsys, monkeypatch, tmp_path):
+    # json.dumps with an indent builds the pure-Python encoder, whose
+    # closures are cyclic garbage; the writer writes every reply without it,
+    # empty containers included
+    indented = []
+    dumps = json.dumps
+
+    def spy(*args, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    c64 = str(tmp_path / "c64.json")
+    for argv in (
+        ["construct", "--four-rows", "64", "--out", c64],
+        ["exact", "--grid", "3x4"],
+        ["decide", "--grid", "3x4", "--k", "6"],
+        ["cache-inspect", "--cache", str(tmp_path / "none.jsonl"), "--verbose"],
+        ["sweep", "--m", "3", "--n-range", "2:5", "--methods", "formula,bounds", "--format", "json"],
+        ["bounds", "--m", "5", "--n", "6"],
+        ["compare", "--m", "4", "--n", "6"],
+        ["formula", "--m", "4", "--n", "9"],
+        ["render", c64],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert indented == []
 
 
 def test_four_row_output_on_a_large_grid_matches_json_dumps(capsys, tmp_path):

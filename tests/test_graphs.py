@@ -7,12 +7,12 @@ import json
 
 import pytest
 
+from conftest import corner_cut
 from rankgrid import construct
 from rankgrid.graphs import (
     Custom,
     Graph,
     GraphShape,
-    RemoveCorner,
     ShapeError,
     StickyEnd,
     build,
@@ -130,24 +130,6 @@ def test_sticky_rejections():
         StickyEnd("north")
 
 
-def test_remove_corner_counts():
-    base = build(GraphShape.grid(4, 3))
-    cut = build(GraphShape.grid(4, 3, (RemoveCorner("NW"),)))
-    assert cut.vertex_count == base.vertex_count - 1
-    assert len(cut.edges) == len(base.edges) - 2
-    both = build(GraphShape.grid(4, 3, (RemoveCorner("NW"), RemoveCorner("NE"))))
-    assert both.vertex_count == base.vertex_count - 2
-
-
-def test_remove_corner_rejections():
-    with pytest.raises(ShapeError):
-        RemoveCorner("N")
-    with pytest.raises(ShapeError):
-        GraphShape.grid(4, 3, (RemoveCorner("NW"), RemoveCorner("NW")))
-    with pytest.raises(ShapeError):
-        GraphShape.grid(1, 3, (RemoveCorner("NW"),))
-
-
 def test_custom_decoration_and_rejections():
     shape = GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)),))
     g = build(shape)
@@ -163,7 +145,7 @@ def test_shape_json_round_trip():
         GraphShape.grid(4, 6),
         GraphShape.triangle(5),
         GraphShape.grid(4, 2, (StickyEnd("left", "top"), StickyEnd("right"))),
-        GraphShape.grid(4, 3, (RemoveCorner("NW"), RemoveCorner("NE"))),
+        construct.corner_shape(4),
     ]
     for shape in shapes:
         assert GraphShape.from_json_dict(shape.to_json_dict()) == shape
@@ -202,9 +184,8 @@ def test_adjacency_is_ascending():
         GraphShape.grid(4, 3, (StickyEnd("left", "top"), StickyEnd("right"))),
         GraphShape.grid(3, 4, (StickyEnd("right", "bottom"),)),
         GraphShape.triangle(5),
-        GraphShape.grid(4, 4, (RemoveCorner("NE"), RemoveCorner("SW"))),
         GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)),)),
-    )]
+    )] + [corner_cut(4, 4, (0, 3), (3, 0))]
     sub, _ = built[0].induced_subgraph([0, 2, 3, 7, 8, 9, 12, 13, 19])
     data = built[1].to_json_dict()
     data["shape"] = None
@@ -249,8 +230,10 @@ def _symmetry_graphs():
         yield build(GraphShape.triangle(s))
     for m in range(2, 7):
         yield build(construct.corner_shape(m))
-    # a diagonal custom edge keeps the transpose
-    yield build(GraphShape.grid(4, 4, (RemoveCorner("NW"), Custom((), (((1, 1), (2, 2)),)))))
+    # a corner cut with a diagonal edge keeps the transpose
+    cut = corner_cut(4, 4, (0, 0))
+    at = cut.index_by_coord
+    yield Graph(cut.vertex_count, tuple(sorted(cut.edges + ((at[1, 1], at[2, 2]),))), cut.coords)
     # shapeless, rows 1..4 and cols 0..3: the transpose needs its offset
     g = build(GraphShape.grid(5, 5))
     yield g.induced_subgraph([i for i, (r, c) in enumerate(g.coords) if r >= 1 and c <= 3])[0]

@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import corner_cut, random_connected_graph
 from rankgrid import bounds, cli, construct, formulas, solve
-from rankgrid.graphs import Custom, Graph, GraphShape, RemoveCorner, StickyEnd, build
+from rankgrid.graphs import Graph, GraphShape, StickyEnd, build
 from rankgrid.solve import Budget, brute_force, rank_decision, rank_exact
 from rankgrid.verify import validate
 
@@ -29,7 +29,7 @@ def test_known_small_values():
 
 
 def test_four_by_seven_less_a_corner():
-    res = rank_exact(build(GraphShape.grid(4, 7, (RemoveCorner("SW"),))))
+    res = rank_exact(corner_cut(4, 7, (3, 0)))
     assert res.value == 9 and validate(res.certificate) is None
 
 
@@ -90,7 +90,7 @@ def test_decision_known_cases():
     p4 = build(GraphShape.path(4))
     assert rank_decision(p4, 2).feasible is False
 
-    cut = build(GraphShape.grid(4, 3, (RemoveCorner("NW"), RemoveCorner("NE"))))
+    cut = corner_cut(4, 3, (0, 0), (0, 2))
     out5 = rank_decision(cut, 5)
     assert out5.feasible and validate(out5.ranking) is None
     assert rank_decision(cut, 4).feasible is False
@@ -240,14 +240,15 @@ def _reference(g):
 
 
 RIGHT = (StickyEnd("right"),)
+SW_CUT = corner_cut(4, 4, (3, 0))
 # a triangle; a corner cut; a custom vertex at the cut corner, wired only to
 # the cell above it; and a shapeless graph whose coords all lie on one row
 # while its edges are arbitrary: one of its eleven 1x4 windows is a path, and
 # only that one counts
 MORE_GRAPHS = (
     build(GraphShape.triangle(5)),
-    build(GraphShape.grid(4, 5, (RemoveCorner("SW"),))),
-    build(GraphShape.grid(4, 4, (RemoveCorner("SW"), Custom([(3, 0)], [((3, 0), (2, 0))])))),
+    corner_cut(4, 5, (3, 0)),
+    Graph(16, tuple(sorted(SW_CUT.edges + ((8, 15),))), SW_CUT.coords + ((3, 0),)),
     random_connected_graph(random.Random(0), 14),
 )
 

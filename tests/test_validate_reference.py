@@ -15,9 +15,9 @@ from collections import deque
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import corner_cut, random_connected_graph
 from rankgrid import construct, solve
-from rankgrid.graphs import Graph, GraphShape, RemoveCorner, StickyEnd, build
+from rankgrid.graphs import Graph, GraphShape, StickyEnd, build
 from rankgrid.verify import Ranking, Violation, validate
 
 
@@ -81,13 +81,13 @@ def certificates() -> list[Ranking]:
     out.append(construct.ruler_ranking(4))
     out.append(construct.base_ranking(construct.one_sticky_shape(3), 6))
     out.append(construct.base_ranking(construct.two_sticky_shape(2, anti=True), 6))
-    for shape in (
-        GraphShape.grid(3, 3, (StickyEnd("left"),)),
-        GraphShape.grid(3, 2, (StickyEnd("left", "top"), StickyEnd("right"))),
-        GraphShape.grid(3, 4, (RemoveCorner("NW"), RemoveCorner("SE"))),
-        GraphShape.grid(4, 3, (RemoveCorner("NE"),)),
+    for g in (
+        build(GraphShape.grid(3, 3, (StickyEnd("left"),))),
+        build(GraphShape.grid(3, 2, (StickyEnd("left", "top"), StickyEnd("right")))),
+        corner_cut(3, 4, (0, 0), (2, 3)),
+        corner_cut(4, 3, (0, 2)),
     ):
-        res = solve.rank_exact(build(shape))
+        res = solve.rank_exact(g)
         assert res.certificate is not None
         out.append(res.certificate)
     # the same labels on a shapeless graph read back from JSON
@@ -106,7 +106,15 @@ def test_certificates_cover_each_family():
     families = {s.family for s in shapes if s is not None}
     assert families == {"grid", "triangle"}
     assert any(c < 0 for r in CERTIFICATES for _, c in r.graph.coords)  # left sticky ends
-    assert any(isinstance(d, RemoveCorner) for s in shapes if s for d in s.decorations)
+    assert any(r.graph.shape is None and is_corner_cut(r.graph) for r in CERTIFICATES)
+
+
+def is_corner_cut(g: Graph) -> bool:
+    """Whether g's coords fill their bounding box less some of its corners."""
+    top, left, bottom, right = g.extent
+    box = {(r, c) for r in range(top, bottom + 1) for c in range(left, right + 1)}
+    missing = box - set(g.coords)
+    return bool(missing) and missing <= {(top, left), (top, right), (bottom, left), (bottom, right)}
 
 
 @pytest.mark.parametrize("r", CERTIFICATES, ids=lambda r: str(r.graph.vertex_count))
