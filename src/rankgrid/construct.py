@@ -111,11 +111,11 @@ def base_ranking(shape: GraphShape, k: int) -> Ranking:
 
 
 def _row_layout(shape: GraphShape) -> list[tuple[int, int, list[int], list[int]]]:
-    """Per row of a grid or triangle shape whose only decorations are
-    staircases (and extra edges): the vertex index of its first core cell,
-    its core width, and the vertex indices of its left and right staircase
-    cells, left to right.  build lays the core out row-major and then each
-    staircase's cells by (col, row), so every row's core is one slice."""
+    """Per row of a grid or triangle shape: the vertex index of its first
+    core cell, its core width, and the vertex indices of its left and right
+    staircase cells, left to right.  build lays the core out row-major and
+    then each staircase's cells by (col, row), and a custom decoration adds
+    edges only, so every row's core is one slice."""
     m, n = shape.m, shape.n
     if shape.family == TRIANGLE:
         return [(r * (r + 1) // 2, r + 1, [], []) for r in range(m)]
@@ -332,7 +332,7 @@ def corner_shape(m: int) -> GraphShape:
     its right, and every two first-column cells that are not already
     adjacent joined by an edge.  diagonal_cut takes a ranking of it."""
     pairs = tuple(((a, 0), (b, 0)) for a in range(m) for b in range(a + 2, m))
-    return GraphShape.grid(m, 1, (StickyEnd("right"),) + ((Custom((), pairs),) if pairs else ()))
+    return GraphShape.grid(m, 1, (StickyEnd("right"),) + ((Custom(pairs),) if pairs else ()))
 
 
 def diagonal_cut(m: int, n: int, inner: Ranking | None, corner: Ranking) -> Ranking:
@@ -596,8 +596,7 @@ def restrict_columns(r: Ranking, n: int) -> Ranking:
 def _restrict(m: int, width: int, labels: tuple[int, ...], n: int) -> Ranking:
     # build puts a plain grid's vertices row-major: (r, c) is vertex r*width + c
     kept = [v for i in range(0, m * width, width) for v in labels[i:i + n]]
-    order = {v: i for i, v in enumerate(sorted(set(kept)), 1)}
-    return checked(build(GraphShape.grid(m, n)), tuple(map(order.__getitem__, kept)), len(order))
+    return checked(build(GraphShape.grid(m, n)), solve._compress(kept), len(set(kept)))
 
 
 def _step(name: str, inputs: tuple[Ranking, ...], out: Ranking) -> ChainStep:

@@ -15,10 +15,10 @@ Decorations extend a grid core:
   other.  Staircase vertices connect vertically inside their column and
   horizontally to the same-row vertex of the neighbouring column (plain
   unit grid edges, no diagonals).
-* custom attaches explicitly listed vertices and edges; a custom vertex
-  gets only its listed edges, never a lattice edge.
+* custom adds explicitly listed edges between existing vertices.  A graph
+  of one's own is a shapeless Graph, not a decorated shape.
 
-Vertex order is canonical: core vertices row-major, then each decoration's
+Vertex order is canonical: core vertices row-major, then each staircase's
 vertices sorted by (col, row) in declaration order.  Everything downstream
 (hashes, caches, certificates) relies on this order being stable.
 """
@@ -57,17 +57,14 @@ class StickyEnd:
 
 @dataclass(frozen=True)
 class Custom:
-    extra_vertices: tuple[Coord, ...]
     extra_edges: tuple[tuple[Coord, Coord], ...]
 
-    def __init__(self, extra_vertices, extra_edges) -> None:
+    def __init__(self, extra_edges) -> None:
         index = operator.index
         try:
-            vertices = tuple((index(r), index(c)) for r, c in extra_vertices)
             edges = tuple(((index(a[0]), index(a[1])), (index(b[0]), index(b[1]))) for a, b in extra_edges)
         except TypeError:
-            raise ShapeError("custom vertices and edges need integer coords") from None
-        object.__setattr__(self, "extra_vertices", vertices)
+            raise ShapeError("custom edges need integer coords") from None
         object.__setattr__(self, "extra_edges", edges)
 
 
@@ -129,13 +126,9 @@ class GraphShape:
     @property
     def vertex_count(self) -> int:
         """The vertex count build() gives, worked out without building."""
-        count = self.m * (self.m + 1) // 2 if self.family == TRIANGLE else self.m * self.n
-        for dec in self.decorations:
-            if isinstance(dec, StickyEnd):
-                count += self.m * (self.m - 1) // 2
-            else:
-                count += len(dec.extra_vertices)
-        return count
+        core = self.m * (self.m + 1) // 2 if self.family == TRIANGLE else self.m * self.n
+        stairs = sum(isinstance(dec, StickyEnd) for dec in self.decorations)
+        return core + stairs * (self.m * (self.m - 1) // 2)
 
     def to_json_dict(self) -> dict:
         decs = []
@@ -143,13 +136,7 @@ class GraphShape:
             if isinstance(dec, StickyEnd):
                 decs.append({"kind": f"sticky_end_{dec.side}", "align": dec.align})
             else:
-                decs.append(
-                    {
-                        "kind": "custom",
-                        "extra_vertices": [list(v) for v in dec.extra_vertices],
-                        "extra_edges": [[list(a), list(b)] for a, b in dec.extra_edges],
-                    }
-                )
+                decs.append({"kind": "custom", "extra_edges": [[list(a), list(b)] for a, b in dec.extra_edges]})
         return {"family": self.family, "m": self.m, "n": self.n, "decorations": decs}
 
     @staticmethod
@@ -162,7 +149,11 @@ class GraphShape:
             elif kind == "sticky_end_right":
                 decs.append(StickyEnd("right", d.get("align", "bottom")))
             elif kind == "custom":
-                decs.append(Custom(d["extra_vertices"], d["extra_edges"]))
+                # files written when custom decorations could add vertices
+                # list "extra_vertices": [], which still loads
+                if d.get("extra_vertices", []) != []:
+                    raise ShapeError("a custom decoration adds edges only, not vertices")
+                decs.append(Custom(d["extra_edges"]))
             else:
                 raise ShapeError(f"unknown decoration kind {kind!r}")
         return GraphShape(data["family"], data["m"], data["n"], tuple(decs))
@@ -370,15 +361,15 @@ def _lattice_edges(ordered: list[Coord], steps: tuple[Coord, ...]) -> list[tuple
     return edges
 
 
-def _grid_edges(m: int, n: int, extra: dict[Coord, int]) -> list[tuple[int, int]]:
+def _grid_edges(m: int, n: int, stairs: dict[Coord, int]) -> list[tuple[int, int]]:
     """Sorted (u, v) index pairs, u < v, of an m x n grid core laid out
-    row-major, plus the lattice edges of the extra vertices.
+    row-major, plus the lattice edges of the staircase vertices.
 
     Core vertex (r, c) is r*n + c, so its edges are (u, u+1) along a row and
-    (u, u+n) down, laid out in order a row at a time.  extra maps the
-    coord of each vertex wired beyond the core to its index (m*n and up);
-    only those look their neighbours up by coord, among the core and
-    extra alone, and each of their edges is inserted in its sorted place.
+    (u, u+n) down, laid out in order a row at a time.  stairs maps the
+    coord of each staircase vertex to its index (m*n and up); only those
+    look their neighbours up by coord, among the core and the staircases,
+    and each of their edges is inserted in its sorted place.
     """
     size = m * n
     edges: list[tuple[int, int]] = []
@@ -388,8 +379,8 @@ def _grid_edges(m: int, n: int, extra: dict[Coord, int]) -> list[tuple[int, int]
         edges += chain.from_iterable(zip(right, down))
         edges.append((t - 1, t - 1 + n))
     edges += zip(range(size - n, size - 1), range(size - n + 1, size))
-    at = extra.get
-    for (r, c), v in extra.items():
+    at = stairs.get
+    for (r, c), v in stairs.items():
         for rr, cc in ((r, c - 1), (r, c + 1), (r - 1, c), (r + 1, c)):
             if 0 <= rr < m and 0 <= cc < n:
                 insort(edges, (rr * n + cc, v))
@@ -402,42 +393,27 @@ def build(shape: GraphShape) -> Graph:
     """Materialize a GraphShape into its canonical Graph.
 
     A grid or path takes its edges from _grid_edges, with each staircase
-    vertex wired by lattice step; a triangle takes _lattice_edges on its
-    core.  Custom vertices follow in declaration order and get only their
-    explicit edges.  Raises ShapeError if the decorations are inconsistent
-    (duplicate vertices or edges, dangling custom edges, or a disconnected
-    result).
+    vertex wired by lattice step; a triangle takes _lattice_edges.  The
+    custom edges are then merged in.  Raises ShapeError if a custom edge
+    names a missing vertex, is a self-loop or duplicates an edge.  The
+    result is checked to be connected, though no shape can now fail that:
+    no staircase meets the core or another staircase, and custom edges
+    only add to a connected graph.
     """
     m, n = shape.m, shape.n
-    tri = shape.family == TRIANGLE
-    if tri:
+    if shape.family == TRIANGLE:
         ordered = [(r, c) for r in range(m) for c in range(r + 1)]
+        edges = _lattice_edges(ordered, TRIANGLE_STEPS)
     else:
         ordered = list(product(range(m), range(n)))  # row-major
-    core = len(ordered)
-
-    def in_core(rc: Coord) -> bool:
-        r, c = rc
-        return 0 <= r < m and 0 <= c < (r + 1 if tri else n)
-
-    seen: set[Coord] = set()  # decoration vertices so far
-    stairs: dict[Coord, int] = {}  # each staircase vertex's index, by coord
-    explicit_edges: list[tuple[Coord, Coord]] = []
-    for dec in shape.decorations:
-        if isinstance(dec, StickyEnd):
-            kind, added = "sticky end", _sticky_coords(dec.side, dec.align, m, n)
-        else:
-            kind, added = "custom", sorted(dec.extra_vertices, key=lambda rc: (rc[1], rc[0]))
-            explicit_edges.extend(dec.extra_edges)
-        for rc in added:
-            if rc in seen or in_core(rc):
-                raise ShapeError(f"{kind} vertex {rc} duplicates an existing vertex")
-            seen.add(rc)
-            if kind == "sticky end":
-                stairs[rc] = len(ordered)
-            ordered.append(rc)
-
-    edges = _lattice_edges(ordered[:core], TRIANGLE_STEPS) if tri else _grid_edges(m, n, stairs)
+        stairs: dict[Coord, int] = {}  # each staircase vertex's index, by coord
+        for dec in shape.decorations:
+            if isinstance(dec, StickyEnd):
+                for rc in _sticky_coords(dec.side, dec.align, m, n):
+                    stairs[rc] = len(ordered)
+                    ordered.append(rc)
+        edges = _grid_edges(m, n, stairs)
+    explicit_edges = [e for dec in shape.decorations if isinstance(dec, Custom) for e in dec.extra_edges]
     if explicit_edges:
         index = {rc: i for i, rc in enumerate(ordered)}
         present = set(edges)
@@ -452,6 +428,6 @@ def build(shape: GraphShape) -> Graph:
             present.add(key)
         edges = sorted(present)
     g = Graph(len(ordered), tuple(edges), tuple(ordered), shape)
-    if g.vertex_count and not g.is_connected():
+    if not g.is_connected():
         raise ShapeError("decorations leave the graph disconnected")
     return g

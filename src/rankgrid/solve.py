@@ -22,7 +22,7 @@ Two independent routes:
   refuted.  Both rebuild their certificate with one memo walk, extract:
   rank_exact lets each part take its own rank, rank_decision caps the
   top label at k.
-* brute_force enumerates labelings outright with backtrack_labels, one
+* brute_force enumerates labelings outright by backtracking, one
   component of Graph.component at a time.  It knows nothing about
   separators, shares no code with the engine, and serves as its oracle.
 
@@ -37,7 +37,7 @@ set, rank_decision reports "unknown", brute_force raises RuntimeError.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -51,7 +51,6 @@ __all__ = [
     "rank_exact",
     "rank_decision",
     "brute_force",
-    "backtrack_labels",
     "grid_rank",
     "solved",
 ]
@@ -391,11 +390,10 @@ class _Engine:
         raise AssertionError("no separator fits the memo's answers; memo corrupted")
 
 
-def _compress(labels: list[int]) -> list[int]:
+def _compress(labels: Sequence[int]) -> tuple[int, ...]:
     """Order-preserving relabel onto 1..d (d = number of distinct labels)."""
-    ordered = sorted(set(labels))
-    remap = {l: i + 1 for i, l in enumerate(ordered)}
-    return [remap[l] for l in labels]
+    remap = {l: i for i, l in enumerate(sorted(set(labels)), 1)}
+    return tuple(map(remap.__getitem__, labels))
 
 
 @cache
@@ -558,11 +556,15 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
 def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankResult:
     """Smallest k admitting any valid labeling, by direct enumeration.
 
-    Runs backtrack_labels on each component, in Graph.component's BFS
-    order, for k = 1, 2, ...
-    Exponential, hence the vertex cap.  Raises RuntimeError when the
-    budget runs out: its nodes count every backtracking node, across all
-    components and every k tried.
+    Each component, in Graph.component's BFS order, is labelled for
+    k = 1, 2, ... by a depth-first search over labels 1..k: vertices are
+    labelled one by one in that order, each trying labels from 1 up, and a
+    prefix is abandoned as soon as the new vertex reaches an equal label
+    through labelled vertices below it.  That check only sees pairs ending
+    at the new vertex, so a complete labelling counts only once validate
+    accepts it.  Exponential, hence the vertex cap.  Raises RuntimeError
+    when the budget runs out: its nodes count every backtracking node,
+    across all components and every k tried.
     """
     if g.vertex_count == 0:
         raise ValueError("brute_force needs a nonempty graph")
@@ -572,58 +574,8 @@ def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankRes
     deadline = (start + budget.seconds) if budget and budget.seconds else None
     limit = budget.nodes if budget else None
     nodes = 0
-
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if (limit is not None and nodes > limit
-                or deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline):
-            raise RuntimeError(f"budget exhausted after {nodes} search nodes")
-
-    total_labels = [0] * g.vertex_count
-    for src in range(g.vertex_count):
-        if total_labels[src]:
-            continue
-        verts = g.component(src)
-        sub, old = g.induced_subgraph(verts)
-
-        def valid(labels: list[int]) -> bool:
-            return validate(Ranking(sub, tuple(labels[v] for v in old))) is None
-
-        # k = |comp| always succeeds: distinct labels rank anything
-        for k in range(1, len(verts) + 1):
-            found = backtrack_labels(g, verts, k, valid, tick)
-            if found is not None:
-                break
-        for v in verts:
-            total_labels[v] = found[v]
-    cert = checked(g, _compress(total_labels))
-    value = cert.label_count
-    return RankResult(value, value, "brute_force", cert, time.monotonic() - start)
-
-
-def backtrack_labels(
-    g: Graph,
-    order: Sequence[int],
-    k: int,
-    accept: Callable[[list[int]], bool],
-    tick: Callable[[], None] | None = None,
-) -> list[int] | None:
-    """Depth-first search over labels 1..k for the vertices in order.
-
-    Vertices are labelled one by one in the given order, each trying
-    labels from 1 up.  A prefix is abandoned as soon as the new vertex
-    reaches an equal label through assigned vertices labelled below it.
-    That check only sees pairs ending at the new vertex, so a complete
-    labelling counts only once accept(labels) agrees; labels holds 0 on
-    every vertex outside order.  Returns the first accepted labels, or
-    None when no labelling is accepted.
-
-    tick, if given, is called once per search node; an exception it raises
-    ends the search.
-    """
     adj = g.adjacency
-    labels = [0] * g.vertex_count
+    labels = [0] * g.vertex_count  # 0 on every vertex not yet labelled
 
     def fits(v: int, label: int) -> bool:
         seen = {v}
@@ -640,10 +592,15 @@ def backtrack_labels(
         return True
 
     def rec(i: int) -> bool:
+        # labels order[i:] within k; order, sub, old and k belong to the
+        # component and cap the loop below is trying
+        nonlocal nodes
         if i == len(order):
-            return accept(labels)
-        if tick is not None:
-            tick()
+            return validate(Ranking(sub, tuple(labels[v] for v in old))) is None
+        nodes += 1
+        if (limit is not None and nodes > limit
+                or deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline):
+            raise RuntimeError(f"budget exhausted after {nodes} search nodes")
         v = order[i]
         for label in range(1, k + 1):
             if fits(v, label):
@@ -653,4 +610,15 @@ def backtrack_labels(
         labels[v] = 0
         return False
 
-    return labels if rec(0) else None
+    for src in range(g.vertex_count):
+        if labels[src]:
+            continue
+        order = g.component(src)
+        sub, old = g.induced_subgraph(order)
+        # k = |comp| always succeeds: distinct labels rank anything
+        for k in range(1, len(order) + 1):
+            if rec(0):
+                break
+    cert = checked(g, _compress(labels))
+    value = cert.label_count
+    return RankResult(value, value, "brute_force", cert, time.monotonic() - start)

@@ -772,10 +772,15 @@ def test_render_rejects_a_ranking_of_another_graph(capsys, tmp_path):
                            "decorations": [{"kind": "remove_corner", "which": "NW"}]},
                  "edges": [[0, 2], [1, 2]], "coords": [[0, 1], [1, 0], [1, 1]]},
      "unknown decoration kind 'remove_corner'"),
-    # int() would truncate these to the vertex (0, 2) and the edge (0, 2)-(0, 1)
+    # int() would truncate this to the edge (0, 2)-(0, 1)
     ((1, 2, 1), {"shape": {"family": "grid", "m": 1, "n": 2, "decorations": [
-        {"kind": "custom", "extra_vertices": [[0, 2.9]], "extra_edges": [[["0", 2.2], [0, 1]]]}]}},
-     "custom vertices and edges need integer coords"),
+        {"kind": "custom", "extra_edges": [[["0", 2.2], [0, 1]]]}]}},
+     "custom edges need integer coords"),
+    # a custom decoration no longer adds vertices: the path on three
+    # vertices as the 1x2 grid plus a custom vertex
+    ((1, 2, 1), {"shape": {"family": "grid", "m": 1, "n": 2, "decorations": [
+        {"kind": "custom", "extra_vertices": [[0, 2]], "extra_edges": [[[0, 1], [0, 2]]]}]}},
+     "a custom decoration adds edges only, not vertices"),
 ])
 def test_render_rejects_the_shape(capsys, tmp_path, labels, graph, message):
     code, out, err = run(capsys, "render", path3_file(tmp_path, labels, **graph))

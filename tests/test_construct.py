@@ -245,7 +245,7 @@ def test_staircase_algebra_refuses_bad_inputs():
     # bad inputs are refused before assembly, never by an assertion
     two = _solved_two(2, 4)
     for wrong in (two, _distinct(GraphShape.grid(4, 3)), construct.triangle_ranking(4),
-                  _distinct(GraphShape.grid(4, 3, (StickyEnd("right"), Custom((), (((0, 0), (2, 2)),)))))):
+                  _distinct(GraphShape.grid(4, 3, (StickyEnd("right"), Custom((((0, 0), (2, 2)),)))))):
         with pytest.raises(ShapeError):
             construct._close_one_sticky(wrong)
     with pytest.raises(ShapeError, match="both ends"):

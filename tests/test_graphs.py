@@ -131,12 +131,25 @@ def test_sticky_rejections():
 
 
 def test_custom_decoration_and_rejections():
-    shape = GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)),))
+    shape = GraphShape.grid(2, 2, (Custom((((0, 0), (1, 1)),)),))
     g = build(shape)
-    assert g.vertex_count == 5
-    clash = GraphShape.grid(2, 2, (Custom(((0, 0),), ()),))
-    with pytest.raises(ShapeError):
+    assert g.vertex_count == shape.vertex_count == 4
+    assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3))
+    clash = GraphShape.grid(2, 2, (Custom((((0, 0), (0, 1)),)),))
+    with pytest.raises(ShapeError, match="duplicates an existing edge"):
         build(clash)
+
+
+def test_custom_json_holds_edges_only():
+    chord = Custom((((0, 0), (1, 1)),))
+    edges = [[[0, 0], [1, 1]]]
+    written = GraphShape.grid(2, 2, (chord,)).to_json_dict()["decorations"]
+    assert written == [{"kind": "custom", "extra_edges": edges}]
+    # older files list "extra_vertices": [], or no such key
+    for dec in ({"kind": "custom", "extra_edges": edges},
+                {"kind": "custom", "extra_vertices": [], "extra_edges": edges}):
+        shape = GraphShape.from_json_dict({"family": "grid", "m": 2, "n": 2, "decorations": [dec]})
+        assert shape.decorations == (chord,)
 
 
 def test_shape_json_round_trip():
@@ -163,7 +176,7 @@ def test_graph_json_round_trip():
 @pytest.mark.parametrize("shape", [
     GraphShape.grid(3, 5),
     GraphShape.grid(4, 6, (StickyEnd("left"), StickyEnd("right"))),
-    GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)),)),
+    GraphShape.grid(2, 2, (Custom((((0, 0), (1, 1)),)),)),
     GraphShape.triangle(5),
 ])
 def test_graph_json_dict_writes_like_lists(shape):
@@ -184,7 +197,7 @@ def test_adjacency_is_ascending():
         GraphShape.grid(4, 3, (StickyEnd("left", "top"), StickyEnd("right"))),
         GraphShape.grid(3, 4, (StickyEnd("right", "bottom"),)),
         GraphShape.triangle(5),
-        GraphShape.grid(2, 2, (Custom(((0, 2),), (((0, 1), (0, 2)),)),)),
+        GraphShape.grid(2, 2, (Custom((((0, 0), (1, 1)),)),)),
     )] + [corner_cut(4, 4, (0, 3), (3, 0))]
     sub, _ = built[0].induced_subgraph([0, 2, 3, 7, 8, 9, 12, 13, 19])
     data = built[1].to_json_dict()
@@ -246,12 +259,6 @@ def test_automorphisms_are_pinned():
     assert len(perms) == 75
     assert (hashlib.sha256(repr(perms).encode()).hexdigest()
             == "b4649e15451034a11523a5347bcb586e90b4413348bca160e670e69d3172b507")
-
-
-def test_disconnected_custom_rejected():
-    island = GraphShape.grid(2, 2, (Custom(((5, 5),), ()),))
-    with pytest.raises(ShapeError):
-        build(island)
 
 
 def test_component_is_the_bfs_flood_of_src():
