@@ -41,15 +41,11 @@ __all__ = [
 def _best_known(m: int, n: int) -> int:
     """Value used for the r(m, n) sub-instances inside the recurrences.
 
-    Exact wherever a closed form exists (either side at most 4), otherwise
-    one more halving step.
+    Exact wherever a closed form exists (the short side at most 4),
+    otherwise one more halving step.
     """
-    if m == 1 or n == 1:
-        return formulas.rank_path(max(m, n))
-    if m <= 4:
-        return formulas.rank_formula(m, n)
-    if n <= 4:
-        return formulas.rank_formula(n, m)
+    if min(m, n) <= 4:
+        return formulas.rank_formula(min(m, n), max(m, n))
     return m + _best_known(m, n // 2)
 
 

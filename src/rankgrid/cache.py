@@ -105,21 +105,10 @@ class SolutionCache:
         self._header, self._buf = first, buf[end + 1:] if end >= 0 else b""
 
     def _take(self, key: str | None) -> None:
-        """Read, in file order, each unread line that contains key, or every
-        unread line if key is None."""
+        """Read, in file order, each unread line that contains key; if key is
+        None, the empty needle, found at each line's start, reads them all."""
         buf, done = self._buf, self._done
-        if key is None:
-            start = 0
-            while start < len(buf):
-                end = buf.find(b"\n", start)
-                end = len(buf) if end < 0 else end
-                if start not in done:
-                    self._read(start, end, None)
-                start = end + 1
-            self._buf = b""
-            done.clear()
-            return
-        needle = key.encode()
+        needle = b"" if key is None else key.encode()
         at = buf.find(needle)
         while at >= 0:
             start = buf.rfind(b"\n", 0, at) + 1
@@ -127,7 +116,7 @@ class SolutionCache:
             end = len(buf) if end < 0 else end
             if start not in done:
                 self._read(start, end, key)
-            at = buf.find(needle, end)
+            at = buf.find(needle, end + 1)
 
     def _read(self, start: int, end: int, key: str | None) -> None:
         """Absorb the line buf[start:end], or warn that it is corrupt.  A

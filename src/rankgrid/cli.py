@@ -414,7 +414,7 @@ def _cmd_cache_inspect(args: argparse.Namespace) -> int:
     payload: dict[str, object] = {
         "path": str(path),
         "version": CACHE_VERSION,
-        "entries": len(store),
+        "entries": len(records),
         "exact": sum(1 for r in records if r["kind"] == "exact"),
         "decisions": sum(1 for r in records if r["kind"] == "decision"),
     }

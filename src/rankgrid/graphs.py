@@ -62,9 +62,12 @@ class Custom:
     def __init__(self, extra_edges) -> None:
         index = operator.index
         try:
-            edges = tuple(((index(a[0]), index(a[1])), (index(b[0]), index(b[1]))) for a, b in extra_edges)
+            edges = tuple(((index(ar), index(ac)), (index(br), index(bc)))
+                          for (ar, ac), (br, bc) in extra_edges)
         except TypeError:
             raise ShapeError("custom edges need integer coords") from None
+        except ValueError:  # an edge or endpoint of the wrong length
+            raise ShapeError("custom edges need (row, col) endpoint pairs") from None
         object.__setattr__(self, "extra_edges", edges)
 
 
@@ -185,10 +188,6 @@ class Graph:
     shape: GraphShape | None = field(default=None, compare=False)
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbours of each vertex, ascending: with edges sorted, each
         vertex meets its smaller neighbours first, then its larger ones."""
@@ -212,7 +211,7 @@ class Graph:
         return {rc: i for i, rc in enumerate(self.coords)}
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
+        return self.adjacency_masks[u] >> v & 1 == 1
 
     def component(self, src: int) -> list[int]:
         """src's connected component in BFS order from src, each vertex's
@@ -267,12 +266,11 @@ class Graph:
             maps = [lambda r, c: (r, c), lambda r, c: (r, csum - c),
                     lambda r, c: (rsum - r, c), lambda r, c: (rsum - r, csum - c)]
             maps += [lambda r, c, f=f: f(c + off, r - off) for f in maps]
-        index, edge_set = self.index_by_coord.get, self.edge_set
+        index, masks = self.index_by_coord.get, self.adjacency_masks
         found: list[tuple[int, ...]] = []
         for f in maps:
             p = tuple(index(f(r, c)) for r, c in self.coords)
-            if (None not in p and p not in found
-                    and all((min(p[u], p[v]), max(p[u], p[v])) in edge_set for u, v in self.edges)):
+            if None not in p and p not in found and all(masks[p[u]] >> p[v] & 1 for u, v in self.edges):
                 found.append(p)
         return tuple(found)
 
@@ -345,18 +343,12 @@ def _lattice_edges(ordered: list[Coord], steps: tuple[Coord, ...]) -> list[tuple
     """Sorted (u, v) index pairs, u < v, of vertices one lattice step apart.
 
     Vertex i sits at ordered[i]; each step (dr, dc) joins (r, c) to
-    (r+dr, c+dc) when both are present.  (r, c) is keyed as r*w + c - lo,
-    with lo one below the least column and w the column span plus a margin
-    each side, so a one-column step never wraps.
+    (r+dr, c+dc) when both are present.
     """
-    cols = [c for _, c in ordered]
-    lo = min(cols, default=0) - 1
-    w = max(cols, default=0) - lo + 2
-    index = dict(zip([r * w + c - lo for r, c in ordered], range(len(ordered))))
+    index = dict(zip(ordered, range(len(ordered))))
     at = index.get
-    deltas = [dr * w + dc for dr, dc in steps]
     edges = [(u, v) if u < v else (v, u)
-             for key, u in index.items() for d in deltas if (v := at(key + d)) is not None]
+             for (r, c), u in index.items() for dr, dc in steps if (v := at((r + dr, c + dc))) is not None]
     edges.sort()
     return edges
 

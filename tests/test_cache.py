@@ -530,6 +530,29 @@ def test_a_key_that_is_not_a_graph_hash_is_a_corrupt_line(tmp_path, capsys, capl
     assert "line 3 is corrupt" in caplog.text
 
 
+@pytest.mark.parametrize("order", [("entries", "get_exact"), ("get_exact", "entries")])
+def test_one_scan_reads_blank_and_unterminated_lines(tmp_path, g, caplog, order):
+    # a full read and a lookup walk the lines alike: blank lines are skipped
+    # quietly, and a corrupt last line with no newline is warned about once
+    h = build(GraphShape.path(5))
+    recs = [{"kind": "exact", "key": g.graph_hash, "lb": 4, "ub": 4, "labels": LABELS},
+            {"kind": "exact", "key": h.graph_hash, "lb": 3, "ub": 3, "labels": [1, 2, 1, 3, 1]}]
+    path = tmp_path / "c.jsonl"
+    path.write_text(HEADER + json.dumps(recs[0]) + "\n\n{broken\n" + json.dumps(recs[1]) + "\n  \n"
+                    + '{"kind": "exact", "key": "%s", "lb": 2' % g.graph_hash)
+    c = SolutionCache(path)
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        for step in order * 2:
+            if step == "entries":
+                assert c.entries() == sorted(recs, key=lambda rec: rec["key"])
+                assert len(c) == 2
+            else:
+                assert c.get_exact(g).certificate.labels == tuple(LABELS)
+                assert c.get_exact(h).certificate.labels == (1, 2, 1, 3, 1)
+    warned = [f"cache {path} line {n} is corrupt; skipped" for n in (4, 7)]
+    assert caplog.messages == (warned if order[0] == "entries" else warned[::-1])
+
+
 def _session_file(rng, shapes):
     """A shuffled cache file for each of shapes: equal intervals, records
     that fail their check, a forged higher lb beside a lower checked ranking,

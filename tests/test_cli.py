@@ -781,6 +781,16 @@ def test_render_rejects_a_ranking_of_another_graph(capsys, tmp_path):
     ((1, 2, 1), {"shape": {"family": "grid", "m": 1, "n": 2, "decorations": [
         {"kind": "custom", "extra_vertices": [[0, 2]], "extra_edges": [[[0, 1], [0, 2]]]}]}},
      "a custom decoration adds edges only, not vertices"),
+    # each endpoint is a (row, col) pair: the 2x2 grid's chord (0, 0)-(1, 1)
+    # with a third number on one end, or with an end of one number
+    ((3, 1, 1, 2), {"shape": {"family": "grid", "m": 2, "n": 2, "decorations": [
+        {"kind": "custom", "extra_edges": [[[0, 0, 7], [1, 1]]]}]}, "vertex_count": 4,
+        "edges": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]], "coords": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+     "custom edges need (row, col) endpoint pairs"),
+    ((3, 1, 1, 2), {"shape": {"family": "grid", "m": 2, "n": 2, "decorations": [
+        {"kind": "custom", "extra_edges": [[[0], [1, 1]]]}]}, "vertex_count": 4,
+        "edges": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]], "coords": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+     "custom edges need (row, col) endpoint pairs"),
 ])
 def test_render_rejects_the_shape(capsys, tmp_path, labels, graph, message):
     code, out, err = run(capsys, "render", path3_file(tmp_path, labels, **graph))
