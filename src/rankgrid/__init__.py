@@ -17,7 +17,7 @@ from .graphs import (
     StickyEnd,
     build,
 )
-from .verify import Ranking, Violation, alpha, is_minimal, is_valid, validate
+from .verify import Ranking, Violation, validate
 from .solve import (
     Budget,
     DecisionOutcome,
@@ -28,7 +28,6 @@ from .solve import (
 )
 from .formulas import (
     bucket_4xn,
-    discrepancy_report,
     rank_2xn,
     rank_3xn,
     rank_4xn,
@@ -38,20 +37,16 @@ from .formulas import (
 from .construct import (
     CertificateChain,
     four_row_certificate,
-    merging_lemma,
     run_endpoint_certificates,
     triangle_ranking,
-    triangle_report,
 )
 from .bounds import (
     alpert_upper,
-    check_app_h,
     compare_upper,
     corollary_lower_square,
     corollary_lower_tri,
     diagonal_upper,
     square_lower,
-    subgrid_family,
 )
 from .cache import SolutionCache, resolve_cache_path
 from .render import render_ascii, render_svg
@@ -72,20 +67,14 @@ __all__ = [
     "StickyEnd",
     "Violation",
     "alpert_upper",
-    "alpha",
     "brute_force",
     "bucket_4xn",
     "build",
-    "check_app_h",
     "compare_upper",
     "corollary_lower_square",
     "corollary_lower_tri",
     "diagonal_upper",
-    "discrepancy_report",
     "four_row_certificate",
-    "is_minimal",
-    "is_valid",
-    "merging_lemma",
     "rank_2xn",
     "rank_3xn",
     "rank_4xn",
@@ -98,8 +87,6 @@ __all__ = [
     "resolve_cache_path",
     "run_endpoint_certificates",
     "square_lower",
-    "subgrid_family",
     "triangle_ranking",
-    "triangle_report",
     "validate",
 ]

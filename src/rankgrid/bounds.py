@@ -30,10 +30,6 @@ __all__ = [
     "square_lower",
     "corollary_lower_square",
     "corollary_lower_tri",
-    "SubgridFamily",
-    "subgrid_family",
-    "SquareFitWitness",
-    "check_app_h",
 ]
 
 
@@ -174,71 +170,3 @@ def corollary_lower_square(m: int) -> Fraction:
 def corollary_lower_tri(n: int) -> Fraction:
     """Closed-form rational lower bound (5/3)*floor(n/2) - 34/9 for tri_n."""
     return Fraction(5, 3) * (n // 2) - Fraction(34, 9)
-
-
-@dataclass(frozen=True)
-class SubgridFamily:
-    """Nested family of subgrids witnessing the square lower bound.
-
-    Member 0 is the base grid (m, ceil((m-k)/2)); each extension trades two
-    rows for one column until the row count hits zero.
-    """
-
-    m: int
-    k: int
-    members: tuple[tuple[int, int], ...]
-
-    @property
-    def in_regime(self) -> bool:
-        """True when k sits in the range the lower-bound argument needs."""
-        return 2 <= self.k <= (self.m + 2) // 3
-
-
-def subgrid_family(m: int, k: int) -> SubgridFamily:
-    """List the base subgrid and its extensions for the given m and k.
-
-    The family is computed for any positive m and k; queries outside the
-    argument's regime are flagged via ``in_regime`` rather than rejected.
-    """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive")
-    y0 = -(-(m - k) // 2)
-    members = [(m, y0)]
-    t = 0
-    while 2 * k - 3 - 2 * t > 0:
-        members.append((2 * k - 3 - 2 * t, y0 + t))
-        t += 1
-    return SubgridFamily(m=m, k=k, members=tuple(members))
-
-
-@dataclass(frozen=True)
-class SquareFitWitness:
-    """Dimensions of the first family extension versus the square it must hold."""
-
-    m: int
-    k: int
-    dims: tuple[int, int]
-    target: int
-
-    @property
-    def ok(self) -> bool:
-        return min(self.dims) >= self.target
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_app_h(m: int) -> SquareFitWitness:
-    """Check that the deepest useful extension still contains the next square.
-
-    With ``k = floor((m-1)/5) + 2`` the first extension has dimensions
-    ``(2k-3, ceil((m-k)/2))``; the recursion in :func:`square_lower` needs a
-    square of side ``ceil(2m/5) - 1`` inside it.  Returns the dimension pair
-    as witness; truthiness reports the containment.
-    """
-    if m < 5:
-        raise ValueError("defined for m >= 5")
-    k = (m - 1) // 5 + 2
-    dims = (2 * k - 3, -(-(m - k) // 2))
-    target = -(-2 * m // 5) - 1
-    return SquareFitWitness(m=m, k=k, dims=dims, target=target)

@@ -22,6 +22,8 @@ import logging
 import operator
 import os
 import re
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,6 +82,7 @@ class SolutionCache:
         self._header = b""
         self._buf = b""  # the record lines as read, all after the header
         self._done: set[int] = set()  # offsets of the lines already read
+        self._starts: list[int] | None = None  # the offset of each line after the first
         self._load()
 
     def _load(self) -> None:
@@ -133,7 +136,9 @@ class SolutionCache:
                     raise ValueError("key not written out")
                 self._absorb(rec)
             except (ValueError, TypeError, KeyError):
-                lineno = self._buf.count(b"\n", 0, start) + 2  # the header is line 1
+                if self._starts is None:  # found once, at the first corrupt line
+                    self._starts = list(accumulate(len(piece) + 1 for piece in self._buf.split(b"\n")))
+                lineno = bisect_right(self._starts, start) + 2  # the header is line 1
                 log.warning("cache %s line %d is corrupt; skipped", self.path, lineno)
         self._done.add(start)
 

@@ -54,15 +54,11 @@ __all__ = [
     "two_sticky_shape",
     "base_ranking",
     "merge_two_sticky",
-    "merging_lemma",
     "vertical_cut",
     "corner_shape",
     "diagonal_cut",
     "triangle_ranking",
     "triangle_certificate",
-    "claimed_triangle_labels",
-    "TriangleRow",
-    "triangle_report",
     "ruler_ranking",
     "restrict_columns",
     "ChainStep",
@@ -262,7 +258,8 @@ def merge_two_sticky(r: Ranking) -> Ranking:
 
 def _ml_out1(a: Ranking, b: Ranking) -> Ranking:
     """One-staircase a (width n) + two-staircase b (width n-1), both of m
-    rows -> one-staircase width 2n+m-1."""
+    rows -> one-staircase width 2n+m-1: the merging lemma's first output,
+    whose _close_one_sticky is its second."""
     m, n, lam, rows_a = _one_staircase(a)
     mb, nb, lam_b, rows_b, aligned = _two_staircase(b)
     if mb != m:
@@ -290,17 +287,6 @@ def _close_one_sticky(r: Ranking) -> Ranking:
     cut = [(w + i, [lam + m - i]) for i in range(m)]
     out = _join(rows, cut, spun)
     return _to_ranking(GraphShape.grid(m, 2 * w + m), out, lam + m)
-
-
-def merging_lemma(a: Ranking, b: Ranking) -> tuple[Ranking, Ranking]:
-    """Merge a one-staircase width-n and a two-staircase width-(n-1) input.
-
-    Both must have m rows and use the same label count lambda.  Returns
-    the one-staircase width 2n+m-1 result at lambda+m and its closure, the
-    plain m x (4n+3m-2) grid at lambda+2m.
-    """
-    out1 = _ml_out1(a, b)
-    return out1, _close_one_sticky(out1)
 
 
 # -- cut constructions for general m ---------------------------------------
@@ -388,13 +374,6 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, corner: Ranking) -> Rank
 # -- triangle rankings -----------------------------------------------------
 
 
-def claimed_triangle_labels(s: int) -> int:
-    """The label count the halving recursion advertises: 2s-2floor(log2(s+1))+1."""
-    if s < 1:
-        raise ValueError("triangle side must be positive")
-    return 2 * s - 2 * ((s + 1).bit_length() - 1) + 1
-
-
 @cache
 def _row_cut(a: int, b: int) -> tuple[int, int]:
     """Labels the best row-cut schedule spends on rows a..b of a triangle,
@@ -448,8 +427,9 @@ def _tri_fill(s: int) -> list[Row]:
 def triangle_ranking(s: int) -> Ranking:
     """A valid ranking of tri_s: solve.solved's for s <= 6, row cuts above.
 
-    The row-cut schedule does not reach claimed_triangle_labels at every
-    s; triangle_report shows the gap rather than hiding it.
+    The row-cut schedule does not reach the 2s - 2floor(log2(s+1)) + 1
+    labels the halving recursion advertises at every s; the tests pin the
+    gap rather than hide it.
     """
     if s < 1:
         raise ValueError("triangle side must be positive")
@@ -464,21 +444,6 @@ def triangle_certificate(s: int) -> CertificateChain:
     """triangle_ranking(s) as a one-step chain: "solve" for s <= 6, "triangle-rows" above."""
     r = triangle_ranking(s)
     return CertificateChain((_step("solve" if s <= 6 else "triangle-rows", (), r),), r)
-
-
-@dataclass(frozen=True)
-class TriangleRow:
-    s: int
-    claimed: int
-    achieved: int
-
-
-def triangle_report(s_max: int) -> list[TriangleRow]:
-    """Claimed versus achieved label counts for s = 1..s_max."""
-    return [
-        TriangleRow(s, claimed_triangle_labels(s), triangle_ranking(s).label_count)
-        for s in range(1, s_max + 1)
-    ]
 
 
 # -- segmented construction with ruler-depth cuts --------------------------

@@ -3,10 +3,10 @@
 Everything here is arithmetic; the exact solver appears only to fill the
 handful of base cases the recurrences bottom out on, read from
 solve.grid_rank, the one table of small grid ranks in a process.  For
-four-row grids two independent forms are provided (a closed form over the
-binary expansion of n+1, and a halving recursion) together with a report
-of where they disagree; the disagreements are real and are surfaced, not
-patched.
+four-row grids two independent forms are provided: a closed form over the
+binary expansion of n+1, and a halving recursion.  They disagree at some
+widths; the disagreements are real, and the tests pin them rather than
+patch either form.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "rank_formula",
     "bucket_4xn",
     "BoundBucket",
-    "Discrepancy",
-    "discrepancy_report",
 ]
 
 
@@ -194,7 +192,8 @@ def _in_interval_set(n: int) -> bool:
 def rank_4xn_recursive(n: int) -> int:
     """The halving form: (5 or 4) + rank(ceil((n-4)/2)) above the table.
 
-    Not everywhere equal to rank_4xn; see discrepancy_report.
+    Not everywhere equal to rank_4xn: the two differ by one at some
+    widths, first at n = 10, and at every n = 2^k + 2^(k-1) - 2, k >= 4.
     """
     if n < 1:
         raise ValueError("grid needs at least one column")
@@ -202,22 +201,3 @@ def rank_4xn_recursive(n: int) -> int:
         return _base_4xn(n)
     step = 5 if _in_interval_set(n) else 4
     return step + rank_4xn_recursive((n - 3) // 2)
-
-
-@dataclass(frozen=True)
-class Discrepancy:
-    n: int
-    closed: int
-    recursive: int
-
-
-def discrepancy_report(lo: int, hi: int) -> list[Discrepancy]:
-    """All n in [lo, hi] where the two four-row forms disagree."""
-    if lo < 1 or hi < lo:
-        raise ValueError("need 1 <= lo <= hi")
-    out = []
-    for n in range(lo, hi + 1):
-        c, r = rank_4xn(n), rank_4xn_recursive(n)
-        if c != r:
-            out.append(Discrepancy(n=n, closed=c, recursive=r))
-    return out

@@ -227,9 +227,6 @@ class Graph:
                     order.append(v)
         return order
 
-    def is_connected(self) -> bool:
-        return self.vertex_count == 0 or len(self.component(0)) == self.vertex_count
-
     @cached_property
     def graph_hash(self) -> str:
         """SHA-256 of the compact sorted-key JSON {"coords", "edges",
@@ -387,10 +384,9 @@ def build(shape: GraphShape) -> Graph:
     A grid or path takes its edges from _grid_edges, with each staircase
     vertex wired by lattice step; a triangle takes _lattice_edges.  The
     custom edges are then merged in.  Raises ShapeError if a custom edge
-    names a missing vertex, is a self-loop or duplicates an edge.  The
-    result is checked to be connected, though no shape can now fail that:
-    no staircase meets the core or another staircase, and custom edges
-    only add to a connected graph.
+    names a missing vertex, is a self-loop or duplicates an edge.  Every
+    result is connected without a check: the core is, each staircase
+    attaches to it, and custom edges only add edges.
     """
     m, n = shape.m, shape.n
     if shape.family == TRIANGLE:
@@ -419,7 +415,4 @@ def build(shape: GraphShape) -> Graph:
                 raise ShapeError(f"custom edge {a}-{b} duplicates an existing edge")
             present.add(key)
         edges = sorted(present)
-    g = Graph(len(ordered), tuple(edges), tuple(ordered), shape)
-    if not g.is_connected():
-        raise ShapeError("decorations leave the graph disconnected")
-    return g
+    return Graph(len(ordered), tuple(edges), tuple(ordered), shape)

@@ -1,4 +1,4 @@
-"""Checking rankings: validity, minimality, and the largest repeated label.
+"""Checking rankings: validate, with a witness path for each violation.
 
 A ranking assigns each vertex a label in 1..k such that any path between
 two vertices with the same label passes through a strictly larger label.
@@ -46,11 +46,6 @@ class Ranking:
 
     def to_json_dict(self) -> dict:
         return {"graph_hash": self.graph.graph_hash, "labels": list(self.labels)}
-
-    def relabel(self, v: int, label: int) -> "Ranking":
-        labels = list(self.labels)
-        labels[v] = label
-        return Ranking(self.graph, tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -135,32 +130,3 @@ def checked(g: Graph, labels: Sequence[int], count: int | None = None) -> Rankin
     if count is not None and r.label_count != count:
         raise AssertionError(f"ranking has {r.label_count} labels, expected {count}")
     return r
-
-
-def is_valid(ranking: Ranking) -> bool:
-    return validate(ranking) is None
-
-
-def is_minimal(ranking: Ranking) -> bool:
-    """True when no single vertex's label can be decreased and stay valid.
-
-    Raises ValueError when called on an invalid ranking; minimality is
-    only defined for rankings.
-    """
-    v = validate(ranking)
-    if v is not None:
-        raise ValueError(f"not a ranking: label {v.level} repeats along path {v.path}")
-    for u in range(ranking.graph.vertex_count):
-        for smaller in range(1, ranking.labels[u]):
-            if validate(ranking.relabel(u, smaller)) is None:
-                return False
-    return True
-
-
-def alpha(ranking: Ranking) -> int | None:
-    """Largest label used more than once, or None when all labels are unique."""
-    counts: dict[int, int] = {}
-    for l in ranking.labels:
-        counts[l] = counts.get(l, 0) + 1
-    repeated = [l for l, k in counts.items() if k > 1]
-    return max(repeated) if repeated else None

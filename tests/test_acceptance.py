@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+import rankgrid
 from rankgrid import bounds, construct, formulas
 from rankgrid.graphs import GraphShape, build
 from rankgrid.solve import brute_force, rank_decision, rank_exact
@@ -92,10 +95,10 @@ def test_07_interval_bracket_and_unit_steps():
 
 
 def test_08_discrepancy_report_is_reproducible():
-    rows = formulas.discrepancy_report(9, 4096)
-    assert rows
-    assert rows == formulas.discrepancy_report(9, 4096)
-    mismatched = {d.n for d in rows}
+    rows = [(n, formulas.rank_4xn(n), formulas.rank_4xn_recursive(n)) for n in range(9, 4097)]
+    assert rows == [(n, formulas.rank_4xn(n), formulas.rank_4xn_recursive(n)) for n in range(9, 4097)]
+    mismatched = {n for n, closed, recursive in rows if closed != recursive}
+    assert mismatched
     for k in range(4, 12):
         n = 2**k + 2 ** (k - 1) - 2
         assert n in mismatched, f"expected mismatch at {n}"
@@ -106,7 +109,9 @@ def test_09_square_lower_bound_suite():
     assert bounds.square_lower(5) == 6
     for m in range(5, 1001):
         assert math.ceil(bounds.corollary_lower_square(m)) <= bounds.square_lower(m)
-    assert all(bounds.check_app_h(m) for m in range(5, 10001))
+    for m in range(5, 10001):  # Appendix H: the first extension holds the next square
+        k = (m - 1) // 5 + 2
+        assert min(2 * k - 3, -(-(m - k) // 2)) >= -(-2 * m // 5) - 1, m
     assert time.monotonic() - t0 < 60
 
 
@@ -143,11 +148,20 @@ def test_11_triangle_rankings_and_report():
     for s in range(1, 7):
         exact = rank_exact(build(GraphShape.triangle(s))).value
         assert construct.triangle_ranking(s).label_count == exact
-    rows = construct.triangle_report(32)
-    assert len(rows) == 32
-    assert rows == construct.triangle_report(32)
-    for row in rows:
-        assert row.achieved >= 1 and row.claimed >= 1
+    # the halving recursion advertises 2s - 2floor(log2(s+1)) + 1 labels,
+    # which the exact rank exceeds at s = 4 and the row cuts at s = 7
+    claimed = [2 * s - 2 * ((s + 1).bit_length() - 1) + 1 for s in range(1, 33)]
+    achieved = [construct.triangle_ranking(s).label_count for s in range(1, 33)]
+    assert min(claimed) >= 1
+    assert (claimed[3], achieved[3]) == (5, 6) and achieved[6] > claimed[6]
+
+
+def test_12_every_public_name_is_in_the_readme():
+    # rankgrid.__all__ holds only documented entry points: each is named
+    # inside a backtick span of README.md
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    named = {word for span in re.findall(r"`([^`\n]+)`", text) for word in re.findall(r"[A-Za-z_]\w*", span)}
+    assert sorted(set(rankgrid.__all__) - named) == []
 
 
 @pytest.mark.extended

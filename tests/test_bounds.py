@@ -168,51 +168,50 @@ def test_corollary_lower_tri():
     assert bounds.corollary_lower_tri(3) == Fraction(-19, 9)
 
 
+# The square lower bound's subgrid family for m and k: the base subgrid
+# (m, y0), y0 = ceil((m - k)/2), then the extensions (2k - 3 - 2t, y0 + t)
+# for t = 0..k-2, each trading two rows for one column.
+
+
 def test_subgrid_family_members():
-    fam = bounds.subgrid_family(10, 4)
-    assert fam.members == ((10, 3), (5, 3), (3, 4), (1, 5))
-    assert fam.in_regime
-    fam = bounds.subgrid_family(5, 2)
-    assert fam.members == ((5, 2), (1, 2))
-    assert fam.in_regime
-    fam = bounds.subgrid_family(10, 2)
-    assert fam.members == ((10, 4), (1, 4))
-    assert fam.in_regime
+    for m, k, members in [(10, 4, [(10, 3), (5, 3), (3, 4), (1, 5)]),
+                          (5, 2, [(5, 2), (1, 2)]), (10, 2, [(10, 4), (1, 4)])]:
+        y0 = -(-(m - k) // 2)
+        assert [(m, y0)] + [(2 * k - 3 - 2 * t, y0 + t) for t in range(k - 1)] == members
+        assert 2 <= k <= (m + 2) // 3
 
 
 def test_subgrid_family_extension_law():
-    # after the head, widths shrink by 2 while heights grow by 1
+    # widths shrink by 2 while heights grow by 1, down to width 1
     for m, k in [(12, 3), (20, 5), (31, 8)]:
-        fam = bounds.subgrid_family(m, k)
-        tail = fam.members[1:]
-        assert tail[0][0] == 2 * k - 3
+        y0 = -(-(m - k) // 2)
+        tail = [(2 * k - 3 - 2 * t, y0 + t) for t in range(k - 1)]
+        assert tail[0] == (2 * k - 3, y0) and tail[-1][0] == 1
         for (w0, h0), (w1, h1) in zip(tail, tail[1:]):
             assert (w1, h1) == (w0 - 2, h0 + 1)
-        assert all(w >= 1 for w, _ in tail)
 
 
 def test_subgrid_family_regime_flag():
-    assert bounds.subgrid_family(10, 4).in_regime
-    assert not bounds.subgrid_family(10, 5).in_regime
-    assert not bounds.subgrid_family(10, 1).in_regime
+    # the argument needs 2 <= k <= floor((m + 2)/3)
+    assert [2 <= k <= (10 + 2) // 3 for k in (4, 5, 1)] == [True, False, False]
 
 
 def test_check_app_h_witnesses():
-    w = bounds.check_app_h(13)
-    assert (w.k, w.dims, w.target) == (4, (5, 5), 5)
-    assert w.ok and bool(w)
-    w = bounds.check_app_h(11)
-    assert (w.k, w.dims, w.target) == (4, (5, 4), 4)
-    assert w.ok
-    w = bounds.check_app_h(15)
-    assert (w.k, w.dims, w.target) == (4, (5, 6), 5)
-    assert w.ok
+    # Appendix H: at k = floor((m-1)/5) + 2 the first extension
+    # (2k - 3, ceil((m - k)/2)) holds the square of side ceil(2m/5) - 1
+    # that square_lower recurses onto
+    for m, witness in [(13, (4, (5, 5), 5)), (11, (4, (5, 4), 4)), (15, (4, (5, 6), 5))]:
+        k = (m - 1) // 5 + 2
+        dims, target = (2 * k - 3, -(-(m - k) // 2)), -(-2 * m // 5) - 1
+        assert (k, dims, target) == witness
+        assert min(dims) >= target
+        assert bounds.square_lower(m) >= m + bounds.square_lower(target)
 
 
 def test_check_app_h_holds_everywhere():
-    assert all(bounds.check_app_h(m) for m in range(5, 10001))
-    with pytest.raises(ValueError):
-        bounds.check_app_h(4)
+    for m in range(5, 10001):
+        k = (m - 1) // 5 + 2
+        assert min(2 * k - 3, -(-(m - k) // 2)) >= -(-2 * m // 5) - 1, m
 
 
 def test_square_lower_sandwich_small():

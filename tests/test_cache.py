@@ -553,6 +553,49 @@ def test_one_scan_reads_blank_and_unterminated_lines(tmp_path, g, caplog, order)
     assert caplog.messages == (warned if order[0] == "entries" else warned[::-1])
 
 
+class _TalliedBytes(bytes):
+    """bytes that tally the bytes each count or split call covers."""
+
+    scanned = 0
+
+    def count(self, sub, start=None, end=None):
+        lo, hi, _ = slice(start, end).indices(len(self))
+        self.scanned += max(hi - lo, 0)
+        return super().count(sub, start, end)
+
+    def split(self, *args, **kwargs):
+        self.scanned += len(self)
+        return super().split(*args, **kwargs)
+
+
+def test_corrupt_lines_are_numbered_in_linear_work(tmp_path, g, caplog):
+    # a lookup reads the corrupt lines that name its key, out of file order,
+    # and a full read then reads the rest: each warning names its line's true
+    # number, and numbering 400 corrupt lines covers the file at most twice
+    # instead of once per line
+    key = g.graph_hash
+    lines, named, rest = [], [], []
+    for i in range(400):
+        if i % 4 == 0:
+            lines.append('{"kind": "exact", "key": "%s", "lb": 5, "ub": 3}' % key)
+            named.append(len(lines) + 1)  # the header is line 1
+        else:
+            lines.append("{broken %d" % i)
+            rest.append(len(lines) + 1)
+        lines.append(json.dumps({"kind": "decision", "key": "%064x" % i, "k": 2, "feasible": False}))
+        if i == 200:
+            lines.append(json.dumps({"kind": "exact", "key": key, "lb": 4, "ub": 4, "labels": LABELS}))
+    path = tmp_path / "c.jsonl"
+    path.write_text(HEADER + "\n".join(lines) + "\n")
+    c = SolutionCache(path)
+    c._buf = buf = _TalliedBytes(c._buf)
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        assert c.get_exact(g).certificate.labels == tuple(LABELS)
+        assert len(c.entries()) == 401
+    assert caplog.messages == [f"cache {path} line {n} is corrupt; skipped" for n in named + rest]
+    assert buf.scanned <= 2 * len(buf)
+
+
 def _session_file(rng, shapes):
     """A shuffled cache file for each of shapes: equal intervals, records
     that fail their check, a forged higher lb beside a lower checked ranking,

@@ -80,7 +80,8 @@ def test_merge_handles_aligned_inputs_too():
 def test_merging_lemma_output_pair():
     a = construct.base_ranking(construct.one_sticky_shape(3), 6)
     b = construct.base_ranking(construct.two_sticky_shape(2, anti=True), 6)
-    out1, closed = construct.merging_lemma(a, b)
+    out1 = construct._ml_out1(a, b)
+    closed = construct._close_one_sticky(out1)
     assert validate(out1) is None and validate(closed) is None
     assert out1.graph.shape.n == 2 * 3 + 3
     assert out1.label_count == 10
@@ -188,7 +189,8 @@ def test_merging_lemma_reads_the_row_count(m, w, anti):
     # one-staircase 2w+m-1 at lambda+m, and its closure the plain
     # m x (4w+3m-2) grid at lambda+2m
     a, b = _solved_one(w, m), _solved_two(w - 1, m, anti)
-    out1, closed = construct.merging_lemma(a, b)
+    out1 = construct._ml_out1(a, b)
+    closed = construct._close_one_sticky(out1)
     assert out1.graph.shape == construct.one_sticky_shape(2 * w + m - 1, m)
     assert out1.label_count == a.label_count + m
     assert closed.graph.shape == GraphShape.grid(m, 4 * w + 3 * m - 2)
@@ -316,19 +318,17 @@ def test_triangle_ranking_validates_larger():
 
 
 def test_claimed_triangle_labels_closed_form():
-    assert [construct.claimed_triangle_labels(s) for s in range(1, 9)] == [
+    # the label count the halving recursion advertises: 2s - 2floor(log2(s+1)) + 1
+    assert [2 * s - 2 * ((s + 1).bit_length() - 1) + 1 for s in range(1, 9)] == [
         1, 3, 3, 5, 7, 9, 9, 11,
     ]
 
 
 def test_triangle_report_shape_and_gap():
-    rows = construct.triangle_report(10)
-    assert [r.s for r in rows] == list(range(1, 11))
-    for row in rows:
-        assert row.achieved >= 1
-    # by s=7 the stacked-row recursion's claim is no longer achieved
-    assert rows[6].achieved > rows[6].claimed
-    assert rows[3].claimed == 5 and rows[3].achieved == 6
+    # the advertised 5 labels at s = 4 are below the exact rank, and the
+    # row cuts take more than the advertised 9 at s = 7
+    assert construct.triangle_ranking(4).label_count == 6
+    assert construct.triangle_ranking(7).label_count > 9
 
 
 def test_corner_ranks():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_connected_graph
 from rankgrid.graphs import GraphShape, build
-from rankgrid.verify import Ranking, alpha, checked, is_minimal, is_valid, validate
+from rankgrid.verify import Ranking, checked, validate
 
 
 def oracle_valid(g, labels) -> bool:
@@ -107,31 +107,9 @@ def test_restriction_keeps_validity():
 def test_is_valid_and_label_count():
     g = build(GraphShape.path(4))
     r = Ranking(g, (1, 2, 1, 3))
-    assert is_valid(r)
+    assert validate(r) is None
     assert r.label_count == 3
     assert r.distinct_labels() == [1, 2, 3]
-
-
-def test_is_minimal_flags_reducible_labels():
-    g = build(GraphShape.path(3))
-    assert is_minimal(Ranking(g, (1, 2, 1)))
-    # 9 in the middle can drop to 2: not minimal
-    assert not is_minimal(Ranking(g, (1, 9, 1)))
-
-
-def test_alpha_largest_repeated_label():
-    g = build(GraphShape.path(5))
-    r = Ranking(g, (1, 2, 1, 3, 1))
-    assert alpha(r) == 1
-    g2 = build(GraphShape.grid(2, 3))
-    r2 = Ranking(g2, (1, 3, 2, 2, 4, 1))
-    assert alpha(r2) == 2
-
-
-def test_alpha_requires_a_repeat():
-    g = build(GraphShape.path(2))
-    r = Ranking(g, (1, 2))
-    assert alpha(r) is None
 
 
 def test_ranking_rejects_bad_shapes():
@@ -142,15 +120,11 @@ def test_ranking_rejects_bad_shapes():
         Ranking(g, (0, 1, 2))
 
 
-def test_ranking_json_and_relabel():
+def test_ranking_json():
     g = build(GraphShape.path(3))
-    r = Ranking(g, (1, 2, 1))
-    d = r.to_json_dict()
+    d = Ranking(g, (1, 2, 1)).to_json_dict()
     assert d["labels"] == [1, 2, 1]
     assert d["graph_hash"] == g.graph_hash
-    r2 = r.relabel(2, 3)
-    assert r2.labels == (1, 2, 3)
-    assert r.labels == (1, 2, 1)
 
 
 def test_checked_returns_a_valid_ranking():
