@@ -60,12 +60,12 @@ __all__ = [
 class Budget:
     """Caps on a solver call; None means unlimited.
 
-    Each cap must be a positive number: NaN seconds are rejected like
-    zero, while infinite seconds never run out.  Both caps count the
-    caller's own search only.  Filling solved, the table of exact solves
-    that block bounds draw from, is a fixed cost of the process, like
-    build, and charged to no budget; a budgeted call never takes its reply
-    from it, so the reply does not depend on what was solved before.
+    Each cap must be positive, and nodes an int but not a bool: NaN
+    seconds are rejected like zero, infinite seconds never run out.  Both
+    caps count the caller's own search only.  Filling solved, the table of
+    exact solves that block bounds draw from, is a fixed cost of the
+    process, like build, and charged to no budget; a budgeted call never
+    takes its reply from it, so it does not depend on what was solved before.
     """
 
     seconds: float | None = None
@@ -74,8 +74,8 @@ class Budget:
     def __post_init__(self) -> None:
         if self.seconds is not None and not self.seconds > 0:
             raise ValueError(f"budget seconds must be positive, got {self.seconds}")
-        if self.nodes is not None and self.nodes <= 0:
-            raise ValueError(f"budget nodes must be positive, got {self.nodes}")
+        if self.nodes is not None and (type(self.nodes) is not int or self.nodes <= 0):
+            raise ValueError(f"budget nodes must be a positive int, got {self.nodes!r}")
 
 
 @dataclass(frozen=True)
@@ -196,13 +196,6 @@ class _Engine:
 
     # -- plumbing ---------------------------------------------------------
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self._node_limit is not None and self.nodes > self._node_limit:
-            raise _BudgetExhausted()
-        if self._deadline is not None and self.nodes % 256 == 0 and time.monotonic() > self._deadline:
-            raise _BudgetExhausted()
-
     def split(self, mask: int, v: int) -> list[int]:
         """The components of mask & ~(1 << v) for a connected mask, ordered
         by lowest vertex: each holds a neighbour of v, so a flood that holds
@@ -233,9 +226,25 @@ class _Engine:
         return comps
 
     def path_lb(self, mask: int) -> int:
-        """Bit-length bound from a longest shortest path (double BFS sweep)."""
-        far, _ = self._bfs(mask, mask & -mask)
-        _, d = self._bfs(mask, far)
+        """Bit-length bound from a longest shortest path: BFS from the lowest
+        vertex, then from the lowest of its last level, to depth d."""
+        adj = self.adj
+        far = mask & -mask
+        for _ in range(2):
+            rest = mask & ~far
+            frontier = far
+            d = -1
+            while frontier:
+                last = frontier
+                d += 1
+                nxt = 0
+                while frontier:
+                    v = frontier.bit_length() - 1
+                    frontier ^= 1 << v
+                    nxt |= adj[v]
+                frontier = nxt & rest
+                rest ^= frontier
+            far = last & -last
         return (d + 1).bit_length()
 
     def block_lb(self, mask: int, lb: int) -> int:
@@ -262,26 +271,6 @@ class _Engine:
                         return 0
         return core
 
-    def _bfs(self, mask: int, src: int) -> tuple[int, int]:
-        """A farthest vertex from src inside mask (as a bit) and its depth."""
-        adj = self.adj
-        rest = mask & ~src
-        frontier = src
-        d = 0
-        while True:
-            nxt = 0
-            f = frontier
-            while f:
-                v = f.bit_length() - 1
-                f ^= 1 << v
-                nxt |= adj[v]
-            nxt &= rest
-            if not nxt:
-                return frontier & -frontier, d
-            rest ^= nxt
-            frontier = nxt
-            d += 1
-
     def candidates(self, mask: int, allowed: int = -1) -> list[int]:
         """Branch vertices among allowed: degree >= 2 inside the mask when
         possible, densest and most central first."""
@@ -305,8 +294,13 @@ class _Engine:
         """Memo interval of mask, whose canonical form is key."""
         ent = self.memo.get(key)
         if ent is None:
-            ent = (self.block_lb(mask, max(self.path_lb(mask), 2)), mask.bit_count())
-            self.memo[key] = ent
+            size = mask.bit_count()
+            lb = self.block_lb(mask, 2)
+            # a path holds at most size vertices, so the path bound can
+            # raise lb only when lb is below size's bit length
+            if lb < size.bit_length():
+                lb = max(lb, self.path_lb(mask))
+            ent = self.memo[key] = (lb, size)
         return ent
 
     def feasible(self, mask: int, k: int) -> bool:
@@ -314,7 +308,10 @@ class _Engine:
         the first workable separator instead of minimizing."""
         if mask & (mask - 1) == 0:
             return True
-        self.tick()
+        self.nodes += 1
+        if (self._node_limit is not None and self.nodes > self._node_limit
+                or self._deadline is not None and self.nodes % 256 == 0 and time.monotonic() > self._deadline):
+            raise _BudgetExhausted()
         key = self.canon(mask)
         lb, ub = self.bounds_of(mask, key)
         if ub <= k:
@@ -330,7 +327,10 @@ class _Engine:
                 self.memo[key] = (k + 1, ub)
                 return False
         for v in self.candidates(mask, core):
-            if all(self.feasible(comp, k - 1) for comp in self.split(mask, v)):
+            for comp in self.split(mask, v):
+                if not self.feasible(comp, k - 1):
+                    break
+            else:
                 if k < ub:
                     self.memo[key] = (lb, k)
                 return True

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import deque
+from functools import partial
 
 import pytest
 
@@ -149,6 +151,12 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(seconds=float("nan"))
     assert Budget(seconds=float("inf")).seconds == float("inf")
+    # a node cap is a whole count: NaN would never run out, and a bool or a
+    # fraction is no count
+    for nodes in (0, float("nan"), float("inf"), 1.5, 10.0, True, "10"):
+        with pytest.raises(ValueError):
+            Budget(nodes=nodes)
+    assert Budget(nodes=1).nodes == 1
 
 
 def test_interval_result_refuses_value():
@@ -448,15 +456,21 @@ def test_one_solve_per_small_grid(monkeypatch, capsys):
     assert len(solved) == len(set(solved))
 
 
-def test_block_table_is_not_charged_to_the_budget(monkeypatch):
-    engines = []
+@pytest.fixture
+def engines(monkeypatch):
+    """Every _Engine made while the test runs, oldest first."""
+    made = []
 
     class Recording(solve._Engine):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            engines.append(self)
+            made.append(self)
 
     monkeypatch.setattr(solve, "_Engine", Recording)
+    return made
+
+
+def test_block_table_is_not_charged_to_the_budget(engines):
     g = build(GraphShape.grid(4, 8))
     runs = []
     for cold in (True, False):
@@ -472,33 +486,67 @@ def test_block_table_is_not_charged_to_the_budget(monkeypatch):
 # -- kernel primitives and the search they drive -----------------------------
 
 
-@pytest.mark.parametrize("shape, want", [
-    (GraphShape.grid(4, 6), (8, 258, 73)),
-    (GraphShape.grid(5, 5), (9, 2679, 800)),
-    (GraphShape.triangle(5), (8, 3476, 1092)),
-    (GraphShape.grid(4, 4, RIGHT), (7, 218, 77)),
-])
-def test_search_trajectory_is_pinned(shape, want):
-    # a faster kernel must run the same search: same value, same number of
-    # nodes, same memo entries
-    g = build(shape)
-    eng = solve._Engine(g)
-    value = eng.rank_of((1 << g.vertex_count) - 1)
-    assert (value, eng.nodes, len(eng.memo)) == want
-
-
-@pytest.mark.parametrize("m, n, interval", [(4, 8, (8, 11)), (4, 9, (8, 12)), (6, 6, (8, 13))])
-def test_budgeted_intervals_are_pinned(m, n, interval):
-    res = rank_exact(build(GraphShape.grid(m, n)), budget=Budget(nodes=10000))
-    assert res.budget_exhausted and (res.lb, res.ub) == interval
-
-
 SHAPELESS = Graph.from_json_dict({
     "vertex_count": 11,
     "edges": [[0, 1], [1, 2], [2, 3], [3, 0], [2, 4], [4, 5], [5, 6], [6, 4],
               [6, 7], [7, 8], [8, 9], [9, 10], [10, 7], [1, 9]],
     "coords": [[0, c] for c in range(11)],
 })
+
+
+def _rank_of(g):
+    return solve._Engine(g).rank_of((1 << g.vertex_count) - 1)
+
+
+def _decide(g, k):
+    return rank_decision(g, k).feasible
+
+
+def _budgeted(g):
+    res = rank_exact(g, budget=Budget(nodes=10000))
+    return res.lb, res.ub, res.budget_exhausted
+
+
+@pytest.mark.parametrize("shape, want", [
+    (GraphShape.grid(4, 6),
+     (8, 258, 73, "7713357d9a7b2f60fab0c97a6cae2922c45895bf720b0fbc85fb85f5fa989cee")),
+    (GraphShape.grid(5, 5),
+     (9, 2679, 800, "93c7742afa85005833b7a3ddcb5ffa1f6ed8cb41946611e8bd84d175ba5ea675")),
+    (GraphShape.triangle(5),
+     (8, 3476, 1092, "28c3ba8344c2e050124a41a0802ff04b40bf37d8477292be5e015eedb0f242fb")),
+    (GraphShape.grid(4, 4, RIGHT),
+     (7, 218, 77, "0e2ac0cfa1ceaa8e9518b5f6959b6c0d5d960c4881ddb086acc0583068705cf6")),
+    # its only blocks are 1x4 paths, of rank 3
+    pytest.param(partial(_rank_of, SHAPELESS),
+                 (5, 50, 20, "bbeb197698d36c66dd45637b58dab876f833beef45ec2d67f22be4ddb9e46619"),
+                 id="shapeless"),
+    # refuted at the root, whose lb is 8
+    pytest.param(partial(_decide, build(GraphShape.grid(4, 6)), 7),
+                 (False, 1, 1, "b44b8bf8d46929051d8b8f54ed9d81d5c7b98465ce579874d0534db3a48d44d3"),
+                 id="decide-4x6-k7"),
+    pytest.param(partial(_decide, build(GraphShape.grid(4, 7)), 9),
+                 (True, 3964, 1634, "31f76231a7e1277b00929cffc69ae6e925753dd1bfe88290b8b1aebd1f10500d"),
+                 id="decide-4x7-k9"),
+    # the memo as the budget runs out, greedy's upper bound included
+    pytest.param(partial(_budgeted, build(GraphShape.grid(4, 8))),
+                 ((8, 11, True), 10001, 4671,
+                  "d516f92450ea37eacf9a5fa47c861cab505d76757723726137b4ebc95c90e92d"),
+                 id="budgeted-4x8"),
+])
+def test_search_trajectory_is_pinned(engines, shape, want):
+    # a faster kernel must run the same search: same answer, same number of
+    # nodes, same memo entries holding the same intervals
+    run = shape if callable(shape) else partial(_rank_of, build(shape))
+    answer = run()
+    memo = engines[-1].memo
+    digest = hashlib.sha256(repr(sorted(memo.items())).encode()).hexdigest()
+    assert (answer, engines[-1].nodes, len(memo), digest) == want
+
+
+@pytest.mark.parametrize("m, n, interval", [(4, 8, (8, 11)), (4, 9, (8, 12)), (6, 6, (8, 13))])
+def test_budgeted_intervals_are_pinned(m, n, interval):
+    res = rank_exact(build(GraphShape.grid(m, n)), budget=Budget(nodes=10000))
+    assert res.budget_exhausted and (res.lb, res.ub) == interval
 
 
 @pytest.mark.parametrize("g", [
@@ -522,6 +570,54 @@ def test_split_matches_components(g):
             assert eng.split(mask, v) == _mask_components(g, mask & ~b), (bin(mask), v)
             checked += 1
     assert checked > 1000
+
+
+def _ref_path_lb(g, mask):
+    """The engine's path bound by lists and a deque: BFS inside mask from its
+    lowest vertex, then from the lowest vertex at the greatest depth; a
+    shortest path of that second depth d holds d + 1 vertices."""
+    def sweep(src):
+        depth = {src: 0}
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            for u in g.adjacency[v]:
+                if mask >> u & 1 and u not in depth:
+                    depth[u] = depth[v] + 1
+                    queue.append(u)
+        d = max(depth.values())
+        return min(v for v in depth if depth[v] == d), d
+
+    far, _ = sweep((mask & -mask).bit_length() - 1)
+    return (sweep(far)[1] + 1).bit_length()
+
+
+@pytest.mark.parametrize("g", [
+    build(GraphShape.grid(5, 5)),
+    build(GraphShape.triangle(5)),
+    build(GraphShape.grid(4, 4, RIGHT)),
+    build(construct.corner_shape(4)),
+    SHAPELESS,
+], ids=["grid5x5", "triangle5", "grid4x4-right", "corner4", "shapeless"])
+def test_entry_bound_is_the_best_of_path_and_block(g):
+    # a new entry's lb is max(2, path, block) whether or not the path sweep
+    # runs; it is skipped when the block bound already reaches the largest
+    # path bound |mask| allows
+    rng = random.Random(g.vertex_count)
+    eng = solve._Engine(g)
+    swept = []
+    path_lb = eng.path_lb
+    eng.path_lb = lambda mask: swept.append(mask) or path_lb(mask)
+    entries = 0
+    for _ in range(400):
+        mask = _random_connected_mask(rng, g)
+        key = eng.canon(mask)
+        if mask & (mask - 1) == 0 or key in eng.memo:
+            continue
+        lb, _ = eng.bounds_of(mask, key)
+        assert lb == max(2, _ref_path_lb(g, mask), eng.block_lb(mask, 0)), bin(mask)
+        entries += 1
+    assert 0 < len(swept) < entries, (len(swept), entries)
 
 
 def _image(perm, mask):
