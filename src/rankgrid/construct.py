@@ -19,9 +19,10 @@ row, then gathers the rows' slices in the shape's vertex order: the core
 row-major, then the staircase cells by (col, row).
 
 Every builder returns a validated Ranking or raises; nothing here trusts
-arithmetic alone.  run_endpoint_certificates drives the whole inventory:
-one certificate per constant-value run of the four-row formula, plus
-column restrictions for the interior widths.  Each endpoint chain is built
+arithmetic alone, nor the stored rankings the four-row chains start from
+(_BASES, _SEGMENTS), which are checked on use.  run_endpoint_certificates
+drives the whole inventory: one certificate per constant-value run of the
+four-row formula, plus column restrictions for the interior widths.  Each endpoint chain is built
 once per process and kept as its steps and final labels; every width is
 rebuilt from those labels (interior ones cut to their columns) and
 validated on each call.
@@ -52,7 +53,6 @@ from .verify import Ranking, checked, validate
 __all__ = [
     "one_sticky_shape",
     "two_sticky_shape",
-    "base_ranking",
     "merge_two_sticky",
     "vertical_cut",
     "corner_shape",
@@ -89,18 +89,6 @@ def two_sticky_shape(n: int, *, anti: bool, m: int = 4) -> GraphShape:
     """
     left = StickyEnd("left", "top" if anti else "bottom")
     return GraphShape.grid(m, n, (left, StickyEnd("right", "bottom")))
-
-
-@cache
-def base_ranking(shape: GraphShape, k: int) -> Ranking:
-    """A solver-found ranking of shape within k labels, memoized.
-
-    Raises ValueError on a proven 'no'.
-    """
-    out = solve.rank_decision(build(shape), k)
-    if out.ranking is None:
-        raise ValueError(f"{shape} has no ranking within {k} labels")
-    return out.ranking
 
 
 # -- row assembly ----------------------------------------------------------
@@ -449,19 +437,31 @@ def triangle_certificate(s: int) -> CertificateChain:
 # -- segmented construction with ruler-depth cuts --------------------------
 
 
+# the ruler's four segment cell sets, each with its least column at 0: per
+# row, the columns from spans[r][0] up to, not including, spans[r][1], and
+# the labels rank_exact gave its cells, row by row.  Stored so that no
+# process searches for them; _segment checks them on use.
+_SEGMENTS = {
+    ((0, 2), (0, 3), (0, 4), (0, 3)): (2, 1, 1, 5, 1, 3, 1, 4, 1, 1, 2, 1),
+    ((0, 4), (1, 4), (2, 4), (1, 4)): (1, 4, 1, 2, 1, 5, 1, 1, 3, 1, 2, 1),
+    ((0, 5), (1, 4), (2, 5), (1, 6)): (1, 2, 1, 3, 1, 1, 5, 1, 1, 4, 1, 1, 3, 1, 2, 1),
+    ((1, 4), (0, 5), (1, 6), (2, 5)): (1, 2, 1, 1, 3, 1, 4, 1, 1, 5, 1, 3, 1, 1, 2, 1),
+}
+
+
 @cache
 def _segment(spans: tuple[tuple[int, int], ...]) -> tuple[Row, ...]:
-    """Solver ranking, as rows, of a segment whose row r holds the columns
-    from spans[r][0] up to, not including, spans[r][1]."""
-    ordered = sorted(((r, c) for r, (lo, hi) in enumerate(spans) for c in range(lo, hi)),
-                     key=lambda rc: (rc[1], rc[0]))
-    g = Graph(len(ordered), tuple(_lattice_edges(ordered, GRID_STEPS)), tuple(ordered))
-    res = solve.rank_exact(g)
-    assert res.certificate is not None
-    if res.value > 5:
-        raise AssertionError(f"segment between cuts needs {res.value} labels, expected <= 5")
-    at = dict(zip(ordered, res.certificate.labels))
-    return tuple((lo, tuple(at[r, c] for c in range(lo, hi))) for r, (lo, hi) in enumerate(spans))
+    """The stored ranking of a segment, as rows, once verify.checked has
+    accepted it on the segment's cells within 5 labels."""
+    cells = [(r, c) for r, (lo, hi) in enumerate(spans) for c in range(lo, hi)]
+    seg = checked(Graph(len(cells), tuple(_lattice_edges(cells, GRID_STEPS)), tuple(cells)), _SEGMENTS[spans])
+    if seg.label_count > 5:
+        raise AssertionError(f"segment between cuts has {seg.label_count} labels, expected <= 5")
+    rows, i = [], 0
+    for lo, hi in spans:
+        rows.append((lo, seg.labels[i:i + hi - lo]))
+        i += hi - lo
+    return tuple(rows)
 
 
 def ruler_ranking(k: int) -> Ranking:
@@ -469,8 +469,8 @@ def ruler_ranking(k: int) -> Ranking:
 
     2^(k-2) short segments are separated by four-vertex zig-zag cuts.
     Cut i gets the label block at depth nu2(i)+1, so between any two
-    cuts of one depth lies a deeper one; segments are solver-ranked on
-    labels 1..5 and reuse them freely across cuts.  The zig-zag offsets
+    cuts of one depth lies a deeper one; segments take _SEGMENTS' rankings
+    on labels 1..5 and reuse them freely across cuts.  The zig-zag offsets
     alternate by cut parity: straight-line cuts leave segments that need
     a sixth label.
     """
@@ -490,7 +490,7 @@ def ruler_ranking(k: int) -> Ranking:
     for row in cols:
         row.append(width)
     # segment j holds, in each row, the columns strictly between cuts j and j+1;
-    # it is solved with its least column at 0, so segments of one shape share a solve
+    # it is looked up with its least column at 0, so segments of one shape share a ranking
     parts: list[list[Row]] = []
     for j in range(pieces):
         if j:
@@ -573,16 +573,30 @@ def _solver_chain(n: int) -> CertificateChain:
     return CertificateChain((_step("solve", (), cert),), cert)
 
 
-# the doubling chains' bases (w, anti, labels): one- and two-staircases of
-# widths w and w-1, solver-ranked on labels; r merge rounds and the fold
-# give the 4 x ((w+3)*2^(r+1) - 2) grid at labels + 4r + 4
-_BASES = ((5, True, 8), (3, True, 6), (4, False, 7))
+# the doubling chains' bases (w, anti, labels, one, two): the labels, in
+# build's vertex order, that rank_decision gave the one-staircase of width
+# w and the two-staircase of width w-1 on labels; stored so that no process
+# searches for them, and checked on use.  r merge rounds and the fold give
+# the 4 x ((w+3)*2^(r+1) - 2) grid at labels + 4r + 4
+_BASES = (
+    (5, True, 8,
+     (1, 2, 1, 6, 1, 3, 1, 7, 1, 2, 1, 4, 1, 8, 1, 2, 1, 5, 1, 3, 1, 4, 1, 1, 2, 1),
+     (3, 1, 2, 1, 1, 8, 1, 6, 5, 1, 7, 1, 1, 2, 1, 3, 1, 2, 1, 1, 4, 1, 1, 4, 1, 1, 2, 1)),
+    (3, True, 6,
+     (1, 2, 1, 3, 1, 6, 1, 5, 1, 2, 1, 4, 1, 3, 1, 1, 2, 1),
+     (3, 1, 1, 6, 5, 1, 1, 3, 1, 2, 1, 1, 4, 1, 1, 4, 1, 1, 2, 1)),
+    (4, False, 7,
+     (3, 1, 2, 1, 1, 4, 1, 7, 2, 1, 6, 1, 1, 5, 1, 3, 1, 4, 1, 1, 2, 1),
+     (1, 2, 1, 6, 1, 4, 1, 7, 1, 3, 1, 5, 1, 1, 2, 1, 4, 1, 1, 3, 1, 1, 2, 1)),
+)
 
 
-def _doubling_chain(rounds: int, w: int, anti: bool, labels: int) -> CertificateChain:
-    """Close after the given merge rounds from the staircase bases of one _BASES row."""
-    a = base_ranking(one_sticky_shape(w), labels)
-    b = base_ranking(two_sticky_shape(w - 1, anti=anti), labels)
+def _doubling_chain(rounds: int, w: int, anti: bool, labels: int,
+                    one: tuple[int, ...], two: tuple[int, ...]) -> CertificateChain:
+    """Close after the given merge rounds from the stored bases of one
+    _BASES row, each checked at exactly its row's label count first."""
+    a = checked(build(one_sticky_shape(w)), one, labels)
+    b = checked(build(two_sticky_shape(w - 1, anti=anti)), two, labels)
     steps = [_step("solve-decision", (), a), _step("solve-decision", (), b)]
     for _ in range(rounds):
         na = _ml_out1(a, b)
@@ -598,10 +612,10 @@ def _doubling_chain(rounds: int, w: int, anti: bool, labels: int) -> Certificate
 def _endpoint_chain(n: int) -> CertificateChain:
     if n <= 8:
         return _solver_chain(n)
-    for w, anti, labels in _BASES:
-        q, rest = divmod(n + 2, w + 3)
+    for base in _BASES:
+        q, rest = divmod(n + 2, base[0] + 3)
         if not rest and not q & (q - 1):  # q = 2^(rounds+1)
-            return _doubling_chain(q.bit_length() - 2, w, anti, labels)
+            return _doubling_chain(q.bit_length() - 2, *base)
     k = (n + 3).bit_length() - 1
     if n + 3 == 5 << (k - 2):
         cert = ruler_ranking(k)

@@ -60,20 +60,21 @@ __all__ = [
 class Budget:
     """Caps on a solver call; None means unlimited.
 
-    Each cap must be positive, and nodes an int but not a bool: NaN
-    seconds are rejected like zero, infinite seconds never run out.  Both
-    caps count the caller's own search only.  Filling solved, the table of
-    exact solves that block bounds draw from, is a fixed cost of the
-    process, like build, and charged to no budget; a budgeted call never
-    takes its reply from it, so it does not depend on what was solved before.
+    Each cap must be positive, seconds an int or float and nodes an int,
+    neither a bool: NaN seconds are rejected like zero, infinite seconds
+    never run out.  Both caps count the caller's own search only.  Filling
+    solved, the table of exact solves that block bounds draw from, is a
+    fixed cost of the process, like build, and charged to no budget; a
+    budgeted call never takes its reply from it, so it does not depend on
+    what was solved before.
     """
 
     seconds: float | None = None
     nodes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.seconds is not None and not self.seconds > 0:
-            raise ValueError(f"budget seconds must be positive, got {self.seconds}")
+        if self.seconds is not None and (type(self.seconds) not in (int, float) or not self.seconds > 0):
+            raise ValueError(f"budget seconds must be positive, got {self.seconds!r}")
         if self.nodes is not None and (type(self.nodes) is not int or self.nodes <= 0):
             raise ValueError(f"budget nodes must be a positive int, got {self.nodes!r}")
 
@@ -531,8 +532,8 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
     """Search for a ranking within k labels; proven 'no' reported as such."""
     if g.vertex_count == 0:
         raise ValueError("rank_decision needs a nonempty graph")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
     start = time.monotonic()
     eng = _Engine(g, budget)
     comps = _components(g)

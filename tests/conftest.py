@@ -1,14 +1,17 @@
-"""Shared helpers: seeded random graphs, corner cuts and endpoint counters."""
+"""Shared helpers: seeded random graphs, corner cuts, decided staircase
+bases and endpoint counters."""
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import cache
 
 import pytest
 
-from rankgrid import construct, formulas
+from rankgrid import construct, formulas, solve
 from rankgrid.graphs import Graph, GraphShape, build
+from rankgrid.verify import Ranking
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -35,6 +38,15 @@ def corner_cut(m: int, n: int, *cells: tuple[int, int]) -> Graph:
     corners are cut."""
     g = build(GraphShape.grid(m, n))
     return g.induced_subgraph([v for v, rc in enumerate(g.coords) if rc not in cells])[0]
+
+
+@cache
+def decided(shape: GraphShape, k: int) -> Ranking:
+    """rank_decision's ranking of shape within k labels, memoised: the
+    staircase bases the merge tests take, solved as construct's were."""
+    out = solve.rank_decision(build(shape), k)
+    assert out.ranking is not None, f"{shape} has no ranking within {k} labels"
+    return out.ranking
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from rankgrid.graphs import GraphShape, build
 from rankgrid.solve import brute_force, rank_decision, rank_exact
 from rankgrid.verify import validate
 
-from conftest import random_connected_graph
+from conftest import decided, random_connected_graph
 
 # right ends of the constant-value runs of the 4-row closed form
 _RUN_ENDS = (1, 2, 3, 4, 6, 7, 10, 12, 14, 17, 22, 26, 30, 37, 46, 54, 62, 77, 94, 110)
@@ -65,7 +65,7 @@ def test_05_staircase_base_certificates():
         assert validate(out.ranking) is None
         assert out.ranking.label_count <= lam
     for width, lam in [(3, 6), (4, 7), (5, 8)]:
-        r = construct.base_ranking(construct.one_sticky_shape(width), lam)
+        r = decided(construct.one_sticky_shape(width), lam)
         assert validate(r) is None
         assert r.label_count == lam
 
@@ -121,7 +121,7 @@ def test_10_unique_max_and_deletion_bounds():
     for _ in range(60):
         certs.append(rank_exact(random_connected_graph(rng, rng.randint(2, 8))).certificate)
     for width, lam in [(3, 6), (4, 7), (5, 8)]:
-        certs.append(construct.base_ranking(construct.one_sticky_shape(width), lam))
+        certs.append(decided(construct.one_sticky_shape(width), lam))
     certs.extend(c.final for c in construct.run_endpoint_certificates(4))
     certs.extend(construct.triangle_ranking(s) for s in range(1, 9))
     for r in certs:

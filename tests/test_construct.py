@@ -8,11 +8,11 @@ import json
 
 import pytest
 
-from conftest import run_endpoint
+from conftest import decided, run_endpoint
 from rankgrid import bounds, construct, formulas, solve
 from rankgrid.graphs import Custom, Graph, GraphShape, ShapeError, StickyEnd, build
 from rankgrid.solve import rank_exact
-from rankgrid.verify import Ranking, validate
+from rankgrid.verify import Ranking, checked, validate
 
 
 def test_staircase_shapes():
@@ -29,9 +29,28 @@ def test_staircase_shapes():
 
 def test_base_rankings_hit_their_budgets():
     for width, lam in [(3, 6), (4, 7), (5, 8)]:
-        r = construct.base_ranking(construct.one_sticky_shape(width), lam)
+        r = decided(construct.one_sticky_shape(width), lam)
         assert validate(r) is None
         assert r.label_count == lam
+
+
+def _stored() -> dict:
+    """Every stored base, keyed by its shape and label count, and every
+    stored ruler segment, keyed by its spans and 5."""
+    out = {}
+    for w, anti, k, one, two in construct._BASES:
+        out[construct.one_sticky_shape(w), k] = one
+        out[construct.two_sticky_shape(w - 1, anti=anti), k] = two
+    for spans, labels in construct._SEGMENTS.items():
+        out[spans, 5] = labels
+    return out
+
+
+def _segment_graph(spans) -> Graph:
+    # the segment's cells as an induced subgraph of a grid, row by row
+    g = build(GraphShape.grid(len(spans), max(hi for _, hi in spans)))
+    cells = {(r, c) for r, (lo, hi) in enumerate(spans) for c in range(lo, hi)}
+    return g.induced_subgraph([v for v, rc in enumerate(g.coords) if rc in cells])[0]
 
 
 @pytest.mark.parametrize("shape, k, digest", [
@@ -39,25 +58,99 @@ def test_base_rankings_hit_their_budgets():
      "f7512f2d7453ba9ee84118ee4cff79baf6d01b086533b287301f1be97e546b6e"),
     (construct.two_sticky_shape(3, anti=False), 7,
      "48e45d670e41c1791aeeb63bf2c262965d03be63747ca4d99d4311cbbfc36d82"),
+    (construct.two_sticky_shape(4, anti=True), 8,
+     "384cf70bc208894ee073827003c02693098a229ba1b79fdf76a78f8cfd40964c"),
+    (construct.one_sticky_shape(3), 6,
+     "e17344202ce94d199df1c3bb78e6a0d82c8ddf031cac80038a5d5ca0745f58f2"),
+    (construct.two_sticky_shape(2, anti=True), 6,
+     "b2610077355d3e6d2a6963ce0a0f18c50e46a22608688c37051c06f4179fe6c3"),
+    (construct.one_sticky_shape(4), 7,
+     "451cf53f29a08ea2ef9a5755368720dc2c9043e2c746315f7c3f29ea3d240d43"),
+    # the ruler's segments, by their spans
+    (((0, 2), (0, 3), (0, 4), (0, 3)), 5,
+     "24f3c81b3a1d54456e3f568ce6801ab456cefd13e7b09fbc27123623b4949144"),
+    (((0, 4), (1, 4), (2, 4), (1, 4)), 5,
+     "b296e5c7d0563daa4235214b0bc32de2cef4e23f60f3a879a4a43dfa0a28272a"),
+    (((0, 5), (1, 4), (2, 5), (1, 6)), 5,
+     "5714f9db392987ea81c94f19f822f93862eaa8935cd83eba55c6197d27119826"),
+    (((1, 4), (0, 5), (1, 6), (2, 5)), 5,
+     "eca9fb820039bb7e3392a3e1459f0be01911adb15c66685d78af1e0e6e24a115"),
 ])
 def test_base_ranking_labels_are_pinned(shape, k, digest):
-    # taken while rank_decision had its own certificate walk: the staircase
-    # bases seed every doubling chain, so their labels must not move
-    labels = construct.base_ranking(shape, k).labels
-    assert hashlib.sha256(",".join(map(str, labels)).encode()).hexdigest() == digest
+    # the labels construct stores for each base (shape) and ruler segment
+    # (spans): every doubling chain and ruler grows from them, so they must
+    # not move.  Each digest is of what the solver found for it before they
+    # were stored: rank_decision at k for a base, rank_exact for a segment
+    assert hashlib.sha256(",".join(map(str, _stored()[shape, k])).encode()).hexdigest() == digest
+
+
+def test_stored_pieces_validate_at_their_label_counts():
+    for (shape, k), labels in _stored().items():
+        if isinstance(shape, GraphShape):
+            checked(build(shape), labels, k)
+        else:
+            checked(_segment_graph(shape), labels, k)
+            assert [v for _, row in construct._segment(shape) for v in row] == list(labels)
+    assert len(_stored()) == 10
+
+
+def test_the_solver_still_decides_every_stored_piece():
+    # a stored piece stands in for a search that must still succeed at its
+    # label count, even if it would now find other labels
+    for (shape, k), labels in _stored().items():
+        g = build(shape) if isinstance(shape, GraphShape) else _segment_graph(shape)
+        assert solve.rank_decision(g, k).feasible, (shape, k)
+
+
+def test_four_row_chains_run_no_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a four-row chain built a search engine")
+
+    monkeypatch.setattr(solve, "_Engine", forbidden)
+    for memo in vars(construct).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+    for n in (14, 10, 12, 37):  # one endpoint per _BASES row, then a ruler
+        chain = construct.four_row_certificate(n)
+        assert chain.labels == formulas.rank_4xn(n)
+        assert validate(chain.final) is None
+
+
+def _lowerings(labels: tuple[int, ...]):
+    """labels with one label above 1 lowered by one, each in turn."""
+    for i, v in enumerate(labels):
+        if v > 1:
+            yield labels[:i] + (v - 1,) + labels[i + 1:]
+
+
+def test_a_lowered_stored_label_fails_its_chain(monkeypatch):
+    # every such lowering leaves a labelling that is not a ranking or has
+    # too few labels, and checked refuses it before any merge
+    for w, anti, k, one, two in construct._BASES:
+        for a, b in [(low, two) for low in _lowerings(one)] + [(one, low) for low in _lowerings(two)]:
+            with pytest.raises(AssertionError):
+                construct._doubling_chain(0, w, anti, k, a, b)
+    for spans, labels in construct._SEGMENTS.items():
+        for low in _lowerings(labels):
+            monkeypatch.setitem(construct._SEGMENTS, spans, low)
+            construct._segment.cache_clear()
+            with pytest.raises(AssertionError):
+                construct.ruler_ranking(4)
+    monkeypatch.undo()
+    construct._segment.cache_clear()
 
 
 def test_two_staircase_bases_alternate_classes():
     # exact class values for 4-row double-staircase grids: the cheaper
     # alignment flips with parity of the width
     for width, lam, anti in [(1, 5, False), (2, 6, True), (3, 7, False), (4, 8, True)]:
-        r = construct.base_ranking(construct.two_sticky_shape(width, anti=anti), lam)
+        r = decided(construct.two_sticky_shape(width, anti=anti), lam)
         assert validate(r) is None
         assert r.label_count == lam
 
 
 def test_merge_two_sticky_doubles_width():
-    b = construct.base_ranking(construct.two_sticky_shape(2, anti=True), 6)
+    b = decided(construct.two_sticky_shape(2, anti=True), 6)
     merged = construct.merge_two_sticky(b)
     assert validate(merged) is None
     shape = merged.graph.shape
@@ -70,7 +163,7 @@ def test_merge_two_sticky_doubles_width():
 
 
 def test_merge_handles_aligned_inputs_too():
-    b = construct.base_ranking(construct.two_sticky_shape(3, anti=False), 7)
+    b = decided(construct.two_sticky_shape(3, anti=False), 7)
     merged = construct.merge_two_sticky(b)
     assert validate(merged) is None
     assert merged.graph.shape.n == 10
@@ -78,8 +171,8 @@ def test_merge_handles_aligned_inputs_too():
 
 
 def test_merging_lemma_output_pair():
-    a = construct.base_ranking(construct.one_sticky_shape(3), 6)
-    b = construct.base_ranking(construct.two_sticky_shape(2, anti=True), 6)
+    a = decided(construct.one_sticky_shape(3), 6)
+    b = decided(construct.two_sticky_shape(2, anti=True), 6)
     out1 = construct._ml_out1(a, b)
     closed = construct._close_one_sticky(out1)
     assert validate(out1) is None and validate(closed) is None
@@ -106,11 +199,11 @@ def _flipped(r: Ranking, hflip: bool, vflip: bool) -> Ranking:
 
 
 def _one_base(w: int) -> Ranking:
-    return construct.base_ranking(construct.one_sticky_shape(w), w + 3)
+    return decided(construct.one_sticky_shape(w), w + 3)
 
 
 def _two_base(w: int) -> Ranking:
-    return construct.base_ranking(construct.two_sticky_shape(w, anti=w != 3), w + 4)
+    return decided(construct.two_sticky_shape(w, anti=w != 3), w + 4)
 
 
 # SHA-256 of the output shape's JSON and its labels; every orientation the

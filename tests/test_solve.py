@@ -98,6 +98,16 @@ def test_decision_known_cases():
     assert rank_decision(cut, 4).feasible is False
 
 
+def test_decision_refuses_a_k_that_is_not_a_whole_count():
+    # NaN compares false with everything, so it once passed "k < 1" and got
+    # a 6-label "yes" on the rank-5 3x3 grid
+    g = build(GraphShape.grid(3, 3))
+    for k in (float("nan"), float("inf"), float("-inf"), 4.5, 5.0, True, "5", 0, -1):
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            rank_decision(g, k)
+    assert rank_decision(g, 5).ranking.label_count == 5
+
+
 def test_budget_exhaustion_reports_interval():
     g = build(GraphShape.grid(5, 6))
     res = rank_exact(g, budget=Budget(nodes=50))
@@ -151,6 +161,12 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(seconds=float("nan"))
     assert Budget(seconds=float("inf")).seconds == float("inf")
+    # seconds are an int or a float: a bool is no duration, and a string is
+    # refused like any other bad cap, not by a TypeError from comparing it
+    for seconds in (True, False, "5", [1]):
+        with pytest.raises(ValueError, match="budget seconds must be positive"):
+            Budget(seconds=seconds)
+    assert Budget(seconds=2).seconds == 2 and Budget(seconds=0.5).seconds == 0.5
     # a node cap is a whole count: NaN would never run out, and a bool or a
     # fraction is no count
     for nodes in (0, float("nan"), float("inf"), 1.5, 10.0, True, "10"):

@@ -15,7 +15,7 @@ from collections import deque
 
 import pytest
 
-from conftest import corner_cut, random_connected_graph
+from conftest import corner_cut, decided, random_connected_graph
 from rankgrid import construct, solve
 from rankgrid.graphs import Graph, GraphShape, StickyEnd, build
 from rankgrid.verify import Ranking, Violation, validate
@@ -79,8 +79,8 @@ def certificates() -> list[Ranking]:
     out = [construct.four_row_certificate(n).final for n in (1, 5, 9, 10, 13, 22, 40, 61, 95)]
     out += [construct.triangle_ranking(s) for s in range(1, 8)]
     out.append(construct.ruler_ranking(4))
-    out.append(construct.base_ranking(construct.one_sticky_shape(3), 6))
-    out.append(construct.base_ranking(construct.two_sticky_shape(2, anti=True), 6))
+    out.append(decided(construct.one_sticky_shape(3), 6))
+    out.append(decided(construct.two_sticky_shape(2, anti=True), 6))
     for g in (
         build(GraphShape.grid(3, 3, (StickyEnd("left"),))),
         build(GraphShape.grid(3, 2, (StickyEnd("left", "top"), StickyEnd("right")))),
