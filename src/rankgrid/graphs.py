@@ -233,7 +233,8 @@ class Graph:
         "vertex_count"}, written by one %-format over the flattened ints."""
         template = '{"coords":[%s],"edges":[%s],"vertex_count":%%d}' % (
             ",".join(["[%d,%d]"] * len(self.coords)), ",".join(["[%d,%d]"] * len(self.edges)))
-        payload = template % (*chain(*self.coords, *self.edges), self.vertex_count)
+        flat = chain.from_iterable
+        payload = template % (*flat(self.coords), *flat(self.edges), self.vertex_count)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     @cached_property

@@ -8,9 +8,12 @@ vertices labelled exactly c.  validate grows those components in label
 order with a union-find whose root is always its component's highest
 label, so a second vertex at a component's top label shows at once; a
 root's parent has a strictly higher label, so no find walks more than k
-steps.  The path form is kept in the test suite as an independent oracle,
-and a level-by-level union-find as the reference for witnesses.  checked
-runs validate on every ranking the package emits, where a failure is a bug.
+steps.  It reads the edge list once, filing each edge under its later
+end in label order, and builds no adjacency: only a violation's witness
+path reads Graph.adjacency.  The path form is kept in the test suite as
+an independent oracle, and a level-by-level union-find as the reference
+for witnesses.  checked runs validate on every ranking the package
+emits, where a failure is a bug.
 """
 
 from __future__ import annotations
@@ -65,23 +68,29 @@ class Violation:
 def validate(ranking: Ranking) -> Violation | None:
     """Return None for a valid ranking, or a Violation with a witness path.
 
-    Vertices join a union-find forest in label order, and each becomes the
-    parent of the root of every visited neighbour's component, so a root
-    is always its component's highest label.  A neighbour whose root
-    already has the new vertex's label (an equal-labelled neighbour is its
-    own root) is a violation, found at the lowest level that has one.
+    One pass over g.edges puts each edge on the list of its later end in
+    (label, index) order, the order vertices then join a union-find forest
+    in; no adjacency is built.  Each joining vertex becomes the parent of
+    the root of every earlier neighbour's component, so a root is always
+    its component's highest label, and a vertex with no earlier neighbour
+    is left as its own root.  An earlier neighbour whose root already has
+    the new vertex's label (an equal-labelled neighbour is its own root)
+    is a violation, found at the lowest level that has one.
     """
     g = ranking.graph
     labels = ranking.labels
-    adj = g.adjacency
-    parent = [-1] * g.vertex_count  # -1: not visited yet
-    for v in sorted(range(g.vertex_count), key=labels.__getitem__):
+    n = g.vertex_count
+    down: list[list[int]] = [[] for _ in range(n)]  # each vertex's earlier neighbours
+    for u, v in g.edges:  # u < v, so v is the later end on a tie
+        if labels[u] <= labels[v]:
+            down[v].append(u)
+        else:
+            down[u].append(v)
+    parent = list(range(n))
+    for v in sorted(filter(down.__getitem__, range(n)), key=labels.__getitem__):
         c = labels[v]
-        parent[v] = v
-        for x in adj[v]:
+        for x in down[v]:
             r = parent[x]
-            if r < 0:
-                continue
             while r != x:  # up to the root, pointing the path at v on the way
                 parent[x] = v
                 x, r = r, parent[r]

@@ -146,3 +146,54 @@ def test_random_labellings_give_the_reference_violation():
         g = random_connected_graph(rng, n)
         r = Ranking(g, tuple(rng.randint(1, max(2, n // 2)) for _ in range(n)))
         assert validate(r) == reference_validate(r)
+
+
+def family(r: Ranking) -> str:
+    shape = r.graph.shape
+    if shape is None:
+        return "shapeless"
+    if shape.family == "triangle":
+        return "triangle"
+    return ("grid", "one-staircase", "two-staircase")[len(shape.decorations)]
+
+
+# the largest certificate of each family, and the ruler
+FAMILIES = {family(r): r for r in sorted(CERTIFICATES, key=lambda r: r.graph.vertex_count)}
+FAMILIES["ruler"] = construct.ruler_ranking(4)
+
+
+def rebuilt(g: Graph) -> Graph:
+    """g made afresh, with nothing cached: built from its shape, or read
+    back from its JSON when it has none."""
+    return build(g.shape) if g.shape is not None else Graph.from_json_dict(g.to_json_dict())
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_validate_builds_no_adjacency(name):
+    r = FAMILIES[name]
+    assert r in CERTIFICATES
+    g = rebuilt(r.graph)
+    assert g == r.graph and "adjacency" not in g.__dict__
+    assert validate(Ranking(g, r.labels)) is None
+    assert "adjacency" not in g.__dict__
+    # an edge whose ends share a label: the witness still matches
+    u, v = g.edges[len(g.edges) // 2]
+    labels = list(r.labels)
+    labels[u] = labels[v]
+    bad = Ranking(rebuilt(r.graph), tuple(labels))
+    got = validate(bad)
+    assert got is not None and got == reference_validate(bad)
+
+
+def test_families_are_covered():
+    assert set(FAMILIES) == {"grid", "one-staircase", "two-staircase", "triangle", "ruler", "shapeless"}
+
+
+def test_the_lowest_of_two_violations_is_reported():
+    # the path 0-1-2-3-4: edge 0-1 has both ends at 3, and 2, 4 are both
+    # labelled 2 with only a 1 between them
+    g = build(GraphShape.path(5))
+    bad = Ranking(g, (3, 3, 2, 1, 2))
+    want = Violation(2, (2, 4), (2, 3, 4))
+    assert validate(bad) == want
+    assert reference_validate(bad) == want
