@@ -263,7 +263,3 @@ class SolutionCache:
         out = [_tightest(recs) for recs in self._exact.values()]
         out.extend(self._decision.values())
         return sorted(out, key=lambda r: (r["kind"], r["key"], r.get("k", 0)))
-
-    def __len__(self) -> int:
-        self._take(None)
-        return len(self._exact) + len(self._decision)

@@ -4,19 +4,23 @@ The staircase constructions share one move: place two labelled pieces of
 m rows so that a diagonal of m fresh labels separates them, letting the
 pieces reuse each other's label block.  Each application doubles the
 width and spends m labels.  Staircase ends are what make pieces dovetail
-around the diagonal, so the builders here track which rows a staircase
-keeps (bottom or top) and flip copies as needed; they read m from their
-inputs.  The four-row chains and diagonal_cut, whose piece is an inner
+around the diagonal, so the merges flip copies as the rows their
+staircases keep (bottom or top) require; they read m from their inputs,
+and take exactly the shapes the chains make: one_sticky_shape(w, m) and
+two_sticky_shape(w, anti=True or False, m).  Any other shape raises
+ShapeError.  The four-row chains and diagonal_cut, whose piece is an inner
 grid with a glued corner, are both built from them.
 
-Assembly works on rows.  Each row of every shape
-built here is one run of consecutive cells, so a labelling is a list of
-rows, each held as its first column and its labels.  A flip reverses the
-row list or each row, a shift moves first columns, and pieces laid side by
-side join row by row, where a gap or an overlap asserts.  _to_ranking
-checks each row's extent against the one the shape's staircases give that
-row, then gathers the rows' slices in the shape's vertex order: the core
-row-major, then the staircase cells by (col, row).
+Grid assembly works on rows.  Each row of every grid shape built here is
+one run of consecutive cells, so a labelling is a list of rows, each held
+as its first column and its labels.  A flip reverses the row list or each
+row, a shift moves first columns, and pieces laid side by side join row by
+row, where a gap or an overlap asserts.  _to_ranking checks each row's
+extent against the one the shape's staircases give that row, then gathers
+the rows' slices in the shape's vertex order: the core row-major, then the
+staircase cells by (col, row).  A triangle ranking is not assembled: its
+row cuts come from one bottom-up table, _row_cuts, and their labels are
+written straight into build's vertex order.
 
 Every builder returns a validated Ranking or raises; nothing here trusts
 arithmetic alone, nor the stored rankings the four-row chains start from
@@ -35,19 +39,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import formulas, solve
-from .graphs import (
-    GRID,
-    GRID_STEPS,
-    TRIANGLE,
-    Custom,
-    Graph,
-    GraphShape,
-    ShapeError,
-    StickyEnd,
-    build,
-    _lattice_edges,
-    _sticky_coords,
-)
+from .graphs import GRID, Custom, GraphShape, ShapeError, StickyEnd, build, _sticky_coords
 from .verify import Ranking, checked, validate
 
 __all__ = [
@@ -95,14 +87,12 @@ def two_sticky_shape(n: int, *, anti: bool, m: int = 4) -> GraphShape:
 
 
 def _row_layout(shape: GraphShape) -> list[tuple[int, int, list[int], list[int]]]:
-    """Per row of a grid or triangle shape: the vertex index of its first
-    core cell, its core width, and the vertex indices of its left and right
-    staircase cells, left to right.  build lays the core out row-major and
-    then each staircase's cells by (col, row), and a custom decoration adds
-    edges only, so every row's core is one slice."""
+    """Per row of a grid shape: the vertex index of its first core cell, its
+    core width, and the vertex indices of its left and right staircase
+    cells, left to right.  build lays the core out row-major and then each
+    staircase's cells by (col, row), and a custom decoration adds edges
+    only, so every row's core is one slice."""
     m, n = shape.m, shape.n
-    if shape.family == TRIANGLE:
-        return [(r * (r + 1) // 2, r + 1, [], []) for r in range(m)]
     left: list[list[int]] = [[] for _ in range(m)]
     right: list[list[int]] = [[] for _ in range(m)]
     i = m * n
@@ -180,45 +170,31 @@ def _to_ranking(shape: GraphShape, rows: list[Row], expect: int) -> Ranking:
     return checked(build(shape), flat, expect)
 
 
-def _staircases(r: Ranking) -> tuple[GraphShape, dict[str, str]]:
-    """r's grid shape and, for each side with a staircase, the rows it keeps."""
-    shape = r.graph.shape
-    if shape is None or shape.family != GRID:
-        raise ShapeError("expected a grid shape")
-    ends = {}
-    for dec in shape.decorations:
-        if not isinstance(dec, StickyEnd):
-            raise ShapeError("only sticky-end decorations are supported here")
-        ends[dec.side] = dec.align
-    return shape, ends
-
-
 def _one_staircase(r: Ranking) -> tuple[int, int, int, list[Row]]:
-    """Row count, width, label count and rows of a one-staircase ranking,
-    turned so the staircase is on the right keeping the bottom rows."""
-    shape, ends = _staircases(r)
-    if len(ends) != 1:
-        raise ShapeError("input must have exactly one staircase")
-    rows = _rows(r)
-    ((side, align),) = ends.items()
-    if side == "left":
-        rows = _mirrored(rows, shape.n)
-    if align == "top":
-        rows = rows[::-1]
-    return shape.m, shape.n, r.label_count, rows
+    """Row count, width, label count and rows of a ranking of
+    one_sticky_shape(w, m), the one one-staircase shape the chains make;
+    any other shape raises ShapeError."""
+    shape = r.graph.shape
+    if shape is None or shape.m < 2 or shape != one_sticky_shape(shape.n, shape.m):
+        raise ShapeError("input must rank one_sticky_shape(w, m): one staircase,"
+                         " on the right, keeping the bottom rows")
+    return shape.m, shape.n, r.label_count, _rows(r)
 
 
 def _two_staircase(r: Ranking) -> tuple[int, int, int, list[Row], bool]:
-    """Row count, width, label count and rows of a two-staircase ranking,
-    flipped so the left staircase keeps the top rows, and whether both
-    staircases keep the same rows (aligned)."""
-    shape, ends = _staircases(r)
-    if set(ends) != {"left", "right"}:
-        raise ShapeError("input must have staircases on both ends")
+    """Row count, width, label count and rows of a ranking of
+    two_sticky_shape(w, anti=..., m), and whether it is the aligned one
+    (anti=False).  Aligned rows come flipped top to bottom, so that the
+    left staircase keeps the top rows either way; any other shape raises
+    ShapeError."""
+    shape = r.graph.shape
+    if shape is None or shape.m < 2 or shape not in (two_sticky_shape(shape.n, anti=True, m=shape.m),
+                                                     two_sticky_shape(shape.n, anti=False, m=shape.m)):
+        raise ShapeError("input must rank two_sticky_shape(w, anti=..., m): staircases on both ends,"
+                         " the right one keeping the bottom rows")
     rows = _rows(r)
-    if ends["left"] == "bottom":
-        rows = rows[::-1]
-    return shape.m, shape.n, r.label_count, rows, ends["left"] == ends["right"]
+    aligned = shape.decorations[0].align == "bottom"  # anti=False: both keep the bottom rows
+    return shape.m, shape.n, r.label_count, rows[::-1] if aligned else rows, aligned
 
 
 # -- staircase merges ------------------------------------------------------
@@ -228,8 +204,9 @@ def merge_two_sticky(r: Ranking) -> Ranking:
     """Join two copies of a two-staircase ranking across a fresh diagonal.
 
     m rows of core width n at lambda labels become core width 2n+m at
-    lambda+m; the output always keeps top rows on the left and bottom rows
-    on the right, whatever the input's orientation.  Row i of the cut gets
+    lambda+m.  The input is two_sticky_shape(n, anti=..., m), either
+    alignment; the output is always the anti one, top rows kept on the left
+    and bottom rows on the right.  Row i of the cut gets
     label lambda+m-i, so the cut tops out at the far output labels.
     """
     m, n, lam, rows, aligned = _two_staircase(r)
@@ -363,52 +340,30 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, corner: Ranking) -> Rank
 
 
 @cache
-def _row_cut(a: int, b: int) -> tuple[int, int]:
-    """Labels the best row-cut schedule spends on rows a..b of a triangle,
-    and the first row it cuts.
+def _row_cuts(s: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The best row-cut schedule for every run of rows of tri_s, as two
+    tables indexed [a][e] for rows a..e-1: the labels it spends, and the
+    first row it cuts.
 
-    Row r of a triangle has r+1 vertices, so the cost does not depend on
-    the triangle's side.  A full row is cut and its vertices take the top
-    labels, the two remaining intervals sharing the block below; the
-    first row that achieves the least cost is the one cut.  A single row
-    is a path and gets the ruler labelling, and no rows cost nothing;
-    neither cuts a row, so both give row -1.
+    Row r of a triangle has r+1 vertices, so a run's cost does not depend
+    on s.  A full row is cut and its vertices take the top labels, the two
+    remaining runs sharing the block below; the first row that achieves
+    the least cost is the one cut.  A single row is a path and gets the
+    ruler labelling, and no rows cost nothing; neither cuts a row, so both
+    give row -1.  The tables fill bottom-up, shorter runs first, so nothing
+    recurses: O(s^3) steps, once per s.
     """
-    if a > b:
-        return 0, -1
-    if a == b:
-        return (b + 1).bit_length(), -1
-    costs = [w + 1 + max(_row_cut(a, w - 1)[0], _row_cut(w + 1, b)[0]) for w in range(a, b + 1)]
-    t = min(costs)
-    return t, a + costs.index(t)
-
-
-def _row_cut_labels(s: int) -> int:
-    """Label count of the row-cut ranking of tri_s; O(s^3) on a cold cache."""
-    # settle shorter intervals first: a cold _row_cut(0, s-1) would recurse
-    # s levels deep, past the interpreter's limit for s in the hundreds
-    for b in range(s):
-        for a in range(b, -1, -1):
-            _row_cut(a, b)
-    return _row_cut(0, s - 1)[0]
-
-
-def _tri_fill(s: int) -> list[Row]:
-    rows: list[Row] = [(0, [])] * s
-
-    def fill(a: int, b: int, base: int) -> None:
-        if a > b:
-            return
-        if a == b:
-            rows[a] = (0, [base + ((c + 1) & -(c + 1)).bit_length() for c in range(b + 1)])
-            return
-        t, w = _row_cut(a, b)
-        rows[w] = (0, [base + t - c for c in range(w + 1)])
-        fill(a, w - 1, base)
-        fill(w + 1, b, base)
-
-    fill(0, s - 1, 0)
-    return rows
+    cost = [[0] * (s + 1) for _ in range(s + 1)]
+    cut = [[-1] * (s + 1) for _ in range(s + 1)]
+    for a in range(s):
+        cost[a][a + 1] = (a + 1).bit_length()
+    for length in range(2, s + 1):
+        for a in range(s - length + 1):
+            e, row = a + length, cost[a]
+            costs = [w + 1 + max(row[w], cost[w + 1][e]) for w in range(a, e)]
+            row[e] = min(costs)
+            cut[a][e] = a + costs.index(row[e])
+    return tuple(map(tuple, cost)), tuple(map(tuple, cut))
 
 
 @cache
@@ -424,8 +379,20 @@ def triangle_ranking(s: int) -> Ranking:
     shape = GraphShape.triangle(s)
     if s <= 6:
         return solve.solved(shape)
-    labels = _row_cut_labels(s)  # first, so _tri_fill finds every cost cached
-    return _to_ranking(shape, _tri_fill(s), labels)
+    cost, cut = _row_cuts(s)
+    labels = [0] * shape.vertex_count  # build's order: (r, c) is vertex r(r+1)/2 + c
+    runs = [(0, s, 0)]  # rows a..e-1 still to label, on labels above base
+    while runs:
+        a, e, base = runs.pop()
+        if e - a > 1:
+            w, top = cut[a][e], base + cost[a][e]
+            first = w * (w + 1) // 2
+            labels[first:first + w + 1] = range(top, top - w - 1, -1)
+            runs += (a, w, base), (w + 1, e, base)
+        elif e > a:
+            first = a * (a + 1) // 2
+            labels[first:first + a + 1] = [base + ((c + 1) & -(c + 1)).bit_length() for c in range(a + 1)]
+    return checked(build(shape), labels, cost[0][s])
 
 
 def triangle_certificate(s: int) -> CertificateChain:
@@ -452,9 +419,12 @@ _SEGMENTS = {
 @cache
 def _segment(spans: tuple[tuple[int, int], ...]) -> tuple[Row, ...]:
     """The stored ranking of a segment, as rows, once verify.checked has
-    accepted it on the segment's cells within 5 labels."""
-    cells = [(r, c) for r, (lo, hi) in enumerate(spans) for c in range(lo, hi)]
-    seg = checked(Graph(len(cells), tuple(_lattice_edges(cells, GRID_STEPS)), tuple(cells)), _SEGMENTS[spans])
+    accepted it within 5 labels on the segment's cells, taken as an induced
+    subgraph of the 4-row grid (row-major, as the labels are stored)."""
+    cells = {(r, c) for r, (lo, hi) in enumerate(spans) for c in range(lo, hi)}
+    grid = build(GraphShape.grid(4, max(hi for _, hi in spans)))
+    g, _ = grid.induced_subgraph([v for v, rc in enumerate(grid.coords) if rc in cells])
+    seg = checked(g, _SEGMENTS[spans])
     if seg.label_count > 5:
         raise AssertionError(f"segment between cuts has {seg.label_count} labels, expected <= 5")
     rows, i = [], 0

@@ -206,13 +206,6 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    @cached_property
-    def index_by_coord(self) -> dict[Coord, int]:
-        return {rc: i for i, rc in enumerate(self.coords)}
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.adjacency_masks[u] >> v & 1 == 1
-
     def component(self, src: int) -> list[int]:
         """src's connected component in BFS order from src, each vertex's
         neighbours taken in ascending order."""
@@ -264,7 +257,7 @@ class Graph:
             maps = [lambda r, c: (r, c), lambda r, c: (r, csum - c),
                     lambda r, c: (rsum - r, c), lambda r, c: (rsum - r, csum - c)]
             maps += [lambda r, c, f=f: f(c + off, r - off) for f in maps]
-        index, masks = self.index_by_coord.get, self.adjacency_masks
+        index, masks = {rc: i for i, rc in enumerate(self.coords)}.get, self.adjacency_masks
         found: list[tuple[int, ...]] = []
         for f in maps:
             p = tuple(index(f(r, c)) for r, c in self.coords)
@@ -333,24 +326,6 @@ class Graph:
         return g
 
 
-GRID_STEPS: tuple[Coord, ...] = ((0, 1), (1, 0))
-TRIANGLE_STEPS: tuple[Coord, ...] = GRID_STEPS + ((1, 1),)
-
-
-def _lattice_edges(ordered: list[Coord], steps: tuple[Coord, ...]) -> list[tuple[int, int]]:
-    """Sorted (u, v) index pairs, u < v, of vertices one lattice step apart.
-
-    Vertex i sits at ordered[i]; each step (dr, dc) joins (r, c) to
-    (r+dr, c+dc) when both are present.
-    """
-    index = dict(zip(ordered, range(len(ordered))))
-    at = index.get
-    edges = [(u, v) if u < v else (v, u)
-             for (r, c), u in index.items() for dr, dc in steps if (v := at((r + dr, c + dc))) is not None]
-    edges.sort()
-    return edges
-
-
 def _grid_edges(m: int, n: int, stairs: dict[Coord, int]) -> list[tuple[int, int]]:
     """Sorted (u, v) index pairs, u < v, of an m x n grid core laid out
     row-major, plus the lattice edges of the staircase vertices.
@@ -383,16 +358,24 @@ def build(shape: GraphShape) -> Graph:
     """Materialize a GraphShape into its canonical Graph.
 
     A grid or path takes its edges from _grid_edges, with each staircase
-    vertex wired by lattice step; a triangle takes _lattice_edges.  The
-    custom edges are then merged in.  Raises ShapeError if a custom edge
-    names a missing vertex, is a self-loop or duplicates an edge.  Every
-    result is connected without a check: the core is, each staircase
-    attaches to it, and custom edges only add edges.
+    vertex wired by lattice step.  A triangle is laid out row by row, so
+    vertex u = (r, c) is r(r+1)/2 + c and its edges go to u+1 along the
+    row and to u+r+1 and u+r+2 below: index arithmetic gives them in
+    sorted order, with no coord lookup.  The custom edges are then merged
+    in.  Raises ShapeError if a custom edge names a missing vertex, is a
+    self-loop or duplicates an edge.  Every result is connected without a
+    check: the core is, each staircase attaches to it, and custom edges
+    only add edges.
     """
     m, n = shape.m, shape.n
     if shape.family == TRIANGLE:
         ordered = [(r, c) for r in range(m) for c in range(r + 1)]
-        edges = _lattice_edges(ordered, TRIANGLE_STEPS)
+        edges = []
+        for u, (r, c) in enumerate(ordered):
+            if c < r:
+                edges.append((u, u + 1))
+            if r < m - 1:
+                edges += (u, u + r + 1), (u, u + r + 2)
     else:
         ordered = list(product(range(m), range(n)))  # row-major
         stairs: dict[Coord, int] = {}  # each staircase vertex's index, by coord

@@ -7,6 +7,8 @@ but the ranking, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .graphs import PATH
 from .verify import Ranking, validate
 
@@ -60,7 +62,6 @@ def render_svg(ranking: Ranking) -> str:
     width = (c1 - c0) * _CELL + 2 * _MARGIN
     height = (r1 - r0) * _CELL + 2 * _MARGIN + 30
     top = ranking.label_count
-    counts = {l: ranking.labels.count(l) for l in ranking.distinct_labels()}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -84,7 +85,7 @@ def render_svg(ranking: Ranking) -> str:
             f'<text x="{x}" y="{y + 4}" font-size="12" font-family="monospace" '
             f'text-anchor="middle">{label}</text>'
         )
-    legend = "  ".join(f"{l}:{counts[l]}" for l in sorted(counts))
+    legend = "  ".join(f"{l}:{c}" for l, c in sorted(Counter(ranking.labels).items()))
     parts.append(
         f'<text x="{_MARGIN}" y="{height - 10}" font-size="12" '
         f'font-family="monospace">labels {legend}</text>'

@@ -44,9 +44,6 @@ class Ranking:
     def label_count(self) -> int:
         return max(self.labels)
 
-    def distinct_labels(self) -> list[int]:
-        return sorted(set(self.labels))
-
     def to_json_dict(self) -> dict:
         return {"graph_hash": self.graph.graph_hash, "labels": list(self.labels)}
 

@@ -2,9 +2,9 @@
 
 The reference below derives lattice edges as a set of coordinate pairs,
 maps them to indices and sorts them, exactly as build() used to.  build()
-now keys each coord as one integer and looks up forward neighbours by key;
-both must give the same edges, coords and ShapeError messages on every
-shape family and decoration.
+now lays grids and triangles out by index arithmetic and looks only
+staircase neighbours up by coord; both must give the same edges, coords
+and ShapeError messages on every shape family and decoration.
 """
 
 from __future__ import annotations

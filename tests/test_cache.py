@@ -31,7 +31,7 @@ def g():
 def test_round_trip(tmp_path, g):
     path = tmp_path / "cache.jsonl"
     c = SolutionCache(path)
-    assert len(c) == 0
+    assert c.entries() == []
     c.put_exact(g, 4, 4, LABELS, 0.01)
     c.put_decision(g, 3, False, None, 0.002)
 
@@ -42,7 +42,7 @@ def test_round_trip(tmp_path, g):
     dec = again.get_decision(g, 3)
     assert (dec.feasible, dec.ranking, dec.elapsed) == (False, None, 0.0)
     assert again.get_decision(g, 4) is None
-    assert len(again) == 2
+    assert len(again.entries()) == 2
 
 
 def test_header_written_once(tmp_path, g):
@@ -64,7 +64,7 @@ def test_repeated_header_is_skipped_quietly(tmp_path, g, caplog):
     path.write_text(header + header + json.dumps(rec) + "\n" + header)
     with caplog.at_level(logging.WARNING, logger="rankgrid.cache"):
         c = SolutionCache(path)
-    assert c.writable and len(c) == 1
+    assert c.writable and len(c.entries()) == 1
     assert caplog.records == []
 
 
@@ -136,7 +136,7 @@ def test_corrupt_line_skipped(tmp_path, g):
         fh.write("{broken\n")
     c2 = SolutionCache(path)
     assert c2.get_exact(g) is not None
-    assert len(c2) == 1
+    assert len(c2.entries()) == 1
 
 
 def test_keeps_tightest_interval(tmp_path, g):
@@ -157,7 +157,6 @@ def test_entries_sorted_and_counted(tmp_path, g):
     c.put_exact(g, 4, 4, None, 0.0)
     kinds = [r["kind"] for r in c.entries()]
     assert kinds == ["decision", "exact", "exact"]
-    assert len(c) == 3
 
 
 def test_resolve_cache_path_priority(monkeypatch, tmp_path):
@@ -502,7 +501,7 @@ def test_non_utf8_header_ignores_the_file(tmp_path, g, caplog):
     before = path.read_bytes()
     with caplog.at_level("WARNING", logger="rankgrid.cache"):
         c = SolutionCache(path)
-        assert c.get_exact(g) is None and len(c) == 0
+        assert c.get_exact(g) is None and c.entries() == []
     assert "has no valid header; ignoring file" in caplog.text
     assert not c.writable
     c.put_exact(g, 4, 4, LABELS, 0.0)
@@ -545,7 +544,6 @@ def test_one_scan_reads_blank_and_unterminated_lines(tmp_path, g, caplog, order)
         for step in order * 2:
             if step == "entries":
                 assert c.entries() == sorted(recs, key=lambda rec: rec["key"])
-                assert len(c) == 2
             else:
                 assert c.get_exact(g).certificate.labels == tuple(LABELS)
                 assert c.get_exact(h).certificate.labels == (1, 2, 1, 3, 1)

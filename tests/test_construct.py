@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from functools import cache
 
 import pytest
 
@@ -206,8 +207,8 @@ def _two_base(w: int) -> Ranking:
     return decided(construct.two_sticky_shape(w, anti=w != 3), w + 4)
 
 
-# SHA-256 of the output shape's JSON and its labels; every orientation the
-# merges accept must give the same output, whichever ones the chain uses
+# SHA-256 of the output shape's JSON and its labels, taken when the merges
+# also took flipped inputs and gave every flip this same output
 ORIENTATION_SHA256 = {
     ("fold", 3): "17890384ea092cd1ce6ddd779eee920d6e3c254aa00016ce9e01e3dccf53fd9d",
     ("fold", 4): "8be647ba2e24f12e7357a161e5bfbefdfd07f0ef13c2014776a4958f6976103e",
@@ -223,17 +224,26 @@ ORIENTATION_SHA256 = {
 
 @pytest.mark.parametrize("merge,w", sorted(ORIENTATION_SHA256))
 def test_merges_are_pinned_in_every_orientation(merge, w):
+    # the chains hand the merges one_sticky_shape and two_sticky_shape
+    # rankings as they are: those give the pinned output, and every flip
+    # of them is refused
     flips = [(h, v) for h in (False, True) for v in (False, True)]
     if merge == "fold":
-        outs = [construct._close_one_sticky(_flipped(_one_base(w), h, v)) for h, v in flips]
+        merge_of = construct._close_one_sticky
+        inputs = [(_flipped(_one_base(w), h, v),) for h, v in flips]
     elif merge == "double":
-        outs = [construct.merge_two_sticky(_flipped(_two_base(w), False, v)) for v in (False, True)]
+        merge_of = construct.merge_two_sticky
+        inputs = [(_flipped(_two_base(w), False, v),) for v in (False, True)]
     else:
-        outs = [construct._ml_out1(_flipped(_one_base(w), h, v), _flipped(_two_base(w - 1), False, bv))
-                for h, v in flips for bv in (False, True)]
-    for out in outs:
-        text = json.dumps(out.graph.shape.to_json_dict(), sort_keys=True) + "|" + ",".join(map(str, out.labels))
-        assert hashlib.sha256(text.encode()).hexdigest() == ORIENTATION_SHA256[merge, w]
+        merge_of = construct._ml_out1
+        inputs = [(_flipped(_one_base(w), h, v), _flipped(_two_base(w - 1), False, bv))
+                  for h, v in flips for bv in (False, True)]
+    out = merge_of(*inputs[0])  # no flip
+    text = json.dumps(out.graph.shape.to_json_dict(), sort_keys=True) + "|" + ",".join(map(str, out.labels))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORIENTATION_SHA256[merge, w]
+    for flipped in inputs[1:]:
+        with pytest.raises(ShapeError, match="input must rank"):
+            merge_of(*flipped)
 
 
 def _solved_one(w: int, m: int) -> Ranking:
@@ -300,7 +310,7 @@ def _distinct(shape: GraphShape) -> Ranking:
     GraphShape.grid(3, 4, (StickyEnd(side, align),)) for side in ("left", "right") for align in ("bottom", "top")
 ] + [
     construct.two_sticky_shape(2, anti=True, m=5), construct.two_sticky_shape(3, anti=False),
-    construct.corner_shape(4), GraphShape.grid(1, 5), GraphShape.triangle(5),
+    construct.corner_shape(4), GraphShape.grid(1, 5),
 ])
 def test_rows_round_trip(shape):
     # each row is one run of cells; gathering the rows back in the shape's
@@ -410,6 +420,73 @@ def test_triangle_ranking_validates_larger():
         assert r.graph.vertex_count == s * (s + 1) // 2
 
 
+@cache
+def _row_cut(a: int, b: int) -> tuple[int, int]:
+    """The recursive row-cut schedule construct._row_cuts replaced, as the
+    reference: the labels it spends on rows a..b of a triangle, and the
+    first row it cuts (-1 for one row or none).  A cold call recurses once
+    per row, so callers settle shorter runs first."""
+    if a > b:
+        return 0, -1
+    if a == b:
+        return (b + 1).bit_length(), -1
+    costs = [w + 1 + max(_row_cut(a, w - 1)[0], _row_cut(w + 1, b)[0]) for w in range(a, b + 1)]
+    t = min(costs)
+    return t, a + costs.index(t)
+
+
+def _row_cut_fill(s: int) -> list[int]:
+    """The recursive schedule's labels of tri_s in build's vertex order:
+    each cut row takes the top labels of its run, the two runs it leaves
+    share the block below, and a single row takes the ruler labelling."""
+    labels = [0] * (s * (s + 1) // 2)
+
+    def fill(a: int, b: int, base: int) -> None:
+        if a > b:
+            return
+        first = a * (a + 1) // 2
+        if a == b:
+            labels[first:first + a + 1] = [base + ((c + 1) & -(c + 1)).bit_length() for c in range(a + 1)]
+            return
+        t, w = _row_cut(a, b)
+        first = w * (w + 1) // 2
+        labels[first:first + w + 1] = [base + t - c for c in range(w + 1)]
+        fill(a, w - 1, base)
+        fill(w + 1, b, base)
+
+    fill(0, s - 1, 0)
+    return labels
+
+
+def _check_row_cuts(s: int) -> None:
+    cost, cut = construct._row_cuts(s)
+    for e in range(1, s + 1):
+        for a in range(e - 1, -1, -1):  # shorter runs first
+            assert (cost[a][e], cut[a][e]) == _row_cut(a, e - 1), (s, a, e)
+
+
+def test_row_cut_table_matches_the_recursive_schedule():
+    # rows 0..s-1 are the run [0, s) of the side-120 table, so it holds
+    # every side's count and first cut up to 120; a table's runs do not
+    # depend on its side, which the smaller sides' own tables confirm
+    _check_row_cuts(120)
+    for s in [*range(1, 41), 60]:
+        _check_row_cuts(s)
+        assert bounds.tri_bound(s) == _row_cut(0, s - 1)[0]
+
+
+# SHA-256 of triangle_ranking(s).labels for s = 7..40, taken when the rows
+# were filled by the recursive schedule and gathered by _to_ranking
+TRIANGLE_LABELS_SHA256 = "db0dd7e6b91b4c350a2836ca9aadbe3a4844cb1abcd667d6e828d8aec613ec39"
+
+
+def test_triangle_ranking_matches_the_recursive_fill():
+    rankings = [construct.triangle_ranking(s) for s in range(7, 41)]
+    for s, r in zip(range(7, 41), rankings):
+        assert list(r.labels) == _row_cut_fill(s), s
+    assert _labels_sha256(rankings) == TRIANGLE_LABELS_SHA256
+
+
 def test_claimed_triangle_labels_closed_form():
     # the label count the halving recursion advertises: 2s - 2floor(log2(s+1)) + 1
     assert [2 * s - 2 * ((s + 1).bit_length() - 1) + 1 for s in range(1, 9)] == [
@@ -431,8 +508,8 @@ def test_corner_ranks():
         shape = construct.corner_shape(m)
         g = build(shape)
         assert g.vertex_count == m * (m + 1) // 2
-        column = [g.index_by_coord[(r, 0)] for r in range(m)]
-        assert all(g.has_edge(u, v) for u in column for v in column if u < v)
+        column = [g.coords.index((r, 0)) for r in range(m)]
+        assert all(g.adjacency_masks[u] >> v & 1 for u in column for v in column if u < v)
         corner = solve.solved(shape)
         assert validate(corner) is None and corner.label_count == rank
 

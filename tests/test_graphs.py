@@ -92,7 +92,8 @@ def test_sticky_end_adds_staircase():
     sticky = build(GraphShape.grid(m, 3, (StickyEnd("right"),)))
     assert sticky.vertex_count == plain.vertex_count + m * (m - 1) // 2
     # the grid survives as an induced subgraph on its own coords
-    core = [sticky.index_by_coord[rc] for rc in plain.coords]
+    at = {rc: i for i, rc in enumerate(sticky.coords)}
+    core = [at[rc] for rc in plain.coords]
     induced, _ = sticky.induced_subgraph(core)
     assert len(induced.edges) == len(plain.edges)
 
@@ -245,7 +246,7 @@ def _symmetry_graphs():
         yield build(construct.corner_shape(m))
     # a corner cut with a diagonal edge keeps the transpose
     cut = corner_cut(4, 4, (0, 0))
-    at = cut.index_by_coord
+    at = {rc: i for i, rc in enumerate(cut.coords)}
     yield Graph(cut.vertex_count, tuple(sorted(cut.edges + ((at[1, 1], at[2, 2]),))), cut.coords)
     # shapeless, rows 1..4 and cols 0..3: the transpose needs its offset
     g = build(GraphShape.grid(5, 5))

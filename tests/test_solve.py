@@ -251,7 +251,7 @@ def _placements(g, rows, cols):
         steps = [(at[r, c], at[r + dr, c + dc]) for r, c in cells
                  for dr, dc in ((0, 1), (1, 0)) if (r + dr, c + dc) in cells]
         mask = sum(1 << at[rc] for rc in cells)
-        if all(g.has_edge(u, v) for u, v in steps) and mask != (1 << g.vertex_count) - 1:
+        if all(g.adjacency_masks[u] >> v & 1 for u, v in steps) and mask != (1 << g.vertex_count) - 1:
             out.append(mask)
     return out
 
@@ -321,7 +321,8 @@ def test_blocks_lie_in_the_frame():
     # a triangle's frame is its s x s square: tri_5's best block is the 3x3
     # grid in its bottom-left corner
     tri = build(GraphShape.triangle(5))
-    corner = sum(1 << tri.index_by_coord[r, c] for r in range(2, 5) for c in range(3))
+    at = {rc: i for i, rc in enumerate(tri.coords)}
+    corner = sum(1 << at[r, c] for r in range(2, 5) for c in range(3))
     assert solve._blocks(tri)[0] == (5, (corner,))
     g = build(GraphShape.grid(4, 5))
     dims = set()

@@ -59,7 +59,7 @@ def test_violation_witness_path_is_concrete():
     path = bad.path
     assert path[0] == a and path[-1] == b
     for u, v in zip(path, path[1:]):
-        assert g.has_edge(u, v)
+        assert g.adjacency_masks[u] >> v & 1
     assert all(Ranking(g, (1, 2, 1, 1, 2, 1)).labels[v] <= bad.level for v in path)
 
 
@@ -109,7 +109,6 @@ def test_is_valid_and_label_count():
     r = Ranking(g, (1, 2, 1, 3))
     assert validate(r) is None
     assert r.label_count == 3
-    assert r.distinct_labels() == [1, 2, 3]
 
 
 def test_ranking_rejects_bad_shapes():
