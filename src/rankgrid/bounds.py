@@ -4,10 +4,12 @@ Two constructive upper bounds for ``G_{m,n}``: the halving bound (rank a
 separator column, recurse on the wider half) and the diagonal bound (cut
 along a staircase diagonal, pay for a glued corner ranking once).  Lower
 bounds come from the square-subgrid recursion and its rational corollaries.
-All of it is arithmetic except two table reads: the square recursion below
-side 5 reads exact values from solve.grid_rank, and the diagonal bound reads
-the corner's rank from solve.solved(construct.corner_shape(m)), the corner
-construct.diagonal_cut places.
+All of it is arithmetic except three table reads: the square recursion
+below side 5 reads exact values from solve.grid_rank, the diagonal bound
+reads the corner's rank from solve.solved(construct.corner_shape(m)), the
+corner construct.diagonal_cut places, and the stacked triangle bound reads
+the row-cut table construct._row_cuts, which construct.triangle_ranking
+follows.
 """
 
 from __future__ import annotations
@@ -65,18 +67,20 @@ def tri_bound(m: int) -> int:
 
     This is the row-cut ranking that construct.triangle_ranking builds and
     validates for m >= 7; below that it is at least the exact value.  It
-    reads construct._row_cuts(m), whose work grows as m^3, once per m per
-    process: about 9 ms cold at m = 60 (best of 7 cold calls, 2-vCPU host,
-    CPython 3.11.7), where the recursive memo it replaced took 18.5 ms.
+    reads entry 0 of construct._row_cuts(m), the table's column for end
+    row m.  Every side shares the columns and a process fills each once,
+    so a cold side m costs O(m^3) steps (about 7 ms at m = 60, best of 5
+    fresh processes, 2-vCPU host, CPython 3.11.7) and any side below it
+    then costs nothing more.
     """
     if m < 1:
         raise ValueError("triangle side must be positive")
-    return _row_cuts(m)[0][0][m]
+    return _row_cuts(m)[0][0]
 
 
 # diagonal_upper is on the paths that print values, so it must not pay for
-# a slow solve: the glued corner solves cold in 0.025 s at m = 5, 0.55 s
-# at m = 6 and about 23 s at m = 7 (2-vCPU host, CPython 3.11)
+# a slow solve: rank_exact solves the glued corner cold in 0.015 s at m = 5,
+# 0.21 s at m = 6 and 8.1 s at m = 7 (2-vCPU host, CPython 3.11.7)
 _CORNER_MAX_M = 5
 
 

@@ -19,8 +19,9 @@ row, where a gap or an overlap asserts.  _to_ranking checks each row's
 extent against the one the shape's staircases give that row, then gathers
 the rows' slices in the shape's vertex order: the core row-major, then the
 staircase cells by (col, row).  A triangle ranking is not assembled: its
-row cuts come from one bottom-up table, _row_cuts, and their labels are
-written straight into build's vertex order.
+row cuts come from one table, _row_cuts, one column per end row, filled
+once per process and shared by every side, and their labels are written
+straight into build's vertex order.
 
 Every builder returns a validated Ranking or raises; nothing here trusts
 arithmetic alone, nor the stored rankings the four-row chains start from
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import formulas, solve
-from .graphs import GRID, Custom, GraphShape, ShapeError, StickyEnd, build, _sticky_coords
+from .graphs import Custom, GraphShape, ShapeError, StickyEnd, build, _sticky_coords
 from .verify import Ranking, checked, validate
 
 __all__ = [
@@ -333,37 +334,37 @@ def diagonal_cut(m: int, n: int, inner: Ranking | None, corner: Ranking) -> Rank
     glued = [(q + first, [li + v for v in labels]) for first, labels in _rows(corner)]
     piece = glued if inner is None else _join(_rows(inner), glued)
     folded = _close_one_sticky(_to_ranking(one_sticky_shape(q + 1, m), piece, li + corner.label_count))
-    return restrict_columns(folded, n) if (n - m) % 2 else folded
+    return restrict_columns(m, 2 * q + m + 2, folded.labels, n) if (n - m) % 2 else folded
 
 
 # -- triangle rankings -----------------------------------------------------
 
 
 @cache
-def _row_cuts(s: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The best row-cut schedule for every run of rows of tri_s, as two
-    tables indexed [a][e] for rows a..e-1: the labels it spends, and the
-    first row it cuts.
+def _row_cuts(e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Column e of the row-cut table: for every a <= e, the best schedule
+    for rows a..e-1 of a triangle, as the labels it spends and the first
+    row it cuts.
 
     Row r of a triangle has r+1 vertices, so a run's cost does not depend
-    on s.  A full row is cut and its vertices take the top labels, the two
-    remaining runs sharing the block below; the first row that achieves
-    the least cost is the one cut.  A single row is a path and gets the
-    ruler labelling, and no rows cost nothing; neither cuts a row, so both
-    give row -1.  The tables fill bottom-up, shorter runs first, so nothing
-    recurses: O(s^3) steps, once per s.
+    on the side, and every side reads the same columns: tri_s is the run
+    0..s-1, entry 0 of column s.  A full row is cut and its vertices take
+    the top labels, the two remaining runs sharing the block below; the
+    first row that achieves the least cost is the one cut.  A single row
+    is a path and gets the ruler labelling, and no rows cost nothing;
+    neither cuts a row, so both give row -1.  A cold column reads the
+    earlier ones in ascending order, so each is filled once per process,
+    with O(e^2) steps, and no call recurses more than two deep.
     """
-    cost = [[0] * (s + 1) for _ in range(s + 1)]
-    cut = [[-1] * (s + 1) for _ in range(s + 1)]
-    for a in range(s):
-        cost[a][a + 1] = (a + 1).bit_length()
-    for length in range(2, s + 1):
-        for a in range(s - length + 1):
-            e, row = a + length, cost[a]
-            costs = [w + 1 + max(row[w], cost[w + 1][e]) for w in range(a, e)]
-            row[e] = min(costs)
-            cut[a][e] = a + costs.index(row[e])
-    return tuple(map(tuple, cost)), tuple(map(tuple, cut))
+    left = [_row_cuts(w)[0] for w in range(e)]  # left[w][a]: rows a..w-1
+    cost, cut = [0] * (e + 1), [-1] * (e + 1)
+    if e:
+        cost[e - 1] = e.bit_length()
+    for a in range(e - 2, -1, -1):
+        costs = [w + 1 + max(left[w][a], cost[w + 1]) for w in range(a, e)]
+        cost[a] = min(costs)
+        cut[a] = a + costs.index(cost[a])
+    return tuple(cost), tuple(cut)
 
 
 @cache
@@ -379,20 +380,20 @@ def triangle_ranking(s: int) -> Ranking:
     shape = GraphShape.triangle(s)
     if s <= 6:
         return solve.solved(shape)
-    cost, cut = _row_cuts(s)
     labels = [0] * shape.vertex_count  # build's order: (r, c) is vertex r(r+1)/2 + c
     runs = [(0, s, 0)]  # rows a..e-1 still to label, on labels above base
     while runs:
         a, e, base = runs.pop()
         if e - a > 1:
-            w, top = cut[a][e], base + cost[a][e]
+            cost, cut = _row_cuts(e)
+            w, top = cut[a], base + cost[a]
             first = w * (w + 1) // 2
             labels[first:first + w + 1] = range(top, top - w - 1, -1)
             runs += (a, w, base), (w + 1, e, base)
         elif e > a:
             first = a * (a + 1) // 2
             labels[first:first + a + 1] = [base + ((c + 1) & -(c + 1)).bit_length() for c in range(a + 1)]
-    return checked(build(shape), labels, cost[0][s])
+    return checked(build(shape), labels, _row_cuts(s)[0][0])
 
 
 def triangle_certificate(s: int) -> CertificateChain:
@@ -514,22 +515,16 @@ class CertificateChain:
         }
 
 
-def restrict_columns(r: Ranking, n: int) -> Ranking:
-    """Induced ranking on the first n columns, labels renumbered densely.
+def restrict_columns(m: int, width: int, labels: Sequence[int], n: int) -> Ranking:
+    """The first n columns of a ranking of the plain m x width grid, given
+    as its labels in build's row-major order ((r, c) is vertex r*width + c),
+    with labels renumbered densely; n outside 1..width raises ShapeError.
 
     Restriction of a valid ranking is valid; order-preserving renumbering
     keeps the level structure, so validity survives both.
     """
-    shape = r.graph.shape
-    if shape is None or shape.decorations or shape.family != GRID:
-        raise ShapeError("restriction expects a plain grid ranking")
-    if not 1 <= n <= shape.n:
-        raise ShapeError(f"cannot keep {n} of {shape.n} columns")
-    return _restrict(shape.m, shape.n, r.labels, n)
-
-
-def _restrict(m: int, width: int, labels: tuple[int, ...], n: int) -> Ranking:
-    # build puts a plain grid's vertices row-major: (r, c) is vertex r*width + c
+    if not 1 <= n <= width:
+        raise ShapeError(f"cannot keep {n} of {width} columns")
     kept = [v for i in range(0, m * width, width) for v in labels[i:i + n]]
     return checked(build(GraphShape.grid(m, n)), solve._compress(kept), len(set(kept)))
 
@@ -611,7 +606,7 @@ def _endpoint_certificate(e: int, n: int) -> CertificateChain:
     steps, labels = _endpoint_record(e)
     if n == e:
         return CertificateChain(steps, checked(build(GraphShape.grid(4, e)), labels, steps[-1].labels))
-    cut = _restrict(4, e, labels, n)
+    cut = restrict_columns(4, e, labels, n)
     restrict = ChainStep("restrict", (GraphShape.grid(4, e),), cut.graph.shape, cut.label_count)
     return CertificateChain(steps + (restrict,), cut)
 

@@ -5,7 +5,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -459,20 +463,48 @@ def _row_cut_fill(s: int) -> list[int]:
 
 
 def _check_row_cuts(s: int) -> None:
-    cost, cut = construct._row_cuts(s)
     for e in range(1, s + 1):
+        cost, cut = construct._row_cuts(e)
         for a in range(e - 1, -1, -1):  # shorter runs first
-            assert (cost[a][e], cut[a][e]) == _row_cut(a, e - 1), (s, a, e)
+            assert (cost[a], cut[a]) == _row_cut(a, e - 1), (s, a, e)
 
 
 def test_row_cut_table_matches_the_recursive_schedule():
-    # rows 0..s-1 are the run [0, s) of the side-120 table, so it holds
-    # every side's count and first cut up to 120; a table's runs do not
-    # depend on its side, which the smaller sides' own tables confirm
+    # column e holds every run that ends at row e-1, so columns 1..120
+    # hold every run up to side 120; the smaller sides, read again from a
+    # table filled in their own order, give the same runs
     _check_row_cuts(120)
+    construct._row_cuts.cache_clear()
     for s in [*range(1, 41), 60]:
         _check_row_cuts(s)
         assert bounds.tri_bound(s) == _row_cut(0, s - 1)[0]
+
+
+def test_row_cut_columns_are_shared_across_sides():
+    # the side-120 table holds every smaller side's: reading them fills
+    # nothing more
+    construct._row_cuts.cache_clear()
+    bounds.tri_bound(120)
+    misses = construct._row_cuts.cache_info().misses
+    for s in range(1, 121):
+        bounds.tri_bound(s)
+    assert construct._row_cuts.cache_info().misses == misses
+
+
+def test_row_cut_column_recurses_a_constant_depth():
+    # a cold column reads the earlier ones in ascending order, so the
+    # side-150 table fills in a fresh process held to 60 frames, where a
+    # memo that recursed once per row would not
+    env = dict(os.environ, PYTHONPATH=str(Path(construct.__file__).parents[1]))
+    code = "import sys; from rankgrid import construct; sys.setrecursionlimit(60); construct._row_cuts(150)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_row_cut_counts_are_pinned():
+    # the sum of the stacked counts over sides 1..200, as the per-side
+    # tables gave them
+    assert sum(bounds.tri_bound(s) for s in range(1, 201)) == 87655
 
 
 # SHA-256 of triangle_ranking(s).labels for s = 7..40, taken when the rows
@@ -671,14 +703,14 @@ def test_ruler_ranking_labels_are_pinned(k):
 
 def test_restrict_columns():
     r = construct.ruler_ranking(3)
-    cut = construct.restrict_columns(r, 5)
+    cut = construct.restrict_columns(4, 7, r.labels, 5)
     assert validate(cut) is None
     assert cut.graph.shape == GraphShape.grid(4, 5)
     # restriction never adds labels but can keep extras when it crosses
     # a run boundary; width 5 retains all 9 of the width-7 ranking
     assert cut.label_count <= r.label_count
     with pytest.raises(ShapeError):
-        construct.restrict_columns(r, 8)
+        construct.restrict_columns(4, 7, r.labels, 8)
 
 
 def test_four_row_certificate_endpoint_and_interior():
@@ -752,7 +784,7 @@ def test_each_endpoint_chain_is_built_once(endpoint_builds):
 def test_restrict_columns_matches_coordinate_restriction():
     r = construct.four_row_certificate(46).final
     for n in (1, 17, 40, 46):
-        cut = construct.restrict_columns(r, n)
+        cut = construct.restrict_columns(4, 46, r.labels, n)
         kept = sorted({v for (row, c), v in zip(r.graph.coords, r.labels) if c < n})
         want = [kept.index(v) + 1 for (row, c), v in zip(r.graph.coords, r.labels) if c < n]
         assert list(cut.labels) == want
