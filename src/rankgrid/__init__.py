@@ -22,7 +22,6 @@ from .solve import (
     Budget,
     DecisionOutcome,
     RankResult,
-    brute_force,
     rank_decision,
     rank_exact,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "StickyEnd",
     "Violation",
     "alpert_upper",
-    "brute_force",
     "bucket_4xn",
     "build",
     "compare_upper",

@@ -149,9 +149,6 @@ class BoundBucket:
     lower: int
     upper: int
 
-    def contains(self, n: int) -> bool:
-        return self.start <= n < self.stop
-
 
 def bucket_4xn(n: int) -> BoundBucket:
     """The bound window containing n, for n >= 5.

@@ -188,37 +188,14 @@ class Graph:
     shape: GraphShape | None = field(default=None, compare=False)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of each vertex, ascending: with edges sorted, each
-        vertex meets its smaller neighbours first, then its larger ones."""
-        nbrs: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(map(tuple, nbrs))
-
-    @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighbour sets as bitmasks, for the solver."""
+        """Each vertex's neighbours as a bitmask: the graph's one adjacency,
+        read by the solver, automorphisms and a violation's witness path."""
         masks = [0] * self.vertex_count
         for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    def component(self, src: int) -> list[int]:
-        """src's connected component in BFS order from src, each vertex's
-        neighbours taken in ascending order."""
-        adj = self.adjacency
-        seen = [False] * self.vertex_count
-        seen[src] = True
-        order = [src]
-        for u in order:  # order grows as the flood reaches new vertices
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    order.append(v)
-        return order
 
     @cached_property
     def graph_hash(self) -> str:

@@ -1,37 +1,31 @@
 """Exact rank-number computation.
 
-Two independent routes:
-
-* rank_exact / rank_decision share one decision search, feasible(mask, k):
-  a connected graph has a ranking within k labels iff deleting some vertex
-  v leaves components that each have one within k - 1.  Subproblems are
-  connected vertex subsets, memoized as bitmasks (canonicalized under the
-  graph's geometric automorphisms) with [lb, ub] intervals.  A new entry's
-  lb is the larger of path_lb and the rank of the best a x b grid block
-  the subset holds, placed by coordinates in the graph's frame, since a
-  ranking restricted to a subgraph is still a ranking.  Block ranks come
-  from grid_rank, which reads solved, the process's one table of
-  unbudgeted rank_exact certificates by shape; the closed forms' base
-  cases, square_lower, construct's small chains and triangles and an
-  unbudgeted sweep read it too, so none of them solves a shape twice.
-  When an entry's lb equals the k asked, the one vertex labelled k lies
-  in every placement of every block of rank k, so only that common core
-  is tried as a separator, and an empty core refutes k.  rank_decision
-  asks the search once; rank_exact starts ub at a greedy ranking's label
-  count and lowers it one label at a time until the next step down is
-  refuted.  Both rebuild their certificate with one memo walk, extract:
-  rank_exact lets each part take its own rank, rank_decision caps the
-  top label at k.
-* brute_force enumerates labelings outright by backtracking, one
-  component of Graph.component at a time.  It knows nothing about
-  separators, shares no code with the engine, and serves as its oracle.
-
-Every ranking either route returns has passed verify.checked.
+rank_exact and rank_decision share one decision search, feasible(mask, k):
+a connected graph has a ranking within k labels iff deleting some vertex v
+leaves components that each have one within k - 1.  Subproblems are
+connected vertex subsets, memoized as bitmasks (canonicalized under the
+graph's geometric automorphisms) with [lb, ub] intervals.  A new entry's lb
+is the larger of path_lb and the rank of the best a x b grid block the
+subset holds, placed by coordinates in the graph's frame, since a ranking
+restricted to a subgraph is still a ranking.  Block ranks come from
+grid_rank, which reads solved, the process's one table of unbudgeted
+rank_exact certificates by shape; the closed forms' base cases,
+square_lower, construct's small chains and triangles and an unbudgeted
+sweep read it too, so none of them solves a shape twice.  When an entry's
+lb equals the k asked, the one vertex labelled k lies in every placement of
+every block of rank k, so only that common core is tried as a separator,
+and an empty core refutes k.  rank_decision asks the search once;
+rank_exact starts ub at a greedy ranking's label count and lowers it one
+label at a time until the next step down is refuted.  Both rebuild their
+certificate with one memo walk, extract: rank_exact lets each part take its
+own rank, rank_decision caps the top label at k.  Every ranking they return
+has passed verify.checked; the test suite checks their values against an
+enumeration oracle of its own.
 
 Both respect wall-clock / node budgets, which cover rebuilding the
 certificate from the memo as well as the search.  Budget exhaustion is
-never silent: rank_exact degrades to a proven interval with the flag
-set, rank_decision reports "unknown", brute_force raises RuntimeError.
+never silent: rank_exact degrades to a proven interval with the flag set,
+rank_decision reports "unknown".
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .graphs import Graph, GraphShape, build
-from .verify import Ranking, checked, validate
+from .verify import Ranking, checked
 
 __all__ = [
     "Budget",
@@ -50,7 +44,6 @@ __all__ = [
     "DecisionOutcome",
     "rank_exact",
     "rank_decision",
-    "brute_force",
     "grid_rank",
     "solved",
 ]
@@ -485,13 +478,21 @@ def _blocks(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
     return [(k, tuple(placements)) for k, placements in table.items()]
 
 
-def _components(g: Graph) -> list[int]:
-    """g's components as bitmasks, flooded by Graph.component, ordered by
-    lowest vertex."""
+def _components(adj: list[int]) -> list[int]:
+    """The components of the graph with neighbour masks adj, as bitmasks
+    ordered by lowest vertex."""
     comps = []
-    rest = (1 << g.vertex_count) - 1
+    rest = (1 << len(adj)) - 1
     while rest:
-        comp = sum(1 << v for v in g.component((rest & -rest).bit_length() - 1))
+        comp = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            while frontier:
+                v = frontier.bit_length() - 1
+                frontier ^= 1 << v
+                nxt |= adj[v]
+            frontier = nxt & ~comp
+            comp |= frontier
         comps.append(comp)
         rest ^= comp
     return comps
@@ -503,7 +504,7 @@ def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
         raise ValueError("rank_exact needs a nonempty graph")
     start = time.monotonic()
     eng = _Engine(g, budget)
-    comps = _components(g)
+    comps = _components(eng.adj)
 
     heur: dict[int, int] = {}
     heur_vals = [eng.greedy(c, heur) for c in comps]
@@ -536,7 +537,7 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
         raise ValueError(f"k must be an int >= 1, got {k!r}")
     start = time.monotonic()
     eng = _Engine(g, budget)
-    comps = _components(g)
+    comps = _components(eng.adj)
     try:
         if not all(eng.feasible(c, k) for c in comps):
             return DecisionOutcome(None, False, time.monotonic() - start)
@@ -549,77 +550,3 @@ def rank_decision(g: Graph, k: int, budget: Budget | None = None) -> DecisionOut
     if cert.label_count > k:
         raise AssertionError("decision certificate exceeds k labels")
     return DecisionOutcome(cert, False, time.monotonic() - start)
-
-
-# -- enumeration oracle ----------------------------------------------------
-
-
-def brute_force(g: Graph, cap: int = 8, budget: Budget | None = None) -> RankResult:
-    """Smallest k admitting any valid labeling, by direct enumeration.
-
-    Each component, in Graph.component's BFS order, is labelled for
-    k = 1, 2, ... by a depth-first search over labels 1..k: vertices are
-    labelled one by one in that order, each trying labels from 1 up, and a
-    prefix is abandoned as soon as the new vertex reaches an equal label
-    through labelled vertices below it.  That check only sees pairs ending
-    at the new vertex, so a complete labelling counts only once validate
-    accepts it.  Exponential, hence the vertex cap.  Raises RuntimeError
-    when the budget runs out: its nodes count every backtracking node,
-    across all components and every k tried.
-    """
-    if g.vertex_count == 0:
-        raise ValueError("brute_force needs a nonempty graph")
-    if g.vertex_count > cap:
-        raise ValueError(f"brute_force capped at {cap} vertices, got {g.vertex_count}")
-    start = time.monotonic()
-    deadline = (start + budget.seconds) if budget and budget.seconds else None
-    limit = budget.nodes if budget else None
-    nodes = 0
-    adj = g.adjacency
-    labels = [0] * g.vertex_count  # 0 on every vertex not yet labelled
-
-    def fits(v: int, label: int) -> bool:
-        seen = {v}
-        stack = [v]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in seen or not labels[w]:
-                    continue
-                if labels[w] == label:
-                    return False
-                if labels[w] < label:
-                    seen.add(w)
-                    stack.append(w)
-        return True
-
-    def rec(i: int) -> bool:
-        # labels order[i:] within k; order, sub, old and k belong to the
-        # component and cap the loop below is trying
-        nonlocal nodes
-        if i == len(order):
-            return validate(Ranking(sub, tuple(labels[v] for v in old))) is None
-        nodes += 1
-        if (limit is not None and nodes > limit
-                or deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline):
-            raise RuntimeError(f"budget exhausted after {nodes} search nodes")
-        v = order[i]
-        for label in range(1, k + 1):
-            if fits(v, label):
-                labels[v] = label
-                if rec(i + 1):
-                    return True
-        labels[v] = 0
-        return False
-
-    for src in range(g.vertex_count):
-        if labels[src]:
-            continue
-        order = g.component(src)
-        sub, old = g.induced_subgraph(order)
-        # k = |comp| always succeeds: distinct labels rank anything
-        for k in range(1, len(order) + 1):
-            if rec(0):
-                break
-    cert = checked(g, _compress(labels))
-    value = cert.label_count
-    return RankResult(value, value, "brute_force", cert, time.monotonic() - start)

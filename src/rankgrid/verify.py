@@ -10,10 +10,10 @@ label, so a second vertex at a component's top label shows at once; a
 root's parent has a strictly higher label, so no find walks more than k
 steps.  It reads the edge list once, filing each edge under its later
 end in label order, and builds no adjacency: only a violation's witness
-path reads Graph.adjacency.  The path form is kept in the test suite as
-an independent oracle, and a level-by-level union-find as the reference
-for witnesses.  checked runs validate on every ranking the package
-emits, where a failure is a bug.
+path reads Graph.adjacency_masks.  The path form is kept in the test
+suite as an independent oracle, and a level-by-level union-find as the
+reference for witnesses.  checked runs validate on every ranking the
+package emits, where a failure is a bug.
 """
 
 from __future__ import annotations
@@ -101,7 +101,9 @@ def validate(ranking: Ranking) -> Violation | None:
 def _first_violation(g: Graph, labels: tuple[int, ...], c: int) -> Violation:
     """The Violation at level c: the first level-c vertex, in index order,
     that shares a component of the labels <= c subgraph with an earlier one,
-    that earlier vertex, and the BFS path from it inside the component."""
+    that earlier vertex, and the BFS path from it inside the component,
+    each vertex's neighbours taken lowest first."""
+    adj = g.adjacency_masks
     prev = [-1] * g.vertex_count  # BFS parent; a flood's start is its own
     for v, l in enumerate(labels):
         if l != c:
@@ -115,7 +117,11 @@ def _first_violation(g: Graph, labels: tuple[int, ...], c: int) -> Violation:
         q = deque([v])
         while q:
             u = q.popleft()
-            for w in g.adjacency[u]:
+            nbrs = adj[u]
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                w = low.bit_length() - 1
                 if prev[w] < 0 and labels[w] <= c:
                     prev[w] = u
                     q.append(w)

@@ -17,10 +17,10 @@ import pytest
 import rankgrid
 from rankgrid import bounds, construct, formulas
 from rankgrid.graphs import GraphShape, build
-from rankgrid.solve import brute_force, rank_decision, rank_exact
+from rankgrid.solve import rank_decision, rank_exact
 from rankgrid.verify import validate
 
-from conftest import decided, random_connected_graph
+from conftest import brute_force, decided, random_connected_graph
 
 # right ends of the constant-value runs of the 4-row closed form
 _RUN_ENDS = (1, 2, 3, 4, 6, 7, 10, 12, 14, 17, 22, 26, 30, 37, 46, 54, 62, 77, 94, 110)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import flood, neighbours
 from rankgrid.construct import two_sticky_shape
 from rankgrid.graphs import (
     TRIANGLE,
@@ -67,7 +68,7 @@ def reference_build(shape: GraphShape) -> Graph:
         tuple(ordered),
         shape,
     )
-    if g.vertex_count and len(g.component(0)) < g.vertex_count:
+    if g.vertex_count and len(flood(neighbours(g), 0)) < g.vertex_count:
         raise ShapeError("decorations leave the graph disconnected")
     return g
 

@@ -15,18 +15,18 @@ from collections import deque
 
 import pytest
 
-from conftest import corner_cut, decided, random_connected_graph
+from conftest import corner_cut, decided, neighbours, random_connected_graph
 from rankgrid import construct, solve
 from rankgrid.graphs import Graph, GraphShape, StickyEnd, build
 from rankgrid.verify import Ranking, Violation, validate
 
 
-def reference_witness_path(g: Graph, allowed: list[bool], a: int, b: int) -> tuple[int, ...]:
+def reference_witness_path(adj: list[list[int]], allowed: list[bool], a: int, b: int) -> tuple[int, ...]:
     prev = {a: -1}
     q = deque([a])
     while q and b not in prev:
         u = q.popleft()
-        for v in g.adjacency[u]:
+        for v in adj[u]:
             if allowed[v] and v not in prev:
                 prev[v] = u
                 q.append(v)
@@ -41,6 +41,7 @@ def reference_validate(ranking: Ranking) -> Violation | None:
     g = ranking.graph
     labels = ranking.labels
     n = g.vertex_count
+    adj = neighbours(g)
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -58,7 +59,7 @@ def reference_validate(ranking: Ranking) -> Violation | None:
         verts = by_label[c]
         for v in verts:
             in_level[v] = True
-            for w in g.adjacency[v]:
+            for w in adj[v]:
                 if in_level[w]:
                     ra, rb = find(v), find(w)
                     if ra != rb:
@@ -69,7 +70,7 @@ def reference_validate(ranking: Ranking) -> Violation | None:
                 r = find(v)
                 if r in seen_root:
                     a = seen_root[r]
-                    return Violation(c, (a, v), reference_witness_path(g, in_level, a, v))
+                    return Violation(c, (a, v), reference_witness_path(adj, in_level, a, v))
                 seen_root[r] = v
     return None
 
@@ -173,9 +174,9 @@ def test_validate_builds_no_adjacency(name):
     r = FAMILIES[name]
     assert r in CERTIFICATES
     g = rebuilt(r.graph)
-    assert g == r.graph and "adjacency" not in g.__dict__
+    assert g == r.graph and "adjacency_masks" not in g.__dict__
     assert validate(Ranking(g, r.labels)) is None
-    assert "adjacency" not in g.__dict__
+    assert "adjacency_masks" not in g.__dict__
     # an edge whose ends share a label: the witness still matches
     u, v = g.edges[len(g.edges) // 2]
     labels = list(r.labels)

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import neighbours, random_connected_graph
 from rankgrid.graphs import GraphShape, build
 from rankgrid.verify import Ranking, checked, validate
 
@@ -15,6 +15,7 @@ from rankgrid.verify import Ranking, checked, validate
 def oracle_valid(g, labels) -> bool:
     """Definition checked literally: every simple path between equal labels
     must contain an interior vertex with a strictly greater label."""
+    adj = neighbours(g)
 
     def paths(a, b):
         stack = [(a, [a])]
@@ -23,7 +24,7 @@ def oracle_valid(g, labels) -> bool:
             if v == b:
                 yield path
                 continue
-            for w in g.adjacency[v]:
+            for w in adj[v]:
                 if w not in path:
                     stack.append((w, path + [w]))
 
