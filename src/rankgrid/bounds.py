@@ -4,6 +4,8 @@ Two constructive upper bounds for ``G_{m,n}``: the halving bound (rank a
 separator column, recurse on the wider half) and the diagonal bound (cut
 along a staircase diagonal, pay for a glued corner ranking once).  Lower
 bounds come from the square-subgrid recursion and its rational corollaries.
+Each evaluator returns a plain value: an int, a Fraction, None where no
+bound is built, and for compare_upper the dict that ``compare`` prints.
 All of it is arithmetic except three table reads: the square recursion
 below side 5 reads exact values from solve.grid_rank, the diagonal bound
 reads the corner's rank from solve.solved(construct.corner_shape(m)), the
@@ -15,7 +17,6 @@ follows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -27,7 +28,6 @@ __all__ = [
     "alpert_upper",
     "tri_bound",
     "diagonal_upper",
-    "ComparatorReport",
     "compare_upper",
     "square_lower",
     "corollary_lower_square",
@@ -102,32 +102,12 @@ def diagonal_upper(m: int, n: int) -> int | None:
     return m + solved(corner_shape(m)).label_count + rest
 
 
-@dataclass(frozen=True)
-class ComparatorReport:
-    """Concrete values of both upper bounds and the tighter one."""
+def compare_upper(m: int, n: int) -> dict[str, object]:
+    """Both upper bounds and the strictly smaller one, as ``compare`` prints them.
 
-    m: int
-    n: int
-    alpert_value: int
-    diagonal_value: int | None
-    tighter: str
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "alpert": self.alpert_value,
-            "diagonal": self.diagonal_value,
-            "tighter": self.tighter,
-        }
-
-
-def compare_upper(m: int, n: int) -> ComparatorReport:
-    """Evaluate both upper bounds and name the strictly smaller one.
-
-    ``tighter`` is "alpert", "diagonal", or "tie"; where no diagonal cut
-    is built (see diagonal_upper) its value is None and the halving bound
-    wins by default.
+    Keys m, n, alpert, diagonal and tighter, which is "alpert", "diagonal"
+    or "tie"; where no diagonal cut is built (see diagonal_upper) diagonal
+    is None and the halving bound wins by default.
     """
     a = alpert_upper(m, n)
     d = diagonal_upper(m, n)
@@ -137,13 +117,7 @@ def compare_upper(m: int, n: int) -> ComparatorReport:
         tighter = "diagonal"
     else:
         tighter = "tie"
-    return ComparatorReport(
-        m=m,
-        n=n,
-        alpert_value=a,
-        diagonal_value=d,
-        tighter=tighter,
-    )
+    return {"m": m, "n": n, "alpert": a, "diagonal": d, "tighter": tighter}
 
 
 @cache

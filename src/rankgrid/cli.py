@@ -13,7 +13,6 @@ import gc
 import json
 import operator
 import sys
-from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -193,8 +192,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
         value = formulas.rank_formula(args.m, args.n)
     bucket = None
     if args.m == 4 and args.n >= 5:
-        b = formulas.bucket_4xn(args.n)
-        bucket = [b.lower, b.upper]
+        bucket = list(formulas.bucket_4xn(args.n))
     _emit({
         "n": args.n,
         "value": value,
@@ -228,8 +226,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     payload: dict[str, object] = {
         "m": m,
         "lower": lower,
-        "upper": {"alpert": report.alpert_value, "diagonal": report.diagonal_value},
-        "comparator": report.to_json_dict(),
+        "upper": {"alpert": report["alpert"], "diagonal": report["diagonal"]},
+        "comparator": report,
     }
     if args.n is not None:
         payload["n"] = n
@@ -259,64 +257,42 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 # -- sweep -----------------------------------------------------------------
 
 _SWEEP_METHODS = ("formula", "exact", "bucket", "bounds", "cert")
+_SWEEP_COLUMNS = ["m", "n", "formula", "exact_lo", "exact_hi", "bucket_lo", "bucket_hi",
+                  "alpert", "diagonal", "cert_labels", "flags"]
 
 
-@dataclass
-class SweepRow:
-    """One width of a sweep; flags are recomputed from the numbers on write."""
-
-    m: int
-    n: int
-    formula: int | None = None
-    exact_lo: int | None = None
-    exact_hi: int | None = None
-    bucket_lo: int | None = None
-    bucket_hi: int | None = None
-    alpert: int | None = None
-    diagonal: int | None = None
-    cert_labels: int | None = None
-
-    def flags(self) -> str:
-        toks = []
-        if self.formula is not None and self.exact_lo is not None:
-            if self.exact_lo == self.exact_hi == self.formula:
-                toks.append("formula_exact")
-        if self.formula is not None and self.bucket_lo is not None:
-            if self.bucket_lo <= self.formula <= self.bucket_hi:
-                toks.append("bucket_brackets")
-        if self.formula is not None and self.cert_labels is not None:
-            if self.cert_labels == self.formula:
-                toks.append("cert_matches")
-        if self.formula is not None and self.alpert is not None:
-            if self.alpert >= self.formula and (
-                    self.diagonal is None or self.diagonal >= self.formula):
-                toks.append("upper_dominates")
-        return ";".join(toks)
-
-    def as_record(self) -> dict[str, object]:
-        return {**asdict(self), "flags": self.flags()}
-
-
-_SWEEP_COLUMNS = [f.name for f in fields(SweepRow)] + ["flags"]
-
-
-def _sweep_row(m: int, n: int, methods: set[str], budget: Budget | None) -> SweepRow:
-    row = SweepRow(m=m, n=n)
+def _sweep_row(m: int, n: int, methods: set[str], budget: Budget | None) -> dict[str, object]:
+    """One width of a sweep over _SWEEP_COLUMNS; a method not run leaves None,
+    and flags name the checks its numbers pass against the formula."""
+    row: dict[str, object] = dict.fromkeys(_SWEEP_COLUMNS)
+    row["m"], row["n"] = m, n
     if "formula" in methods and m <= 4:
-        row.formula = formulas.rank_formula(m, n)
+        row["formula"] = formulas.rank_formula(m, n)
     if "exact" in methods and budget is None:
-        row.exact_lo = row.exact_hi = grid_rank(m, n)
+        row["exact_lo"] = row["exact_hi"] = grid_rank(m, n)
     elif "exact" in methods:
         res = rank_exact(build(GraphShape.grid(m, n)), budget=budget)
-        row.exact_lo, row.exact_hi = res.lb, res.ub
+        row["exact_lo"], row["exact_hi"] = res.lb, res.ub
     if "bucket" in methods and m == 4 and n >= 5:
-        b = formulas.bucket_4xn(n)
-        row.bucket_lo, row.bucket_hi = b.lower, b.upper
+        row["bucket_lo"], row["bucket_hi"] = formulas.bucket_4xn(n)
     if "bounds" in methods:
-        row.alpert = bounds.alpert_upper(m, n)
-        row.diagonal = bounds.diagonal_upper(m, n)
+        row["alpert"] = bounds.alpert_upper(m, n)
+        row["diagonal"] = bounds.diagonal_upper(m, n)
     if "cert" in methods and m == 4:
-        row.cert_labels = construct.four_row_certificate(n).labels
+        row["cert_labels"] = construct.four_row_certificate(n).labels
+    f = row["formula"]
+    toks = []
+    if f is not None:
+        if row["exact_lo"] == row["exact_hi"] == f:
+            toks.append("formula_exact")
+        if row["bucket_lo"] is not None and row["bucket_lo"] <= f <= row["bucket_hi"]:
+            toks.append("bucket_brackets")
+        if row["cert_labels"] == f:
+            toks.append("cert_matches")
+        if row["alpert"] is not None and row["alpert"] >= f and (
+                row["diagonal"] is None or row["diagonal"] >= f):
+            toks.append("upper_dominates")
+    row["flags"] = ";".join(toks)
     return row
 
 
@@ -347,12 +323,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             writer = csv.DictWriter(out, fieldnames=_SWEEP_COLUMNS)
             writer.writeheader()
             for n in span:
-                writer.writerow(_sweep_row(args.m, n, methods, budget).as_record())
+                writer.writerow(_sweep_row(args.m, n, methods, budget))
                 out.flush()
         else:
             try:
                 for n in span:
-                    rows.append(_sweep_row(args.m, n, methods, budget).as_record())
+                    rows.append(_sweep_row(args.m, n, methods, budget))
             finally:
                 # interrupted sweeps still flush what they have
                 out.write(_json_text({"columns": _SWEEP_COLUMNS, "rows": rows}) + "\n")
@@ -363,7 +339,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    _emit(bounds.compare_upper(args.m, args.n).to_json_dict())
+    _emit(bounds.compare_upper(args.m, args.n))
     return 0
 
 
@@ -505,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic collector paused.
 
     rankgrid's data are acyclic (int-keyed dicts, tuples, frozen
-    dataclasses), so reference counting frees them without the collector.
+    records), so reference counting frees them without the collector.
     A named command is parsed by its own parser, so each of its errors
     prints that command's usage.  A command leaves 27 to 67 cyclic
     objects, its parser's among them, whatever its size; the JSON writer

@@ -6,12 +6,11 @@ solve.grid_rank, the one table of small grid ranks in a process.  For
 four-row grids two independent forms are provided: a closed form over the
 binary expansion of n+1, and a halving recursion.  They disagree at some
 widths; the disagreements are real, and the tests pin them rather than
-patch either form.
+patch either form.  bucket_4xn brackets the four-row value by a
+(lower, upper) pair of ints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import solve
 
@@ -25,7 +24,6 @@ __all__ = [
     "rank_4xn_recursive",
     "rank_formula",
     "bucket_4xn",
-    "BoundBucket",
 ]
 
 
@@ -138,20 +136,8 @@ def rank_formula(m: int, n: int) -> int:
     return forms[m](n)
 
 
-@dataclass(frozen=True)
-class BoundBucket:
-    """One window of the four-row staircase: ranks in [lower, upper]."""
-
-    k: int
-    i: int
-    start: int
-    stop: int
-    lower: int
-    upper: int
-
-
-def bucket_4xn(n: int) -> BoundBucket:
-    """The bound window containing n, for n >= 5.
+def bucket_4xn(n: int) -> tuple[int, int]:
+    """The bounds (lower, upper) of the window containing n, for n >= 5.
 
     With k = floor(log2(n+3)), the widths [2^k - 3, 2^(k+1) - 3) split
     at 2^k + 2^(k-2) - 3, 2^k + 2^(k-1) - 3 and 2^k + 2^(k-1) +
@@ -170,10 +156,7 @@ def bucket_4xn(n: int) -> BoundBucket:
     )
     for i in range(4):
         if cuts[i] <= n < cuts[i + 1]:
-            return BoundBucket(
-                k=k, i=i, start=cuts[i], stop=cuts[i + 1],
-                lower=4 * k - 4 + i, upper=4 * k - 3 + i,
-            )
+            return 4 * k - 4 + i, 4 * k - 3 + i
     raise AssertionError("k-window arithmetic is off")
 
 

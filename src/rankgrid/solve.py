@@ -522,8 +522,9 @@ def rank_exact(g: Graph, budget: Budget | None = None) -> RankResult:
     except _BudgetExhausted:
         # a component whose rank_of finished has its value as memo lb
         lb_total = max(eng.memo[eng.canon(c)][0] if c & (c - 1) else 1 for c in comps)
-        cert = checked(g, _compress([heur[v] for v in range(g.vertex_count)]))
-        return RankResult(lb_total, max(heur_vals), "exact", cert,
+        # greedy gives each component every label 1..its count
+        cert = checked(g, [heur[v] for v in range(g.vertex_count)], max(heur_vals))
+        return RankResult(lb_total, cert.label_count, "exact", cert,
                           time.monotonic() - start, budget_exhausted=True)
     cert = checked(g, [labels[v] for v in range(g.vertex_count)], value)
     return RankResult(value, value, "exact", cert, time.monotonic() - start)

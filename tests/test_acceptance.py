@@ -87,8 +87,8 @@ def test_07_interval_bracket_and_unit_steps():
     prev = formulas.rank_4xn(9)
     for n in range(9, 65537):
         value = formulas.rank_4xn(n)
-        b = formulas.bucket_4xn(n)
-        assert b.lower <= value <= b.upper, f"bracket at {n}"
+        lower, upper = formulas.bucket_4xn(n)
+        assert lower <= value <= upper, f"bracket at {n}"
         assert value - prev in (0, 1), f"step at {n}"
         prev = value
     assert time.monotonic() - t0 < 1

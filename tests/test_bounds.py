@@ -77,7 +77,7 @@ def test_diagonal_upper_matches_the_built_cut():
         cut = construct.diagonal_cut(m, n, inner, solve.solved(construct.corner_shape(m)))
         assert validate(cut) is None
         assert bounds.diagonal_upper(m, n) == cut.label_count, (m, n)
-        assert bounds.compare_upper(m, n).diagonal_value == cut.label_count
+        assert bounds.compare_upper(m, n)["diagonal"] == cut.label_count
 
 
 def test_diagonal_upper_needs_room():
@@ -93,32 +93,34 @@ def test_diagonal_upper_needs_room():
 
 
 def test_compare_upper_reports():
-    rep = bounds.compare_upper(4, 20)
-    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (14, 18, "alpert")
-    rep = bounds.compare_upper(5, 20)
-    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (20, 23, "alpert")
-    rep = bounds.compare_upper(4, 6)
-    assert (rep.alpert_value, rep.diagonal_value, rep.tighter) == (10, 9, "diagonal")
+    assert bounds.compare_upper(4, 20) == {
+        "m": 4, "n": 20, "alpert": 14, "diagonal": 18, "tighter": "alpert"}
+    assert bounds.compare_upper(5, 20) == {
+        "m": 5, "n": 20, "alpert": 20, "diagonal": 23, "tighter": "alpert"}
+    assert bounds.compare_upper(4, 6) == {
+        "m": 4, "n": 6, "alpert": 10, "diagonal": 9, "tighter": "diagonal"}
 
 
 def test_compare_upper_without_diagonal():
     rep = bounds.compare_upper(4, 5)
-    assert rep.diagonal_value is None
-    assert rep.tighter == "alpert"
+    assert rep["diagonal"] is None
+    assert rep["tighter"] == "alpert"
 
 
 def test_compare_upper_consistent_over_sweep():
     for m in range(1, 13):
         for n in range(1, 80):
             rep = bounds.compare_upper(m, n)
-            assert rep.alpert_value == bounds.alpert_upper(m, n)
-            assert rep.diagonal_value == bounds.diagonal_upper(m, n)
-            if rep.diagonal_value is None or rep.alpert_value < rep.diagonal_value:
-                assert rep.tighter == "alpert"
-            elif rep.alpert_value > rep.diagonal_value:
-                assert rep.tighter == "diagonal"
+            a, d = rep["alpert"], rep["diagonal"]
+            assert a == bounds.alpert_upper(m, n)
+            assert d == bounds.diagonal_upper(m, n)
+            assert (rep["m"], rep["n"]) == (m, n)
+            if d is None or a < d:
+                assert rep["tighter"] == "alpert"
+            elif a > d:
+                assert rep["tighter"] == "diagonal"
             else:
-                assert rep.tighter == "tie"
+                assert rep["tighter"] == "tie"
 
 
 def test_square_lower_small_sides_are_exact():

@@ -574,6 +574,52 @@ def test_decide_certificate_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the concatenated stdout of every command below, per command name,
+# taken while the replies were still built by ComparatorReport, BoundBucket
+# and SweepRow; the arithmetic replies may not move by a byte
+def _reply_commands() -> dict[str, list[list[str]]]:
+    widths = [*range(1, 300), 12345, 10**6]
+    sweeps = (
+        ("4", "1:6", "formula,exact,bucket,bounds,cert"),
+        ("4", "5:300", "formula,bucket,bounds,cert"),
+        ("3", "1:9", "formula,exact,bounds"),
+        ("2", "1:12", "formula,exact,bounds"),
+        ("1", "1:60", "formula,bounds"),
+        ("5", "1:60", "bounds"),
+        ("6", "1:60", "formula,bounds"),
+    )
+    return {
+        "bounds": [["bounds", "--m", str(m), "--n", str(n)] for m in range(1, 13) for n in range(1, 61)]
+        + [["bounds", "--m", str(m)] for m in range(1, 13)]
+        + [["bounds", "--triangle", str(s)] for s in range(1, 61)],
+        "compare": [["compare", "--m", str(m), "--n", str(n)] for m in range(1, 13) for n in range(1, 61)],
+        "formula": [["formula", "--m", str(m), "--n", str(n)] for m in range(1, 5) for n in widths]
+        + [["formula", "--m", "4", "--n", str(n), "--recursive"] for n in widths],
+        "sweep": [["sweep", "--m", m, "--n-range", span, "--methods", methods, "--format", fmt]
+                  for m, span, methods in sweeps for fmt in ("json", "csv")],
+    }
+
+
+REPLY_SHA256 = {
+    "bounds": "71af7fa7cfbb96c2ac850e4b63a0ba842194115e651ed3a25c66550d9a20d08d",
+    "compare": "f8c45d8a45d4c83483e86a515dd64bf3f1afac12319ceeafabcf1f37a05930f5",
+    "formula": "63a816c6d0ebc5252ad783e320a95ded4da89fd5c690107010110090d4b5d28b",
+    "sweep": "90a88b71d6345992537c260bf67f81f2e4ab3a8957c39430e03aafd9e9ee4e75",
+}
+
+
+def test_arithmetic_reply_bytes_are_pinned(capsys):
+    digests = {}
+    for name, argvs in _reply_commands().items():
+        h = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            h.update(out.encode())
+        digests[name] = h.hexdigest()
+    assert digests == REPLY_SHA256
+
+
 @pytest.mark.extended
 def test_extended_exact_triangle_seven(capsys):
     code, out, _ = run(capsys, "exact", "--triangle", "7", "--deterministic")

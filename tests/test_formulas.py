@@ -76,18 +76,16 @@ def test_four_rows_monotone_with_unit_steps():
 
 def test_bucket_brackets_and_width():
     for n in range(9, 4097):
-        b = formulas.bucket_4xn(n)
-        assert b.upper - b.lower == 1
-        assert b.lower <= formulas.rank_4xn(n) <= b.upper, n
-        assert b.start <= n < b.stop
+        lower, upper = formulas.bucket_4xn(n)
+        assert upper - lower == 1
+        assert lower <= formulas.rank_4xn(n) <= upper, n
 
 
 def test_bucket_cut_positions():
-    # the k=4 window: widths 13..15 sit in the third sub-interval
-    b13 = formulas.bucket_4xn(13)
-    b29 = formulas.bucket_4xn(29)
-    assert b13.k == 4 and b29.k == 5
-    assert formulas.bucket_4xn(12).i != b13.i
+    # 12 closes the last window of k = 3; 13 opens and 16 closes window 0
+    # of k = 4, 17 opens its window 1, and 29 opens window 0 of k = 5
+    brackets = {12: (11, 12), 13: (12, 13), 16: (12, 13), 17: (13, 14), 29: (16, 17)}
+    assert {n: formulas.bucket_4xn(n) for n in brackets} == brackets
 
 
 def test_recursive_form_matches_closed_mostly():
