@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-import operator
 import os
 import re
 from bisect import bisect_right
@@ -27,7 +26,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
-from .graphs import Graph
+from .graphs import Graph, _require_ints
 from .solve import DecisionOutcome, RankResult
 from .verify import Ranking, validate
 
@@ -147,12 +146,13 @@ class SolutionCache:
         if not (isinstance(key, str) and _KEY.fullmatch(key)):
             raise ValueError(f"key {key!r} is not a graph hash")
         if kind == "exact":
-            lb, ub = operator.index(rec["lb"]), operator.index(rec["ub"])
-            if lb > ub:
+            _require_ints((rec["lb"], rec["ub"]))
+            if rec["lb"] > rec["ub"]:
                 raise ValueError("inverted interval")
             self._exact.setdefault(key, []).append(rec)
         elif kind == "decision":
-            self._decision[(key, operator.index(rec["k"]))] = rec
+            _require_ints((rec["k"],))
+            self._decision[(key, rec["k"])] = rec
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 
@@ -173,7 +173,8 @@ class SolutionCache:
     def _ranking(g: Graph, rec: dict) -> Ranking | None:
         """The ranking of g by rec's integer labels if validate passes it."""
         try:
-            r = Ranking(g, tuple(operator.index(l) for l in rec["labels"]))
+            _require_ints(rec["labels"])
+            r = Ranking(g, tuple(rec["labels"]))
         except (KeyError, TypeError, ValueError):
             return None
         return r if validate(r) is None else None

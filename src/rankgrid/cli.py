@@ -11,14 +11,13 @@ import argparse
 import csv
 import gc
 import json
-import operator
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import bounds, construct, formulas
 from .cache import CACHE_VERSION, SolutionCache, resolve_cache_path
-from .graphs import Graph, GraphShape, ShapeError, StickyEnd, build
+from .graphs import Graph, GraphShape, ShapeError, StickyEnd, _require_ints, build
 from .render import render_ascii, render_svg
 from .solve import Budget, grid_rank, rank_decision, rank_exact
 from .verify import Ranking
@@ -371,9 +370,10 @@ def _load_ranking(path: str) -> Ranking:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed ranking file {path}: {exc}") from None
     try:
-        return Ranking(g, tuple(operator.index(l) for l in labels))
+        _require_ints(labels)
     except TypeError:
         raise ValueError(f"ranking file {path} needs integer labels") from None
+    return Ranking(g, tuple(labels))
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

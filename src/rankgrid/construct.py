@@ -27,10 +27,11 @@ Every builder returns a validated Ranking or raises; nothing here trusts
 arithmetic alone, nor the stored rankings the four-row chains start from
 (_BASES, _SEGMENTS), which are checked on use.  run_endpoint_certificates
 drives the whole inventory: one certificate per constant-value run of the
-four-row formula, plus column restrictions for the interior widths.  Each endpoint chain is built
-once per process and kept as its steps and final labels; every width is
-rebuilt from those labels (interior ones cut to their columns) and
-validated on each call.
+four-row formula, plus column restrictions for the interior widths.
+Each endpoint chain is built once per process, kept as its steps and
+final labels, and emitted as built by the call that builds it; every
+other call rebuilds its width from those labels (interior ones cut to
+their columns) and validates it.
 """
 
 from __future__ import annotations
@@ -589,21 +590,27 @@ def _endpoint_chain(n: int) -> CertificateChain:
 
 
 @cache
-def _endpoint_record(e: int) -> tuple[tuple[ChainStep, ...], tuple[int, ...]]:
-    """Run endpoint e's chain, checked against the formula, as its steps and
-    final labels: the final is the plain 4 x e grid, so no graph is kept."""
-    top = _endpoint_chain(e)
-    if top.labels != formulas.rank_4xn(e):
-        raise AssertionError(
-            f"endpoint {e}: built {top.labels} labels, formula says {formulas.rank_4xn(e)}"
-        )
-    return top.steps, top.final.labels
+def _endpoint_record(e: int) -> list:
+    """Run endpoint e's memo cell, empty until _endpoint_certificate files the
+    chain's steps and final labels in it, so no graph is kept."""
+    return []
 
 
 def _endpoint_certificate(e: int, n: int) -> CertificateChain:
-    """Endpoint e's chain, cut to its first n columns when n < e; the final
-    ranking is built and validated afresh on every call."""
-    steps, labels = _endpoint_record(e)
+    """Endpoint e's chain, cut to its first n columns when n < e.  The call
+    that files the chain returns it as built at n == e, its final already
+    checked; any other call rebuilds the final or the cut and validates it."""
+    record = _endpoint_record(e)
+    if not record:
+        top = _endpoint_chain(e)
+        if top.labels != formulas.rank_4xn(e):
+            raise AssertionError(
+                f"endpoint {e}: built {top.labels} labels, formula says {formulas.rank_4xn(e)}"
+            )
+        record += top.steps, top.final.labels
+        if n == e:
+            return top
+    steps, labels = record
     if n == e:
         return CertificateChain(steps, checked(build(GraphShape.grid(4, e)), labels, steps[-1].labels))
     cut = restrict_columns(4, e, labels, n)

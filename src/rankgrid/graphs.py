@@ -26,7 +26,6 @@ vertices sorted by (col, row) in declaration order.  Everything downstream
 from __future__ import annotations
 
 import hashlib
-import operator
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,6 +40,17 @@ TRIANGLE = "triangle"
 
 class ShapeError(ValueError):
     """A GraphShape that cannot describe a legal graph."""
+
+
+_INT = frozenset((int,))
+
+
+def _require_ints(values) -> None:
+    """Raise TypeError unless every one of values is an int.  JSON reads
+    true and false as bools, an int subclass that operator.index takes as 1
+    and 0, so the test is on the exact type."""
+    if not _INT.issuperset(map(type, values)):
+        raise TypeError("expected integers")
 
 
 @dataclass(frozen=True)
@@ -60,10 +70,9 @@ class Custom:
     extra_edges: tuple[tuple[Coord, Coord], ...]
 
     def __init__(self, extra_edges) -> None:
-        index = operator.index
         try:
-            edges = tuple(((index(ar), index(ac)), (index(br), index(bc)))
-                          for (ar, ac), (br, bc) in extra_edges)
+            edges = tuple(((ar, ac), (br, bc)) for (ar, ac), (br, bc) in extra_edges)
+            _require_ints(chain.from_iterable(chain.from_iterable(edges)))
         except TypeError:
             raise ShapeError("custom edges need integer coords") from None
         except ValueError:  # an edge or endpoint of the wrong length
@@ -277,14 +286,14 @@ class Graph:
             if not isinstance(data["shape"], dict):
                 raise ShapeError("graph JSON shape is not a JSON object")
             shape = GraphShape.from_json_dict(data["shape"])
-        index = operator.index
+        n = data["vertex_count"]
         try:
-            n = index(data["vertex_count"])
-            pairs = [(index(u), index(v)) for u, v in data["edges"]]
-            coords = tuple((index(r), index(c)) for r, c in data["coords"])
+            pairs = [(u, v) if u < v else (v, u) for u, v in data["edges"]]
+            coords = tuple([(r, c) for r, c in data["coords"]])
+            _require_ints(chain((n,), chain.from_iterable(pairs), chain.from_iterable(coords)))
         except TypeError:
             raise ShapeError("graph JSON needs integer vertex_count, edge endpoints and coords") from None
-        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
+        edges = tuple(sorted(pairs))
         if n != len(coords):
             raise ShapeError(f"graph JSON lists {len(coords)} coords for {n} vertices")
         if len(set(coords)) != n:

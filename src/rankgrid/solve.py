@@ -344,21 +344,30 @@ class _Engine:
     # -- certificates ------------------------------------------------------
 
     def greedy(self, mask: int, labels: dict[int, int]) -> int:
-        """Balanced-separator heuristic ranking; returns its label count."""
-        if mask & (mask - 1) == 0:
-            labels[mask.bit_length() - 1] = 1
-            return 1
-        best_v, best_size = -1, None
-        for v in self.candidates(mask):
-            comps = self.split(mask, v)
-            size = max(c.bit_count() for c in comps)
-            if best_size is None or size < best_size:
-                best_v, best_size = v, size
-        worst = 0
-        for comp in self.split(mask, best_v):
-            worst = max(worst, self.greedy(comp, labels))
-        labels[best_v] = worst + 1
-        return worst + 1
+        """Balanced-separator heuristic ranking; returns its label count.
+
+        The parts still to split wait on a stack and are labelled in
+        reverse order of their splits, so the call depth does not grow
+        with the label count."""
+        splits = []  # (part, its vertex, its components) in the order split
+        todo = [mask]
+        while todo:
+            part = todo.pop()
+            if part & (part - 1) == 0:
+                labels[part.bit_length() - 1] = 1
+                continue
+            best_v, best, best_size = -1, [], None
+            for v in self.candidates(part):
+                comps = self.split(part, v)
+                size = max(c.bit_count() for c in comps)
+                if best_size is None or size < best_size:
+                    best_v, best, best_size = v, comps, size
+            splits.append((part, best_v, best))
+            todo += best
+        count: dict[int, int] = {}  # label count per split part; a lone vertex needs 1
+        for part, v, comps in reversed(splits):
+            count[part] = labels[v] = 1 + max(count.get(c, 1) for c in comps)
+        return count.get(mask, 1)
 
     def extract(self, mask: int, labels: dict[int, int], k: int | None = None) -> None:
         """Rebuild a ranking of the connected subproblem from the memo.

@@ -269,7 +269,8 @@ def test_feasible_decision_hit_needs_a_ranking_within_k(tmp_path, g, caplog):
 
 
 def test_hits_print_the_labels_they_checked(tmp_path, g, capsys):
-    # JSON true passes the check as the integer 1; a hit must print that 1
+    # JSON true is not the integer 1, so records labelled with it miss; the
+    # search's reply and the hit on the record it writes print int labels
     path = tmp_path / "c.jsonl"
     bools = [True, 4, True, 2, 3, 2]
     path.write_text("".join(json.dumps(rec) + "\n" for rec in (
@@ -278,11 +279,14 @@ def test_hits_print_the_labels_they_checked(tmp_path, g, capsys):
          "elapsed": 0.0, "provenance": "exact"},
         {"kind": "decision", "key": g.graph_hash, "k": 5, "feasible": True, "labels": bools,
          "elapsed": 0.0})))
-    for argv in (["exact"], ["decide", "--k", "5"]):
-        assert cli.main([*argv, "--grid", "2x3", "--cache", str(path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["method"] == "cache" and doc["labels"] == LABELS
-        assert [type(label) for label in doc["labels"]] == [int] * 6, argv
+    for argv, searched in ((["exact"], "exact"), (["decide", "--k", "5"], "search")):
+        docs = []
+        for _ in range(2):
+            assert cli.main([*argv, "--grid", "2x3", "--cache", str(path)]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+            assert [type(label) for label in docs[-1]["labels"]] == [int] * 6, argv
+        assert [doc["method"] for doc in docs] == [searched, "cache"]
+        assert docs[1]["labels"] == docs[0]["labels"]
 
 
 def test_checked_exact_ranking_refutes_a_cached_no(tmp_path, capsys):
@@ -527,6 +531,32 @@ def test_a_key_that_is_not_a_graph_hash_is_a_corrupt_line(tmp_path, capsys, capl
     assert (doc["exact"], doc["entries"]) == (1, 1)
     assert doc["records"][0]["lb"] == 4
     assert "line 3 is corrupt" in caplog.text
+
+
+@pytest.mark.parametrize("rec", [
+    {"kind": "exact", "lb": True, "ub": 4, "labels": LABELS},
+    {"kind": "exact", "lb": 1, "ub": True, "labels": None},
+    {"kind": "decision", "k": True, "feasible": False, "labels": None},
+], ids=["lb", "ub", "k"])
+def test_a_boolean_number_is_a_corrupt_line(tmp_path, g, caplog, rec):
+    # true is the int 1 to Python: each record would be one the cache lists
+    path = tmp_path / "c.jsonl"
+    path.write_text(HEADER + json.dumps({**rec, "key": g.graph_hash, "elapsed": 0.0}) + "\n")
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        c = SolutionCache(path)
+        assert c.entries() == [] and c.get_decision(g, 1) is None
+    assert "line 2 is corrupt" in caplog.text
+
+
+def test_a_boolean_label_fails_its_check(tmp_path, g, caplog):
+    # LABELS with each 1 written as true: read as 1, it would be a hit
+    path = tmp_path / "c.jsonl"
+    labels = [True if v == 1 else v for v in LABELS]
+    path.write_text(HEADER + json.dumps({"kind": "exact", "key": g.graph_hash, "lb": 4, "ub": 4,
+                                         "labels": labels, "elapsed": 0.0}) + "\n")
+    with caplog.at_level("WARNING", logger="rankgrid.cache"):
+        assert SolutionCache(path).get_exact(g) is None
+    assert "fails its check; miss" in caplog.text
 
 
 @pytest.mark.parametrize("order", [("entries", "get_exact"), ("get_exact", "entries")])

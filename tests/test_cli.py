@@ -764,6 +764,10 @@ def path3_file(tmp_path, labels=(1, 2, 1), **graph):
     # a shape of a million vertices is refused without building it
     ({"shape": {"family": "grid", "m": 1000, "n": 1000}}, "does not match its embedded shape"),
     ({"shape": {"family": "grid", "m": 3, "n": 1}}, "does not match its embedded shape"),
+    # true is the int 1 to Python: each of these would load as the path
+    ({"vertex_count": True}, "needs integer vertex_count, edge endpoints and coords"),
+    ({"edges": [[0, True], [True, 2]]}, "needs integer vertex_count, edge endpoints and coords"),
+    ({"coords": [[0, 0], [0, True], [0, 2]]}, "needs integer vertex_count, edge endpoints and coords"),
 ])
 def test_render_rejects_inconsistent_graph(capsys, monkeypatch, tmp_path, graph, message):
     def small_build(shape):
@@ -837,6 +841,11 @@ def test_render_rejects_a_ranking_of_another_graph(capsys, tmp_path):
         {"kind": "custom", "extra_edges": [[[0], [1, 1]]]}]}, "vertex_count": 4,
         "edges": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]], "coords": [[0, 0], [0, 1], [1, 0], [1, 1]]},
      "custom edges need (row, col) endpoint pairs"),
+    # true is the int 1 to Python: this would load as the chord (0, 0)-(1, 1)
+    ((3, 1, 1, 2), {"shape": {"family": "grid", "m": 2, "n": 2, "decorations": [
+        {"kind": "custom", "extra_edges": [[[0, 0], [True, 1]]]}]}, "vertex_count": 4,
+        "edges": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]], "coords": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+     "custom edges need integer coords"),
 ])
 def test_render_rejects_the_shape(capsys, tmp_path, labels, graph, message):
     code, out, err = run(capsys, "render", path3_file(tmp_path, labels, **graph))
@@ -849,6 +858,14 @@ def test_render_rejects_non_integer_labels(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "needs integer labels" in err
     assert "Traceback" not in err
+
+
+def test_render_rejects_boolean_labels(capsys, tmp_path):
+    # JSON true is not the label 1: [true, 2] on the 1x2 grid is refused
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"graph": build(GraphShape.grid(1, 2)).to_json_dict(), "labels": [True, 2]}))
+    code, out, err = run(capsys, "render", str(path))
+    assert (code, out) == (1, "") and err == f"error: ranking file {path} needs integer labels\n"
 
 
 # -- the indent-2 JSON writer -------------------------------------------------

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
 import pytest
 
 from conftest import decided, run_endpoint
-from rankgrid import bounds, construct, formulas, solve
+from rankgrid import bounds, construct, formulas, solve, verify
 from rankgrid.graphs import Custom, Graph, GraphShape, ShapeError, StickyEnd, build
 from rankgrid.solve import rank_exact
 from rankgrid.verify import Ranking, checked, validate
@@ -779,6 +782,51 @@ def test_each_endpoint_chain_is_built_once(endpoint_builds):
         assert len(labels) == 4 * e and all(type(v) is int for v in labels)
         assert steps[-1].output == GraphShape.grid(4, e)
     assert endpoint_builds == {e: 1 for e in ends}
+
+
+@pytest.fixture
+def validations(monkeypatch) -> Counter:
+    """verify.validate calls per graph shape, counted from a cold endpoint memo."""
+    seen: Counter = Counter()
+    real = verify.validate
+
+    def counted(r: Ranking):
+        seen[r.graph.shape] += 1
+        return real(r)
+
+    monkeypatch.setattr(verify, "validate", counted)
+    construct._endpoint_record.cache_clear()
+    return seen
+
+
+@pytest.mark.parametrize("e", [46, 37])  # a doubling endpoint, then a ruler one
+def test_a_cold_endpoint_validates_its_final_once(validations, e):
+    grid = GraphShape.grid(4, e)
+    chain = construct.four_row_certificate(e)
+    assert chain.final.graph.shape == grid and chain.labels == formulas.rank_4xn(e)
+    assert validations[grid] == 1
+    # a warm call rebuilds the grid from the memo's labels and checks it on use
+    assert construct.four_row_certificate(e).final.labels == chain.final.labels
+    assert validations[grid] == 2
+
+
+def test_a_cold_interior_width_validates_its_cut_and_the_final_once(validations):
+    assert run_endpoint(40) == 46
+    assert construct.four_row_certificate(40).final.graph.shape == GraphShape.grid(4, 40)
+    assert validations[GraphShape.grid(4, 40)] == 1 and validations[GraphShape.grid(4, 46)] == 1
+
+
+def test_a_cold_endpoint_keeps_no_graph_alive():
+    # the memo files the chain's labels; once the caller drops the chain it
+    # built, its 4 x e graph must go with it
+    construct._endpoint_record.cache_clear()
+    chain = construct.four_row_certificate(46)
+    final, graph = weakref.ref(chain.final), weakref.ref(chain.final.graph)
+    del chain
+    gc.collect()
+    assert final() is None and graph() is None
+    steps, labels = construct._endpoint_record(46)
+    assert _holds_no_graph(steps) and _holds_no_graph(labels)
 
 
 def test_restrict_columns_matches_coordinate_restriction():

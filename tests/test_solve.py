@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from collections import deque
 from functools import partial
 
@@ -13,7 +14,7 @@ from conftest import brute_force, corner_cut, neighbours, random_connected_graph
 from rankgrid import bounds, cli, construct, formulas, solve
 from rankgrid.graphs import Graph, GraphShape, StickyEnd, build
 from rankgrid.solve import Budget, rank_decision, rank_exact
-from rankgrid.verify import validate
+from rankgrid.verify import Ranking, validate
 
 
 def test_known_small_values():
@@ -550,6 +551,43 @@ def test_search_trajectory_is_pinned(engines, shape, want):
 def test_budgeted_intervals_are_pinned(m, n, interval):
     res = rank_exact(build(GraphShape.grid(m, n)), budget=Budget(nodes=10000))
     assert res.budget_exhausted and (res.lb, res.ub) == interval
+
+
+def _labels_sha(labels) -> str:
+    return hashlib.sha256(",".join(map(str, labels)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m, n, digest", [
+    (4, 8, "1e4bcd3c920ff8cff4590268f679775a9c1e7c7523d8f368574e49961a0c1e0d"),
+    (4, 9, "562bfa78fb85d9ac01f85a56c698be8fffc4ecdb892428317b633a7f55230967"),
+    (6, 6, "c25541e4f10c76044f064788a8006d076e2d064971732d074995d1961411e361"),
+])
+def test_budgeted_certificates_are_the_pinned_greedy_labels(m, n, digest):
+    # a budgeted reply prints greedy's ranking; the digests are of the
+    # labels the recursive greedy gave
+    res = rank_exact(build(GraphShape.grid(m, n)), budget=Budget(nodes=10000))
+    assert res.budget_exhausted and _labels_sha(res.certificate.labels) == digest
+
+
+def test_greedy_needs_no_stack_per_label():
+    # 16x16 takes 82 greedy labels, once 82 nested calls; the digest is of
+    # the labels that recursive greedy gave
+    g = build(GraphShape.grid(16, 16))
+    eng = solve._Engine(g)
+    labels: dict[int, int] = {}
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        count = eng.greedy((1 << g.vertex_count) - 1, labels)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == 82 == max(labels.values())
+    assert _labels_sha(labels[v] for v in range(g.vertex_count)) == \
+        "9139abb341d58679eb4e1195567eba3407f85ad04f1bcfc6897b033b6fbfb6d8"
+    assert validate(Ranking(g, tuple(labels[v] for v in range(g.vertex_count)))) is None
 
 
 @pytest.mark.parametrize("g", [
