@@ -153,6 +153,7 @@ class GraphShape:
 
     @staticmethod
     def from_json_dict(data: dict) -> "GraphShape":
+        _require_ints((data["m"], data["n"]))
         decs: list[Decoration] = []
         for d in data.get("decorations", ()):
             kind = d["kind"]

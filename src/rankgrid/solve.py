@@ -11,14 +11,17 @@ restricted to a subgraph is still a ranking.  Block ranks come from
 grid_rank, which reads solved, the process's one table of unbudgeted
 rank_exact certificates by shape; the closed forms' base cases,
 square_lower, construct's small chains and triangles and an unbudgeted
-sweep read it too, so none of them solves a shape twice.  When an entry's
-lb equals the k asked, the one vertex labelled k lies in every placement of
-every block of rank k, so only that common core is tried as a separator,
-and an empty core refutes k.  rank_decision asks the search once;
-rank_exact starts ub at a greedy ranking's label count and lowers it one
-label at a time until the next step down is refuted.  Both rebuild their
-certificate with one memo walk, extract: rank_exact lets each part take its
-own rank, rank_decision caps the top label at k.  Every ranking they return
+sweep read it too, so none of them solves a shape twice.  The engine
+numbers the placements as bits, highest rank first, and indexes them by
+vertex, so the placements inside a subset are those that no vertex outside
+it hits: one OR per vertex outside it.  When an entry's lb equals the k
+asked, the one vertex labelled k lies in every placement of every block of
+rank k, so only that common core is tried as a separator, and an empty
+core refutes k.  rank_decision asks the search once; rank_exact starts ub
+at a greedy ranking's label count and lowers it one label at a time until
+the next step down is refuted.  Both rebuild their certificate with one
+memo walk, extract: rank_exact lets each part take its own rank,
+rank_decision caps the top label at k.  Every ranking they return
 has passed verify.checked; the test suite checks their values against an
 enumeration oracle of its own.
 
@@ -136,9 +139,25 @@ class _Engine:
         self.g = graph
         self.n = graph.vertex_count
         self.adj = list(graph.adjacency_masks)
-        # (rank, placement masks); built before the clock starts, so no
-        # budget pays for the solves behind the ranks
-        self.blocks = _blocks(graph)
+        # the block placements as bits, highest rank first: each bit's rank
+        # and cells, hit[v] the bits of the placements that hold vertex v,
+        # and covered the vertices some placement holds; built before the
+        # clock starts, so no budget pays for the solves behind the ranks
+        blocks = _blocks(graph)
+        self.ranks = [rank for rank, placements in blocks for _ in placements]
+        self.cells = [p for _, placements in blocks for p in placements]
+        self.placed = (1 << len(self.cells)) - 1
+        self.hit = hit = [0] * self.n
+        covered = 0
+        bit = 1
+        for p in self.cells:
+            covered |= p
+            while p:
+                low = p & -p
+                hit[low.bit_length() - 1] |= bit
+                p ^= low
+            bit <<= 1
+        self.covered = covered
         self.memo: dict[int, tuple[int, int]] = {}
         self.nodes = 0
         self._node_limit = budget.nodes if budget else None
@@ -241,28 +260,45 @@ class _Engine:
             far = last & -last
         return (d + 1).bit_length()
 
+    def live(self, mask: int) -> int:
+        """The bits of the placements that lie in mask: those that no
+        vertex outside mask hits."""
+        hit = self.hit
+        dead = 0
+        removed = self.covered & ~mask
+        while removed:
+            low = removed & -removed
+            dead |= hit[low.bit_length() - 1]
+            removed ^= low
+        return self.placed & ~dead
+
     def block_lb(self, mask: int, lb: int) -> int:
-        """The larger of lb and the rank of the best block placed in mask."""
-        for rank, placements in self.blocks:
-            if rank <= lb:
-                break
-            for p in placements:
-                if mask & p == p:
-                    return rank
+        """The larger of lb and the rank of the best block placed in mask:
+        the rank of its lowest live placement bit."""
+        live = self.live(mask)
+        if live:
+            rank = self.ranks[(live & -live).bit_length() - 1]
+            if rank > lb:
+                return rank
         return lb
 
     def block_core(self, mask: int, k: int) -> int:
         """The cells common to every placement in mask of every block of
-        rank >= k; -1 (all cells) when mask holds no such placement."""
+        rank >= k; -1 (all cells) when mask holds no such placement.
+        Ranks fall along the bit order, so those are the live bits before
+        the first of rank < k."""
+        ranks = self.ranks
+        live = self.live(mask)
         core = -1
-        for rank, placements in self.blocks:
-            if rank < k:
+        while live:
+            low = live & -live
+            i = low.bit_length() - 1
+            if ranks[i] < k:
                 break
-            for p in placements:
-                if mask & p == p:
-                    core &= p
-                    if not core:
-                        return 0
+            core &= self.cells[i]
+            if not core:
+                return 0
+            live ^= low
         return core
 
     def candidates(self, mask: int, allowed: int = -1) -> list[int]:
@@ -313,7 +349,7 @@ class _Engine:
         if lb > k:
             return False
         core = -1
-        if lb == k and self.blocks:
+        if lb == k and self.cells:
             # rank >= k: the one vertex labelled k lies in every block of
             # rank k, and it is the separator sought
             core = self.block_core(mask, k)

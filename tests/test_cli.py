@@ -964,9 +964,12 @@ def test_sweep_out_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
 @pytest.mark.parametrize("graph,message", [
     ({"shape": {"family": "grid", "m": 1, "n": 3, "decorations": [1]}},
      "'int' object is not subscriptable"),
-    ({"shape": {"family": "grid", "m": "1", "n": 3}}, "'<' not supported"),
+    ({"shape": {"family": "grid", "m": "1", "n": 3}}, "expected integers"),
     (None, "the top level is not a JSON object"),
     ({"edges": [[0, 1], [0]]}, "not enough values to unpack"),
+    # JSON true and false are bools, which == takes as 1 and 0
+    ({"shape": {"family": "grid", "m": True, "n": 3}}, "expected integers"),
+    ({"shape": {"family": "grid", "m": 1, "n": False}}, "expected integers"),
 ])
 def test_render_names_the_malformed_file(capsys, tmp_path, graph, message):
     path = path3_file(tmp_path, **(graph or {}))

@@ -536,6 +536,14 @@ def _budgeted(g):
                  ((8, 11, True), 10001, 4671,
                   "d516f92450ea37eacf9a5fa47c861cab505d76757723726137b4ebc95c90e92d"),
                  id="budgeted-4x8"),
+    pytest.param(partial(_budgeted, build(GraphShape.grid(4, 9))),
+                 ((8, 12, True), 10001, 4800,
+                  "c9a4666594a9c133a5170206448c0084dcc204b14b4201b77f8956e76b8871d3"),
+                 id="budgeted-4x9"),
+    pytest.param(partial(_budgeted, build(GraphShape.grid(6, 6))),
+                 ((8, 13, True), 10001, 3577,
+                  "e6b38f1d8fde906753859e94cf17a07951adc2741e6137ecef8859e59d4ec5b6"),
+                 id="budgeted-6x6"),
 ])
 def test_search_trajectory_is_pinned(engines, shape, want):
     # a faster kernel must run the same search: same answer, same number of
@@ -545,6 +553,47 @@ def test_search_trajectory_is_pinned(engines, shape, want):
     memo = engines[-1].memo
     digest = hashlib.sha256(repr(sorted(memo.items())).encode()).hexdigest()
     assert (answer, engines[-1].nodes, len(memo), digest) == want
+
+
+def _scanned(table, mask):
+    """(rank, placement) of every placement of the block table inside mask,
+    one containment test each."""
+    return [(rank, p) for rank, ps in table for p in ps if mask & p == p]
+
+
+@pytest.mark.parametrize("run", [
+    partial(_budgeted, build(GraphShape.grid(6, 6))),
+    partial(_budgeted, build(GraphShape.grid(4, 9))),
+    partial(_rank_of, build(GraphShape.grid(4, 4, RIGHT))),
+], ids=["budgeted-6x6", "budgeted-4x9", "exact-4x4-right"])
+def test_block_index_matches_a_placement_scan_on_memo_keys(engines, run):
+    # the subproblems the search really meets: every memo key it leaves
+    run()
+    eng = engines[-1]
+    table = solve._blocks(eng.g)
+    top = table[0][0]
+    for mask in eng.memo:
+        inside = _scanned(table, mask)
+        for lb in (0, 2, top):
+            assert eng.block_lb(mask, lb) == max([lb] + [rank for rank, _ in inside]), (bin(mask), lb)
+        for k in range(1, top + 2):
+            want = -1
+            for rank, p in inside:
+                if rank >= k:
+                    want &= p
+            assert eng.block_core(mask, k) == want, (bin(mask), k)
+
+
+@pytest.mark.parametrize("shape", [GraphShape.path(3), GraphShape.grid(1, 3), GraphShape.grid(2, 2)])
+def test_a_graph_without_placements_has_no_block_bound(shape):
+    g = build(shape)
+    assert solve._blocks(g) == []
+    eng = solve._Engine(g)
+    for mask in range(1, 1 << g.vertex_count):
+        for lb in (0, 2, 5):
+            assert eng.block_lb(mask, lb) == lb
+        for k in range(1, 6):
+            assert eng.block_core(mask, k) == -1
 
 
 @pytest.mark.parametrize("m, n, interval", [(4, 8, (8, 11)), (4, 9, (8, 12)), (6, 6, (8, 13))])
